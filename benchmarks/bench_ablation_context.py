@@ -3,7 +3,7 @@
 The greedy submodular placement evaluates F_RNR marginal gains millions of
 times on a 100-item catalog; with the dict-based ``ShortestPathCache`` every
 gain walks per-requester hash lookups, while ``SolverContext`` reads one
-row slice of the dense all-pairs distance matrix and reduces with BLAS.
+row of its fully primed distance rows and reduces with BLAS.
 This bench measures both paths on Deltacom (113 nodes, the paper's largest
 topology) and checks they return the same placement cost, then verifies
 the parallel Monte Carlo runner reproduces serial records bit-identically.

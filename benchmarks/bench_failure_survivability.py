@@ -42,7 +42,7 @@ def test_failure_survivability(benchmark, report, bench_json):
 
     # One parent context serves the whole sweep: every failure scenario
     # derives its degraded context incrementally instead of rebuilding the
-    # dense matrix and path caches from scratch (see repro.robustness.degraded).
+    # distance rows and path caches from scratch (see repro.robustness.degraded).
     context = SolverContext.from_problem(problem)
 
     def run():

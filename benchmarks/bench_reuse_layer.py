@@ -5,15 +5,15 @@ on top of its solvers.  Three independent measurements:
 
 1. **Degraded-context sweep** — a Deltacom single-link failure sweep with
    one parent :class:`~repro.core.context.SolverContext` threaded through
-   ``survivability_report`` (incremental distance-matrix repair + dense
-   recovery) against the per-scenario-rebuild path.  The reports must match
-   record for record and the reuse path must be >= 5x faster.
+   ``survivability_report`` (derived contexts whose rows compute on demand
+   + context recovery) against the per-scenario-rebuild path.  The reports
+   must match record for record and the reuse path must be >= 5x faster.
 2. **FC-FR template sweep** — capacity scenarios solved by patching one
    frozen LP (:class:`~repro.core.fcfr.FCFRTemplate`) against re-assembling
    and re-solving from scratch; costs must be bit-identical.
 3. **Broadcast payload** — the per-pool pickle payload of a shared-memory
-   distance-matrix handle must stay an order of magnitude below the
-   O(|V|^2) matrix it replaces.
+   row-store handle must stay an order of magnitude below the O(|V|^2)
+   primed row block it replaces.
 
 Every measurement lands in ``BENCH_reuse_layer.json`` for CI artifact
 comparison; parity failures fail the bench, not just the numbers.
@@ -27,8 +27,8 @@ from repro.core.context import SolverContext
 from repro.core.problem import ProblemInstance
 from repro.core.submodular import greedy_rnr_placement
 from repro.experiments import ScenarioConfig, build_scenario, format_sweep
-from repro.graph import build_distance_matrix, deltacom
-from repro.graph.shm import MatrixBroadcast, graph_signature
+from repro.graph import LazyRowBackend, deltacom
+from repro.graph.shm import RowsBroadcast, graph_signature
 from repro.robustness import single_link_failures, survivability_report
 
 SWEEP_SCENARIOS = 40
@@ -183,30 +183,31 @@ def test_fcfr_template_capacity_sweep(benchmark, report, bench_json):
 
 def test_broadcast_payload(report, bench_json):
     graph = deltacom().graph
-    dm = build_distance_matrix(graph)
-    with MatrixBroadcast(dm, graph_signature(graph)) as broadcast:
+    backend = LazyRowBackend(graph).prime()
+    store = backend.row_store()
+    with RowsBroadcast(store, backend.nodes, graph_signature(graph)) as broadcast:
         handle_bytes = len(pickle.dumps(broadcast.handle))
-        matrix_bytes = len(pickle.dumps(dm))
+        matrix_bytes = len(pickle.dumps(store))
     report(
         "reuse_broadcast_payload",
         format_sweep(
             [
-                {"payload": "pickled DistanceMatrix", "bytes": matrix_bytes},
+                {"payload": "pickled primed RowStore", "bytes": matrix_bytes},
                 {"payload": "pickled shm handle", "bytes": handle_bytes},
             ],
             ["payload", "bytes"],
-            title=f"Deltacom (|V|={len(dm)}) per-pool broadcast payload",
+            title=f"Deltacom (|V|={len(backend)}) per-pool broadcast payload",
         ),
     )
     bench_json(
         "broadcast_payload",
         {
             "topology": "deltacom",
-            "nodes": len(dm),
-            "matrix_nbytes": int(dm.matrix.nbytes),
+            "nodes": len(backend),
+            "matrix_nbytes": int(store.block.nbytes),
             "pickled_matrix_bytes": matrix_bytes,
             "pickled_handle_bytes": handle_bytes,
         },
     )
     # The O(|V|^2) payload never crosses a pool boundary — only the handle.
-    assert handle_bytes < dm.matrix.nbytes / 10
+    assert handle_bytes < store.block.nbytes / 10

@@ -1,14 +1,14 @@
-"""Scale gate: tiered distance backends + cluster-decomposed solving.
+"""Scale gate: distance-row priming policies + cluster-decomposed solving.
 
 Three measurements back ROADMAP item 3 ("10k nodes without the dense
 O(|V|²) wall") and are written to one ``BENCH_scale_decomposition.json``:
 
-1. **Backend tiers** — wall time and tracemalloc peak of building the dense
-   all-pairs matrix vs. priming a :class:`LazyRowBackend` with exactly the
-   rows a solve consults (cache nodes + pinned holders + requesters), on
-   PoP/core/edge hierarchies of growing size.  Gate: at the largest size
-   the lazy build peaks below 10% of the dense peak, and the primed rows
-   are bit-identical to the dense matrix rows.
+1. **Backend tiers** — wall time and tracemalloc peak of priming every
+   row of a :class:`LazyRowBackend` (the dense policy) vs. priming exactly
+   the rows a solve consults (cache nodes + pinned holders + requesters),
+   on PoP/core/edge hierarchies of growing size.  Gate: at the largest size
+   the lazy build peaks below 10% of the dense peak, and the scope rows
+   are bit-identical to the fully primed rows.
 2. **End-to-end decomposed solve** — :func:`repro.core.decomposed_solve`
    runs Algorithm 1 per cluster and composes a feasible global solution on
    the largest hierarchy.  Gate: it completes, the composed solution is
@@ -40,7 +40,6 @@ from repro.core.context import relevant_sources
 from repro.graph import (
     CacheNetwork,
     LazyRowBackend,
-    build_distance_matrix,
     deltacom,
     pop_core_edge_hierarchy,
     tinet,
@@ -106,6 +105,10 @@ def _traced(fn, *args):
     return value, seconds, peak
 
 
+def _prime_all(graph):
+    return LazyRowBackend(graph).prime()
+
+
 def _prime_lazy(graph, scope):
     backend = LazyRowBackend(graph)
     backend.ensure_rows(backend.index[v] for v in scope)
@@ -124,13 +127,13 @@ def test_backend_tiers_and_decomposed_solve(benchmark, report, bench_json):
             n = graph.number_of_nodes()
             scope = relevant_sources(problem)
 
-            dm, dense_seconds, dense_peak = _traced(build_distance_matrix, graph)
+            dense, dense_seconds, dense_peak = _traced(_prime_all, graph)
             lazy, lazy_seconds, lazy_peak = _traced(_prime_lazy, graph, scope)
 
-            # bit-parity of every primed row against the dense matrix
+            # bit-parity of every scope row against the fully primed rows
             for v in scope[:50]:
                 i = lazy.index[v]
-                assert np.array_equal(lazy.row(i), dm.matrix[i]), v
+                assert np.array_equal(lazy.row(i), dense.row(i)), v
                 parity_checked += 1
             tier_rows.append(
                 {
@@ -143,7 +146,7 @@ def test_backend_tiers_and_decomposed_solve(benchmark, report, bench_json):
                     "peak_ratio": round(lazy_peak / dense_peak, 4),
                 }
             )
-            del dm, lazy
+            del dense, lazy
 
         largest = max(sizes)
         problem = scale_problem(largest)
@@ -230,7 +233,7 @@ def test_backend_tiers_and_decomposed_solve(benchmark, report, bench_json):
                 "lazy_peak_mb",
                 "peak_ratio",
             ],
-            title="Distance tiers: dense all-pairs vs lazy consulted rows",
+            title="Distance rows: all primed (dense) vs consulted rows (lazy)",
         )
         + "\n\n"
         + format_sweep(

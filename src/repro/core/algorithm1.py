@@ -21,7 +21,7 @@ LP (7) itself is assembled either through the keyed :class:`LPBuilder` API
 (``assembly="dict"``) or, by default, through the array fast path
 (``assembly="array"``): the z/r/x rows are emitted as COO batches over
 flattened per-request eligible-source index arrays (taken from the
-:class:`~repro.core.context.SolverContext` distance matrix when one is
+:class:`~repro.core.context.SolverContext` distance rows when one is
 passed).  Both paths materialize bit-identical LPs.
 """
 
@@ -261,7 +261,7 @@ def algorithm1(
     so Theorem 4.4's (1 - 1/e) guarantee is preserved.
 
     Pass a :class:`~repro.core.context.SolverContext` to take every pairwise
-    cost from the dense distance matrix (shared with the polish and the RNR
+    cost from the context's distance rows (shared with the polish and the RNR
     routing step) instead of running memoized Dijkstras on demand.
     ``assembly`` selects how LP (7) is built: ``"array"`` (COO batches, the
     fast default) or ``"dict"`` (keyed rows); both produce bit-identical LPs.

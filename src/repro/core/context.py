@@ -1,4 +1,4 @@
-"""Shared solver context: index maps + a tiered distance backend.
+"""Shared solver context: index maps + the distance row backend.
 
 Every Section 4 solver consumes the same instance-level structure — the
 least costs ``w_{v->s}`` between cache nodes and requesters, the per-item
@@ -7,11 +7,11 @@ recomputed (or dict-looked-up) these inside inner loops through
 :class:`~repro.core.rnr.ShortestPathCache`.  A :class:`SolverContext`
 materializes them once per instance:
 
-- a :class:`~repro.graph.backends.DistanceBackend` over the graph's nodes:
-  the classic dense all-pairs matrix (:class:`DenseBackend`) below
-  :data:`DENSE_NODE_THRESHOLD` nodes, or the row-lazy tier
-  (:class:`LazyRowBackend`) above it, which computes and memoizes only the
-  rows solvers actually consult — both bit-identical on every operation;
+- a :class:`~repro.graph.backends.LazyRowBackend` over the graph's nodes,
+  primed with every row up front (the dense policy) up to
+  :data:`DENSE_NODE_THRESHOLD` nodes, or computing and memoizing only the
+  rows solvers actually consult above it — the rows are the same either
+  way;
 - per-item requester index arrays and rate vectors, aligned with
   :meth:`ProblemInstance.requesters_of` order so vectorized reductions are
   deterministic and comparable with the dict-based code path;
@@ -23,35 +23,25 @@ materializes them once per instance:
 The context is an optional argument everywhere (``context=None`` keeps the
 dict-based fallback), so callers can cross-check both paths.  Solver code
 never touches a raw matrix: every distance access goes through
-:meth:`row_of`/:meth:`rows_of`/:meth:`distance`, which is what makes the
-backends interchangeable.
+:meth:`row_of`/:meth:`rows_of`/:meth:`distance`.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.problem import Item, Node, ProblemInstance
 from repro.core.rnr import PredecessorPathCache, ShortestPathCache
-from repro.exceptions import InvalidProblemError, ResourceError
-from repro.graph.backends import DenseBackend, DistanceBackend, LazyRowBackend
-from repro.graph.distance_matrix import DistanceMatrix, build_distance_matrix
+from repro.exceptions import InvalidProblemError
+from repro.graph.backends import LazyRowBackend
 
 Edge = tuple[Node, Node]
 
-#: Above this many nodes, ``from_problem(backend="auto")`` switches from the
-#: dense all-pairs matrix to the lazy row tier.  Override with the
-#: ``REPRO_DENSE_NODE_THRESHOLD`` environment variable.
+#: Up to this many nodes, ``from_problem(backend="auto")`` primes every
+#: distance row up front; above it, rows are computed on first read.
 DENSE_NODE_THRESHOLD = 2048
-
-
-def _dense_node_threshold() -> int:
-    override = os.environ.get("REPRO_DENSE_NODE_THRESHOLD")
-    return int(override) if override else DENSE_NODE_THRESHOLD
 
 
 def relevant_sources(problem: ProblemInstance) -> list[Node]:
@@ -75,7 +65,7 @@ class RequesterBlock:
 
     #: Requester nodes, sorted like :meth:`ProblemInstance.requesters_of`.
     nodes: tuple[Node, ...]
-    #: Column indices of ``nodes`` in the distance matrix.
+    #: Column indices of ``nodes`` in the distance rows.
     idx: np.ndarray
     #: Request rates ``lambda_{(i, s)}`` aligned with ``nodes``.
     rates: np.ndarray
@@ -88,29 +78,13 @@ class RequesterBlock:
 class SolverContext:
     """Per-instance solver state shared across algorithms.
 
-    ``backend`` supplies the distances; ``dm``/``use_scipy`` keep the
-    historical dense construction path (``dm`` and ``backend`` are mutually
-    exclusive).  The :attr:`dm` attribute stays available on dense-backed
-    contexts for the repair/broadcast machinery; reading it on a lazy
-    context raises :class:`~repro.exceptions.ResourceError` instead of
-    silently materializing O(|V|²) state.
+    ``backend`` supplies the distances; :meth:`from_problem` builds one with
+    the priming policy suited to the topology.
     """
 
-    def __init__(
-        self,
-        problem: ProblemInstance,
-        *,
-        dm: DistanceMatrix | None = None,
-        use_scipy: bool = True,
-        backend: DistanceBackend | None = None,
-    ) -> None:
-        if dm is not None and backend is not None:
-            raise InvalidProblemError("pass either dm or backend, not both")
+    def __init__(self, problem: ProblemInstance, *, backend: LazyRowBackend) -> None:
         self.problem = problem
-        graph = problem.network.graph
-        if backend is None:
-            backend = DenseBackend(dm or build_distance_matrix(graph, use_scipy=use_scipy))
-        self.backend: DistanceBackend = backend
+        self.backend = backend
         self.nodes: tuple[Node, ...] = backend.nodes
         self.node_index: dict[Node, int] = backend.index
         self.items: tuple[Item, ...] = problem.catalog
@@ -127,74 +101,40 @@ class SolverContext:
         cls,
         problem: ProblemInstance,
         *,
-        use_scipy: bool = True,
         backend: str = "auto",
     ) -> "SolverContext":
-        """Build a context, choosing the distance tier for the topology.
+        """Build a context, choosing the priming policy for the topology.
 
-        ``backend`` is ``"auto"`` (dense up to :data:`DENSE_NODE_THRESHOLD`
-        nodes, lazy rows above), ``"dense"``, or ``"lazy"``.  A broadcast
-        matrix or row store matching the topology (see
-        :mod:`repro.graph.shm`) is reused regardless of the choice —
+        ``backend`` is ``"dense"`` (every row computed up front in one
+        batched sweep), ``"lazy"`` (rows computed on first read), or
+        ``"auto"`` (dense up to :data:`DENSE_NODE_THRESHOLD` nodes, lazy
+        above).  A broadcast row store matching the topology (see
+        :mod:`repro.graph.shm`) is reused as is, whatever the choice —
         costless when no broadcast is live.
         """
-        from repro.graph.shm import lookup_matrix, lookup_rows
+        from repro.graph.shm import lookup_rows
 
         if backend not in ("auto", "dense", "lazy"):
             raise InvalidProblemError("backend must be 'auto', 'dense' or 'lazy'")
         graph = problem.network.graph
-        dm = lookup_matrix(graph)
-        if dm is not None:
-            return cls(problem, dm=dm)
         store = lookup_rows(graph)
-        if store is not None:
-            return cls(
-                problem,
-                backend=LazyRowBackend(graph, use_scipy=use_scipy, store=store),
-            )
-        if backend == "lazy" or (
-            backend == "auto" and graph.number_of_nodes() > _dense_node_threshold()
-        ):
-            return cls(problem, backend=LazyRowBackend(graph, use_scipy=use_scipy))
-        return cls(problem, use_scipy=use_scipy)
+        rows = LazyRowBackend(graph, store=store)
+        dense = backend == "dense" or (
+            backend == "auto" and graph.number_of_nodes() <= DENSE_NODE_THRESHOLD
+        )
+        if dense and store is None:
+            rows.prime()
+        return cls(problem, backend=rows)
 
     # ------------------------------------------------------------------
     # Backend access
     # ------------------------------------------------------------------
 
     @property
-    def dm(self) -> DistanceMatrix:
-        """The dense matrix (dense-backed contexts only).
-
-        Consumed by the incremental-repair and broadcast machinery, which
-        are inherently dense-tier features.  Lazy contexts raise — callers
-        that only need rows should use :meth:`row_of`/:meth:`rows_of`.
-        """
-        backend = self.backend
-        if isinstance(backend, DenseBackend):
-            return backend.dm
-        caller = "a dense-only feature"
-        try:  # name the feature that reached for the matrix
-            code = sys._getframe(1).f_code
-            caller = getattr(code, "co_qualname", code.co_name)
-        except Exception:  # pragma: no cover - frame introspection disabled
-            pass
-        raise ResourceError(
-            f"SolverContext.dm (reached from {caller}) needs the dense "
-            f"all-pairs matrix, but this {len(self.nodes)}-node context runs "
-            "the lazy row backend and never materializes O(|V|^2) state. "
-            "Use row_of()/rows_of() for distances, or force the dense tier "
-            "with SolverContext.from_problem(backend='dense') or by raising "
-            "the REPRO_DENSE_NODE_THRESHOLD environment variable above the "
-            "topology size."
-        )
-
-    @property
     def w_max(self) -> float:
         """Paper bound on pairwise costs (max finite entry, floored at 1.0).
 
-        Lazily computed: the dense tier reads it off the matrix, the lazy
-        tier streams the identical value in bounded memory (see
+        Lazily computed and streamed in bounded memory (see
         :meth:`repro.graph.backends.LazyRowBackend.w_max`).
         """
         if self._w_max is None:
@@ -205,15 +145,13 @@ class SolverContext:
         """Materialize distance rows for ``sources`` in one batched sweep.
 
         Defaults to :func:`relevant_sources` of the problem — the rows any
-        solver consults.  No-op on the dense tier.  Call before exporting a
-        row store (:func:`repro.graph.shm.RowsBroadcast`) or to front-load
-        the Dijkstra cost out of a timed section.
+        solver consults; nodes outside the graph are ignored.  No-op on a
+        primed backend.  Call before exporting a row store
+        (:func:`repro.graph.shm.RowsBroadcast`) or to front-load the
+        Dijkstra cost out of a timed section.
         """
-        backend = self.backend
-        if not isinstance(backend, LazyRowBackend):
-            return
         nodes = relevant_sources(self.problem) if sources is None else sources
-        backend.ensure_rows(
+        self.backend.ensure_rows(
             self.node_index[v] for v in nodes if v in self.node_index
         )
 
@@ -326,11 +264,9 @@ class SolverContext:
 
     @property
     def path_oracle(self) -> PredecessorPathCache:
-        """Lazy scipy predecessor-tree path oracle (requires scipy)."""
+        """Lazy scipy predecessor-tree path oracle over the backend's CSR."""
         if self._path_oracle is None:
-            self._path_oracle = PredecessorPathCache(
-                self.problem.network.graph, self.nodes, self.node_index
-            )
+            self._path_oracle = PredecessorPathCache(self.backend.csgraph, self.nodes)
         return self._path_oracle
 
     def path(self, source: Node, target: Node) -> tuple[Node, ...]:
@@ -344,5 +280,5 @@ class SolverContext:
         w = f"{self._w_max:.4g}" if self._w_max is not None else "<unread>"
         return (
             f"SolverContext(|V|={len(self.nodes)}, |C|={len(self.items)}, "
-            f"backend={type(self.backend).__name__}, w_max={w})"
+            f"backend={self.backend!r}, w_max={w})"
         )

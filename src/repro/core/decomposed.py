@@ -24,7 +24,7 @@ of the caching literature:
    across a process pool (:func:`decomposed_solve`), then **compose**: the
    per-cluster placements union into a feasible global placement (clusters
    own disjoint cache nodes), and the global routing is plain RNR over the
-   full topology under a lazy row backend (holder rows only).
+   full topology (holder rows only, above the dense threshold).
 4. **Measure** the price: :func:`decomposition_gap` runs the exact solve
    next to the decomposed one on mid-size instances (exact is still
    feasible ≤ ~500 nodes) and reports the relative cost gap — the bench
@@ -56,7 +56,6 @@ from repro.core.problem import Item, Node, ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement, Solution
 from repro.exceptions import InfeasibleError, InvalidProblemError
-from repro.graph.backends import LazyRowBackend
 from repro.graph.network import CAPACITY, COST, CacheNetwork
 
 __all__ = [
@@ -405,23 +404,18 @@ def decomposed_solve(
     The returned :attr:`DecomposedResult.cost` is evaluated exactly on the
     real topology under the composed placement.
 
-    ``context`` carries the global routing context; by default one is
-    built with :meth:`SolverContext.from_problem` (lazy row tier above the
-    dense threshold — only holder rows are ever materialized).
+    ``context`` carries the global distance rows (holder rows for the
+    stitching, then the global routing); by default one is built with
+    :meth:`SolverContext.from_problem` (rows on demand above the dense
+    threshold, where only holder rows are ever materialized).
     """
     t_start = time.perf_counter()
     partition = partition_graph(problem.network, n_clusters, seed=seed)
 
-    graph = problem.network.graph
+    context = context or SolverContext.from_problem(problem)
     holders = sorted({v for (v, _i) in problem.pinned}, key=repr)
-    lazy = LazyRowBackend(graph)
-    node_index = lazy.index
-    row_block = (
-        lazy.rows(np.asarray([node_index[h] for h in holders], dtype=np.intp))
-        if holders
-        else np.empty((0, len(lazy)))
-    )
-    holder_rows = {h: row_block[k] for k, h in enumerate(holders)}
+    holder_rows = dict(zip(holders, context.rows_of(holders)))
+    node_index = context.node_index
 
     payloads = []
     for cid in range(partition.n_clusters):
@@ -452,8 +446,6 @@ def decomposed_solve(
         reports.append(report)
     placement = Placement(entries)
 
-    if context is None:
-        context = SolverContext(problem, backend=lazy)
     routing = route_to_nearest_replica(problem, placement, context=context)
     cost = routing_cost(problem, routing)
     return DecomposedResult(
@@ -617,11 +609,10 @@ def resolve_clusters(
     components keep serving from whatever replicas they still hold; also
     the fallback when a cluster solve turns out infeasible).
 
-    ``context`` supplies the holder distance rows on either backend tier
-    (``rows_of`` over the pinned holders); without one a throwaway
-    :class:`LazyRowBackend` computes exactly those rows.  ``parallel``
-    solves the named clusters in a process pool with the same serial
-    fallback as :func:`decomposed_solve`.
+    ``context`` supplies the holder distance rows (``rows_of`` over the
+    pinned holders); without one, :meth:`SolverContext.from_problem`
+    builds it.  ``parallel`` solves the named clusters in a process pool
+    with the same serial fallback as :func:`decomposed_solve`.
     """
     graph = problem.network.graph
     part = restrict_partition(partition, graph.nodes)
@@ -630,25 +621,12 @@ def resolve_clusters(
         if not 0 <= cid < part.n_clusters:
             raise InvalidProblemError(f"unknown cluster id {cid}")
 
+    context = context or SolverContext.from_problem(problem)
     holders = sorted(
         {v for (v, _i) in problem.pinned if v in graph}, key=repr
     )
-    if context is not None:
-        node_index = context.node_index
-        row_block = (
-            context.rows_of(holders)
-            if holders
-            else np.empty((0, len(node_index)))
-        )
-    else:
-        lazy = LazyRowBackend(graph)
-        node_index = lazy.index
-        row_block = (
-            lazy.rows(np.asarray([node_index[h] for h in holders], dtype=np.intp))
-            if holders
-            else np.empty((0, len(lazy)))
-        )
-    holder_rows = {h: row_block[k] for k, h in enumerate(holders)}
+    holder_rows = dict(zip(holders, context.rows_of(holders)))
+    node_index = context.node_index
 
     preserved: set = set()
     payloads = []

@@ -15,7 +15,7 @@ which makes marginal gains O(#requests-for-item) and enables lazy greedy.
 With a :class:`~repro.core.context.SolverContext` the per-request state
 lives in numpy arrays aligned with the context's per-item requester axis,
 so marginal gains and updates are single vectorized reductions over the
-dense distance matrix instead of per-pair dict lookups.  Both paths compute
+context's distance rows instead of per-pair dict lookups.  Both paths compute
 the same function; tests cross-check them on random instances.
 """
 
@@ -45,7 +45,7 @@ class RNRCostSaving:
     ``value() == F_RNR(X) - F_RNR(empty)``, which shifts by a constant and
     therefore changes nothing for maximization.
 
-    Pass ``context`` to evaluate against the dense distance matrix (the
+    Pass ``context`` to evaluate against the context's distance rows (the
     fast path); without it the dict-based :class:`ShortestPathCache` is
     used, as in the seed implementation.
     """
@@ -208,7 +208,7 @@ def local_search_swap(
     that per-node pipage rounding cannot express.
 
     With ``context`` the per-requester best/second-best serving costs are
-    computed as vectorized reductions over the dense distance matrix.
+    computed as vectorized reductions over the context's distance rows.
     """
     if context is not None:
         return _local_search_swap_ctx(problem, placement, context, max_sweeps)
@@ -436,8 +436,8 @@ def greedy_rnr_placement(
     Handles both the homogeneous model (matroid constraint; 1/2-approx) and
     heterogeneous item sizes (p-independence; 1/(1+p)-approx, Theorem 5.2).
     Pinned contents are part of the baseline and never selected.  Pass
-    ``context`` to run every marginal-gain evaluation against the dense
-    distance matrix.
+    ``context`` to run every marginal-gain evaluation against the context's
+    distance rows.
     """
     saving = RNRCostSaving(problem, sp_cache=sp_cache, context=context)
     remaining = {

@@ -45,18 +45,12 @@ from repro.core.solution import Solution
 from repro.exceptions import ReproError
 from repro.experiments.config import MonteCarloConfig, ScenarioConfig
 from repro.experiments.scenarios import EdgeCachingScenario, build_scenario
-from repro.graph.backends import LazyRowBackend
 from repro.graph.shm import (
-    MatrixBroadcast,
     RowsBroadcast,
-    SharedMatrixHandle,
     SharedRowsHandle,
-    attach_and_register,
     attach_and_register_rows,
     graph_signature,
-    register_matrix,
     register_rows,
-    unregister_matrix,
     unregister_rows,
 )
 from repro.serving import ServingConfig, compile_tables, replay
@@ -317,12 +311,11 @@ def run_monte_carlo(
       returns records identical (except measured ``seconds``) to an
       uninterrupted campaign.
     - ``broadcast_context`` shares a healthy-instance
-      :class:`~repro.core.context.SolverContext`'s distance state with
-      every run, on either backend tier: a dense context exports its
-      matrix once into shared memory (:class:`~repro.graph.shm.
-      MatrixBroadcast`), a lazy context is primed with the solver row
-      scope and exports just those rows (:class:`~repro.graph.shm.
-      RowsBroadcast` — O(scope · |V|), never O(|V|²)).  Each pool worker
+      :class:`~repro.core.context.SolverContext`'s distance rows with
+      every run: the context's materialized rows — every row of a primed
+      context, the solver row scope of a lazy one (O(scope · |V|), never
+      O(|V|²)) — are exported once into shared memory
+      (:class:`~repro.graph.shm.RowsBroadcast`).  Each pool worker
       maps the segment in its initializer, and
       ``SolverContext.from_problem`` reuses it for any scenario whose
       topology fingerprint matches (see :mod:`repro.graph.shm`).  The
@@ -372,28 +365,18 @@ def run_monte_carlo(
             )
             checkpoint_file.flush()
 
-    broadcast: "MatrixBroadcast | RowsBroadcast | None" = None
+    broadcast: RowsBroadcast | None = None
     signature: str | None = None
-    broadcast_lazy = broadcast_context is not None and isinstance(
-        broadcast_context.backend, LazyRowBackend
-    )
     if broadcast_context is not None:
         signature = graph_signature(broadcast_context.problem.network.graph)
-        if broadcast_lazy:
-            # Lazy tier: export only the consulted rows.  Priming fills the
-            # solver scope (cache + pinned + requester rows) so every run
-            # finds the rows it reads; the segment stays O(scope · |V|)
-            # instead of O(|V|²).
-            broadcast_context.prime_rows()
-            store = broadcast_context.backend.row_store()
-            broadcast = RowsBroadcast(
-                store, broadcast_context.backend.nodes, signature
-            )
-            # In-process registration covers serial mode and serial retries.
-            register_rows(signature, store)
-        else:
-            broadcast = MatrixBroadcast(broadcast_context.dm, signature)
-            register_matrix(signature, broadcast_context.dm)
+        # Priming fills the solver scope (cache + pinned + requester rows)
+        # so every run finds the rows it reads; a primed context already
+        # holds them all.
+        broadcast_context.prime_rows()
+        store = broadcast_context.backend.row_store()
+        broadcast = RowsBroadcast(store, broadcast_context.backend.nodes, signature)
+        # In-process registration covers serial mode and serial retries.
+        register_rows(signature, store)
 
     pending = [i for i in range(len(tasks)) if i not in completed]
     try:
@@ -412,10 +395,7 @@ def run_monte_carlo(
         if checkpoint_file is not None:
             checkpoint_file.close()
         if broadcast is not None:
-            if broadcast_lazy:
-                unregister_rows(signature)
-            else:
-                unregister_matrix(signature)
+            unregister_rows(signature)
             broadcast.close()
     return [record for index in range(len(tasks)) for record in completed[index]]
 
@@ -427,20 +407,15 @@ def _run_parallel(
     *,
     max_workers: int | None,
     run_timeout: float | None,
-    broadcast_handle: "SharedMatrixHandle | SharedRowsHandle | None" = None,
+    broadcast_handle: SharedRowsHandle | None = None,
 ) -> list[int]:
     """Run ``pending`` task indices in a process pool; return indices that
     must be retried serially (worker crash / unpicklable payloads)."""
     serial_retry: list[int] = []
     if broadcast_handle is not None:
-        initializer = (
-            attach_and_register_rows
-            if isinstance(broadcast_handle, SharedRowsHandle)
-            else attach_and_register
-        )
         pool = ProcessPoolExecutor(
             max_workers=max_workers,
-            initializer=initializer,
+            initializer=attach_and_register_rows,
             initargs=(broadcast_handle,),
         )
     else:

@@ -1,12 +1,7 @@
 """Graph substrate: cache-network model, shortest paths, and topologies."""
 
-from repro.graph.backends import DenseBackend, DistanceBackend, LazyRowBackend, RowStore
-from repro.graph.distance_matrix import (
-    DistanceMatrix,
-    build_distance_matrix,
-    dense_bytes_ceiling,
-    estimate_dense_bytes,
-)
+from repro.graph.backends import LazyRowBackend, RowStore
+from repro.graph.distance_matrix import dense_bytes_ceiling, estimate_dense_bytes
 from repro.graph.network import CacheNetwork
 from repro.graph.shortest_paths import (
     all_pairs_least_costs,
@@ -30,12 +25,8 @@ from repro.graph.topologies import (
 
 __all__ = [
     "CacheNetwork",
-    "DistanceMatrix",
-    "DistanceBackend",
-    "DenseBackend",
     "LazyRowBackend",
     "RowStore",
-    "build_distance_matrix",
     "dense_bytes_ceiling",
     "estimate_dense_bytes",
     "single_source_dijkstra",

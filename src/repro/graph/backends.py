@@ -1,65 +1,62 @@
-"""Tiered distance backends: dense all-pairs vs. lazily-computed rows.
+"""The distance backend: least-cost rows, computed on demand or all up front.
 
 Every Section 4 solver consumes the distance structure through a handful of
 row-oriented operations — a single ``d(source, target)`` lookup, one full
 row ``d(source, ·)``, a stack of rows for a holder set, and two reductions
-(finite max over rows, elementwise min over holder rows).  The
-:class:`DistanceBackend` protocol names exactly those operations, and
+(finite max over rows, elementwise min over holder rows).
+:class:`LazyRowBackend` serves all of them from memoized rows, each produced
+by a batched ``scipy.sparse.csgraph.dijkstra`` sweep over one CSR adjacency
+(:func:`repro.graph.distance_matrix._sparse_adjacency`), and
 :class:`~repro.core.context.SolverContext` routes every distance access
-through it, so the same solver code runs against either tier:
+through it.
 
-- :class:`DenseBackend` wraps the existing
-  :class:`~repro.graph.distance_matrix.DistanceMatrix` — one O(|V|²)
-  Dijkstra sweep up front, O(1) row views afterwards.  Right below a few
-  thousand nodes, fatal above (an 80k-node matrix is 51 GiB).
-- :class:`LazyRowBackend` computes **only the rows actually consulted**
-  (cache nodes, pinned holders, requesters) on demand, memoizes them, and
-  never materializes the matrix.  Rows are produced by the same batched
-  scipy Dijkstra that :func:`repro.graph.distance_matrix.repair_distance_
-  matrix` uses for partial repairs, over the same CSR adjacency — so every
-  row is **bit-identical** to the corresponding row of a dense build
-  (asserted in ``tests/graph/test_backends.py``).
+How many rows exist before the first read is a priming policy, not a second
+implementation:
 
-A lazy backend's materialized rows can be exported once into shared memory
+- **dense** (:meth:`LazyRowBackend.prime`): every row in one batched sweep
+  when the backend is built — O(1) reads afterwards.  Right below a few
+  thousand nodes, fatal above (an 80k-node matrix is 51 GiB), so the sweep
+  is guarded by :func:`~repro.graph.distance_matrix.dense_bytes_ceiling`.
+- **lazy**: a row is computed the first time it is read and memoized.
+  Solvers consult cache-node, pinned-holder and requester rows only, so
+  memory stays O(relevant · |V|).
+
+A row holds the same bytes whichever sweep produced it (asserted in
+``tests/graph/test_backends.py``), so the two policies are interchangeable
+on every operation.
+
+Materialized rows can be exported once into shared memory
 (:meth:`LazyRowBackend.row_store` + :class:`repro.graph.shm.RowsBroadcast`)
-and attached zero-copy by pool workers, preserving the broadcast discipline
-the dense matrix already enjoys — workers start with the scope rows mapped
-read-only and fall back to local computation only for rows outside the
-store.
+and attached zero-copy by pool workers, which fall back to local
+computation only for rows outside the store.
 
-``w_max`` (the paper's bound on pairwise costs) deserves a note: the dense
-backend reads it off the full matrix, and the lazy backend reproduces that
-value *exactly* by streaming the same Dijkstra sweep in bounded-memory
-chunks without retaining the rows — max is order-independent, so the two
-tiers agree bit-for-bit while the lazy tier stays O(chunk · |V|) in memory.
-The sweep runs only when ``w_max`` is actually read (greedy/local-search
-baselines); Algorithm 1 takes its bound from ``finite_max_from`` over
-candidate sources and never pays it.
+``w_max`` (the paper's bound on pairwise costs) is streamed through the
+full Dijkstra sweep in bounded-memory chunks without retaining the rows —
+max is order-independent, so the value does not depend on which rows were
+already memoized.  The sweep runs only when ``w_max`` is actually read
+(greedy/local-search baselines); Algorithm 1 takes its bound from
+``finite_max_from`` over candidate sources and never pays it.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Hashable, Iterable, Sequence
-from typing import Protocol, runtime_checkable
 
 import networkx as nx
 import numpy as np
 
-from repro.exceptions import InvalidNetworkError
+from repro.exceptions import ResourceError
 from repro.graph.distance_matrix import (
-    HAVE_SCIPY,
-    DistanceMatrix,
+    DENSE_MAX_BYTES_ENV,
     _sparse_adjacency,
+    dense_bytes_ceiling,
+    estimate_dense_bytes,
 )
 from repro.graph.network import COST
-from repro.graph.shortest_paths import single_source_dijkstra
 
 Node = Hashable
 
 __all__ = [
-    "DistanceBackend",
-    "DenseBackend",
     "LazyRowBackend",
     "RowStore",
 ]
@@ -68,70 +65,10 @@ __all__ = [
 _WMAX_CHUNK = 256
 
 
-@runtime_checkable
-class DistanceBackend(Protocol):
-    """Row-oriented distance oracle shared by every solver.
-
-    Implementations must agree bit-for-bit on all five operations: the
-    backends are interchangeable tiers of the same oracle, not approximate
-    variants.  ``nodes`` fixes the row/column order (graph insertion order,
-    as everywhere in the repo) and ``index`` maps node labels to it.
-    """
-
-    nodes: tuple[Node, ...]
-    index: dict[Node, int]
-
-    def distance(self, i: int, j: int) -> float:
-        """Least cost ``nodes[i] -> nodes[j]`` (``inf`` if unreachable)."""
-        ...
-
-    def row(self, i: int) -> np.ndarray:
-        """Read-only distance row from ``nodes[i]`` to every node."""
-        ...
-
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """Stacked rows ``(len(idx), |V|)`` for the given source indices."""
-        ...
-
-    def finite_max_rows(self, idx: np.ndarray) -> float:
-        """Max finite entry over the given rows (0.0 if none)."""
-        ...
-
-    def w_max(self) -> float:
-        """Max finite pairwise cost over *all* rows, floored at 1.0."""
-        ...
-
-
-class DenseBackend:
-    """The classic tier: a fully materialized all-pairs matrix."""
-
-    def __init__(self, dm: DistanceMatrix) -> None:
-        self.dm = dm
-        self.nodes = dm.nodes
-        self.index = dm.index
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.dm.matrix[i, j])
-
-    def row(self, i: int) -> np.ndarray:
-        return self.dm.matrix[i]
-
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        return self.dm.matrix[np.asarray(idx, dtype=np.intp)]
-
-    def finite_max_rows(self, idx: np.ndarray) -> float:
-        rows = self.rows(idx)
-        finite = rows[np.isfinite(rows)]
-        return float(finite.max()) if finite.size else 0.0
-
-    def w_max(self) -> float:
-        return self.dm.w_max()
-
-    def __repr__(self) -> str:
-        return f"DenseBackend(|V|={len(self.nodes)})"
+def _finite_max(rows: np.ndarray) -> float:
+    """Max finite entry of ``rows`` (0.0 if none)."""
+    finite = rows[np.isfinite(rows)]
+    return float(finite.max()) if finite.size else 0.0
 
 
 class RowStore:
@@ -154,27 +91,22 @@ class RowStore:
 
 
 class LazyRowBackend:
-    """Compute-and-memoize distance rows on demand; never the full matrix.
+    """Distance rows computed in batched sweeps and memoized.
 
     Parameters
     ----------
     graph:
         The network graph; the CSR adjacency is built once (O(|V| + |E|)).
     nodes:
-        Row/column order (defaults to graph insertion order, matching
-        :func:`~repro.graph.distance_matrix.build_distance_matrix`).
-    use_scipy:
-        Batched ``scipy.sparse.csgraph.dijkstra`` when available; the
-        pure-python Dijkstra otherwise (same fallback, same results, as the
-        dense build).
+        Row/column order (defaults to graph insertion order, as everywhere
+        in the repo).
     store:
         Optional preloaded :class:`RowStore` (typically attached from a
         shared-memory broadcast); its rows are served as read-only views
         without any computation or copying.
 
-    Memoized rows are capped only by what callers touch: solvers consult
-    cache-node, pinned-holder and requester rows, which is O(relevant)
-    instead of O(|V|) — the whole point of the tier.
+    A fresh backend holds no rows; :meth:`prime` computes all of them at
+    once, and any read computes the missing ones.
     """
 
     def __init__(
@@ -183,19 +115,14 @@ class LazyRowBackend:
         *,
         weight: str = COST,
         nodes: Sequence[Node] | None = None,
-        use_scipy: bool = True,
         store: RowStore | None = None,
     ) -> None:
         self.nodes: tuple[Node, ...] = tuple(graph.nodes if nodes is None else nodes)
         self.index: dict[Node, int] = {v: k for k, v in enumerate(self.nodes)}
-        self._graph = graph
         self._weight = weight
-        self._use_scipy = bool(use_scipy and HAVE_SCIPY)
-        self._csgraph = (
-            _sparse_adjacency(graph, self.nodes, self.index, weight)
-            if self._use_scipy
-            else None
-        )
+        #: CSR adjacency every row is computed from (shared with the
+        #: context's predecessor-path oracle).
+        self.csgraph = _sparse_adjacency(graph, self.nodes, self.index, weight)
         self._rows: dict[int, np.ndarray] = {}
         self._w_max: float | None = None
         if store is not None:
@@ -221,37 +148,44 @@ class LazyRowBackend:
     # ------------------------------------------------------------------
 
     def _compute_rows(self, sources: np.ndarray) -> np.ndarray:
-        """Fresh rows for ``sources``, bit-identical to a dense build's."""
-        n = len(self.nodes)
-        if self._use_scipy:
-            from scipy.sparse.csgraph import dijkstra
+        """Fresh rows for ``sources`` (one batched Dijkstra sweep)."""
+        from scipy.sparse.csgraph import dijkstra
 
-            rows = np.atleast_2d(
-                dijkstra(self._csgraph, directed=True, indices=sources)
-            )
-            rows[np.arange(len(sources)), sources] = 0.0
-            return rows
-        rows = np.full((len(sources), n), math.inf, dtype=np.float64)
-        for k, i in enumerate(sources):
-            dist, _ = single_source_dijkstra(
-                self._graph, self.nodes[int(i)], weight=self._weight
-            )
-            for target, d in dist.items():
-                j = self.index.get(target)
-                if j is not None:
-                    rows[k, j] = d
+        rows = np.atleast_2d(dijkstra(self.csgraph, directed=True, indices=sources))
+        rows[np.arange(len(sources)), sources] = 0.0
         return rows
 
     def ensure_rows(self, idx: Iterable[int]) -> None:
         """Materialize any missing rows in one batched sweep."""
-        missing = sorted({int(i) for i in idx} - self._rows.keys())
+        missing = {int(i) for i in idx if i not in self._rows}
         if not missing:
             return
-        computed = self._compute_rows(np.asarray(missing, dtype=np.intp))
-        for k, i in enumerate(missing):
-            row = computed[k]
-            row.setflags(write=False)
-            self._rows[i] = row
+        ids = sorted(missing)
+        computed = self._compute_rows(np.asarray(ids, dtype=np.intp))
+        computed.setflags(write=False)
+        self._rows.update(zip(ids, computed))
+
+    def prime(self) -> "LazyRowBackend":
+        """Compute every row now, in one batched sweep (the dense policy).
+
+        Raises :class:`~repro.exceptions.ResourceError` *before* allocating
+        when :func:`~repro.graph.distance_matrix.estimate_dense_bytes`
+        exceeds :func:`~repro.graph.distance_matrix.dense_bytes_ceiling`.
+        Returns ``self`` for chaining.
+        """
+        n = len(self.nodes)
+        ceiling = dense_bytes_ceiling()
+        estimated = estimate_dense_bytes(n)
+        if estimated > ceiling:
+            raise ResourceError(
+                f"computing all {n} distance rows needs an estimated "
+                f"{estimated:,} bytes, above the {ceiling:,.0f}-byte ceiling; "
+                "read rows on demand instead (an unprimed LazyRowBackend, or "
+                "SolverContext.from_problem(backend='lazy')) or raise "
+                f"{DENSE_MAX_BYTES_ENV}"
+            )
+        self.ensure_rows(range(n))
+        return self
 
     def row(self, i: int) -> np.ndarray:
         i = int(i)
@@ -262,149 +196,61 @@ class LazyRowBackend:
         return row
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.intp)
-        self.ensure_rows(idx.tolist())
-        if idx.size == 0:
+        ids = np.asarray(idx, dtype=np.intp).tolist()
+        self.ensure_rows(ids)
+        if not ids:
             return np.empty((0, len(self.nodes)), dtype=np.float64)
-        return np.stack([self._rows[int(i)] for i in idx])
+        return np.array([self._rows[i] for i in ids])
 
     def distance(self, i: int, j: int) -> float:
-        return float(self.row(i)[j])
+        row = self._rows.get(i)  # inlined hit path: solvers call this per pair
+        return float((self.row(i) if row is None else row)[j])
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
 
     def finite_max_rows(self, idx: np.ndarray) -> float:
-        rows = self.rows(idx)
-        finite = rows[np.isfinite(rows)]
-        return float(finite.max()) if finite.size else 0.0
+        return _finite_max(self.rows(idx))
 
     def w_max(self) -> float:
         """Global max finite pairwise cost, floored at 1.0.
 
         Streams the full Dijkstra sweep in chunks of ``_WMAX_CHUNK`` rows,
-        reducing the max and discarding each chunk — bit-identical to
-        ``DistanceMatrix.w_max()`` (max is order-independent) at
-        O(chunk · |V|) memory.  Computed once, then cached.
+        serving memoized rows from the cache and computing the rest
+        transiently without retaining them — O(chunk · |V|) memory.
+        Computed once, then cached.
         """
         if self._w_max is None:
             n = len(self.nodes)
             top = 0.0
             for start in range(0, n, _WMAX_CHUNK):
-                chunk = np.arange(start, min(start + _WMAX_CHUNK, n), dtype=np.intp)
-                # Serve memoized rows from the cache; compute the rest
-                # transiently without retaining them.
-                cached = [i for i in chunk.tolist() if i in self._rows]
-                fresh = np.asarray(
-                    [i for i in chunk.tolist() if i not in self._rows],
-                    dtype=np.intp,
-                )
-                for i in cached:
-                    row = self._rows[i]
-                    finite = row[np.isfinite(row)]
-                    if finite.size:
-                        top = max(top, float(finite.max()))
-                if fresh.size:
-                    rows = self._compute_rows(fresh)
-                    finite = rows[np.isfinite(rows)]
-                    if finite.size:
-                        top = max(top, float(finite.max()))
+                chunk = range(start, min(start + _WMAX_CHUNK, n))
+                cached = [self._rows[i] for i in chunk if i in self._rows]
+                fresh = [i for i in chunk if i not in self._rows]
+                if cached:
+                    top = max(top, _finite_max(np.array(cached)))
+                if fresh:
+                    rows = self._compute_rows(np.asarray(fresh, dtype=np.intp))
+                    top = max(top, _finite_max(rows))
             self._w_max = top if top > 0 else 1.0
         return self._w_max
 
     # ------------------------------------------------------------------
-    # Incremental repair (failure sweeps)
+    # Failure derivation
     # ------------------------------------------------------------------
 
-    def repair(
-        self,
-        degraded_graph: nx.DiGraph,
-        *,
-        removed_edges: Sequence[tuple[Node, Node, float]],
-        removed_nodes: Sequence[Node] = (),
-    ) -> "LazyRowBackend":
-        """A backend for ``degraded_graph``, reusing unaffected memoized rows.
+    def repair(self, degraded_graph: nx.DiGraph) -> "LazyRowBackend":
+        """A fresh backend for ``degraded_graph``; no rows are carried.
 
-        The lazy-tier twin of :func:`repro.graph.distance_matrix.
-        repair_distance_matrix`: ``removed_edges`` lists every directed edge
-        deleted from this backend's graph as ``(u, v, weight)`` triples
-        (node removals must list their incident edges too, as
-        :func:`repro.robustness.faults.apply_failure` records them), and
-        ``removed_nodes`` lists deleted nodes.  Each memoized row is kept
-        only if no removed edge can lie on a shortest path out of its
-        source — the per-row restriction of :func:`~repro.graph.
-        distance_matrix.affected_sources`: row ``i`` is affected when
-        ``row[u] + w + D[v, t] == row[t]`` for some removed ``(u, v, w)``
-        and some target ``t``.  Surviving rows are column-subset onto the
-        surviving node order and carried into the child; affected (and
-        never-computed) rows are simply absent and recompute lazily against
-        the degraded CSR, so the child is bit-identical to a fresh
-        ``LazyRowBackend(degraded_graph)`` on every operation.
-
-        The affected test needs the parent rows of every removed-edge head;
-        heads not already memoized are computed transiently on the *parent*
-        graph and discarded — O(#removed edges) Dijkstras, never O(|V|).
-        ``w_max`` is not carried (the parent's value may hinge on removed
-        elements); the child re-streams it on first read.
-
-        Raises
-        ------
-        InvalidNetworkError
-            ``degraded_graph``'s node order is not this backend's order
-            minus ``removed_nodes`` (carried rows would be misindexed).
+        Every row recomputes on first read against the degraded CSR, so the
+        child equals ``LazyRowBackend(degraded_graph)`` on every operation
+        by construction.  Carrying the rows a failure provably cannot touch
+        would need an affected-row test per derivation, and on the
+        workloads measured (recovery reads only cache, pinned and holder
+        rows) that test cost more than the Dijkstra it saved.
         """
-        dead = set(removed_nodes)
-        node_list = tuple(v for v in self.nodes if v not in dead)
-        if node_list != tuple(degraded_graph.nodes):
-            raise InvalidNetworkError(
-                "degraded graph nodes do not match the backend order minus "
-                "removed nodes; build a fresh LazyRowBackend instead"
-            )
-        child = LazyRowBackend(
-            degraded_graph,
-            weight=self._weight,
-            use_scipy=self._use_scipy,
-        )
-        if not self._rows:
-            return child
-        triples = [
-            (self.index[u], self.index[v], float(w))
-            for (u, v, w) in removed_edges
-            if u in self.index and v in self.index
-        ]
-        head_rows: dict[int, np.ndarray] = {}
-        heads = sorted({j for (_i, j, _w) in triples})
-        missing = [j for j in heads if j not in self._rows]
-        if missing:
-            fresh = self._compute_rows(np.asarray(missing, dtype=np.intp))
-            for k, j in enumerate(missing):
-                head_rows[j] = fresh[k]
-        for j in heads:
-            if j not in head_rows:
-                head_rows[j] = self._rows[j]
-        keep = np.fromiter(
-            (self.index[v] for v in node_list),
-            dtype=np.intp,
-            count=len(node_list),
-        )
-        for i, row in self._rows.items():
-            if self.nodes[i] in dead:
-                continue
-            affected = False
-            for ui, vi, w in triples:
-                via = row[ui] + w  # cost source -> u -> (u, v)
-                if not math.isfinite(via):
-                    continue
-                lhs = via + head_rows[vi]
-                if bool(np.any(np.isfinite(lhs) & (lhs == row))):
-                    affected = True
-                    break
-            if not affected:
-                carried = row[keep].copy()
-                carried.setflags(write=False)
-                child._rows[child.index[self.nodes[i]]] = carried
-        return child
+        return LazyRowBackend(degraded_graph, weight=self._weight)
 
     # ------------------------------------------------------------------
     # Shared-memory export
@@ -413,15 +259,15 @@ class LazyRowBackend:
     def row_store(self) -> RowStore:
         """Snapshot of every materialized row as one contiguous block.
 
-        The block is a fresh copy (safe to hand to
+        The block is a fresh read-only copy (safe to hand to
         :class:`~repro.graph.shm.RowsBroadcast`, which copies it into the
         segment); row order follows ascending source index for determinism.
         """
         ids = sorted(self._rows)
-        n = len(self.nodes)
-        block = np.empty((len(ids), n), dtype=np.float64)
+        block = np.empty((len(ids), len(self.nodes)), dtype=np.float64)
         for k, i in enumerate(ids):
             block[k] = self._rows[i]
+        block.setflags(write=False)
         return RowStore(np.asarray(ids, dtype=np.intp), block)
 
     def __repr__(self) -> str:

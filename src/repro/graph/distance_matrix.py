@@ -1,17 +1,17 @@
-"""Dense all-pairs distance matrices for solver hot paths.
+"""All-pairs building blocks shared by the row backend and path oracles.
 
 The Section 4 machinery (F_RNR greedy, local search, RNR routing, the [3]
-candidate-path baseline) consumes the same structure over and over: the
-least routing cost ``w_{v->s}`` for every (cache node, requester) pair.
-:func:`all_pairs_least_costs` materializes that as nested dicts, which is
-convenient but slow to index from inner loops.  This module builds the same
-information once as a dense ``float64`` matrix with integer node indices so
-numpy can take over the per-request arithmetic.
+candidate-path baseline) consumes the least routing cost ``w_{v->s}`` for
+(cache node, requester) pairs.  :class:`repro.graph.backends.LazyRowBackend`
+serves those costs as rows produced by ``scipy.sparse.csgraph.dijkstra``
+over the CSR adjacency built here (:func:`_sparse_adjacency`); the
+predecessor-tree path oracle of :mod:`repro.core.rnr` reuses the same
+adjacency, so distances and paths agree.
 
-``scipy.sparse.csgraph.dijkstra`` is used when scipy is importable (it is a
-baked-in dependency of the experiment stack); otherwise the pure-python
-Dijkstra of :mod:`repro.graph.shortest_paths` fills the matrix row by row.
-Both produce ``math.inf`` for unreachable pairs.
+Computing *every* row up front (the "dense" priming policy) costs
+O(|V|²) memory; :func:`estimate_dense_bytes` and :func:`dense_bytes_ceiling`
+guard that path so it fails with a :class:`~repro.exceptions.ResourceError`
+before allocating instead of dying in a raw ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -19,22 +19,12 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from repro.exceptions import InvalidNetworkError, ResourceError
-from repro.graph.network import COST
-from repro.graph.shortest_paths import single_source_dijkstra
-
-try:  # scipy ships with the experiment stack but stays optional.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    HAVE_SCIPY = False
+from repro.exceptions import InvalidNetworkError
 
 Node = Hashable
 
@@ -43,22 +33,22 @@ DENSE_MAX_BYTES_ENV = "REPRO_DENSE_MAX_BYTES"
 
 
 def estimate_dense_bytes(num_nodes: int) -> int:
-    """Upper estimate of the peak allocation of a dense all-pairs build.
+    """Upper estimate of the peak allocation of computing every row at once.
 
-    Two ``float64`` ``n x n`` arrays live at once on the scipy path (the
-    result matrix plus scipy's working copy); the pure-python path peaks at
-    one.  The estimate uses the scipy figure — conservative is the point.
+    Two ``float64`` ``n x n`` arrays live at once (the result rows plus
+    scipy's working copy).
     """
     return 2 * 8 * num_nodes * num_nodes
 
 
 def dense_bytes_ceiling() -> float:
-    """Byte ceiling for dense all-pairs builds.
+    """Byte ceiling for computing every row at once.
 
     ``REPRO_DENSE_MAX_BYTES`` wins when set; otherwise 80% of the machine's
     currently available memory (``/proc/meminfo``), or ``inf`` where that is
-    unreadable.  Consulted on every :func:`build_distance_matrix` call, so
-    tests can monkeypatch the environment to simulate a small machine.
+    unreadable.  Consulted on every :meth:`LazyRowBackend.prime
+    <repro.graph.backends.LazyRowBackend.prime>` call, so tests can
+    monkeypatch the environment to simulate a small machine.
     """
     override = os.environ.get(DENSE_MAX_BYTES_ENV)
     if override:
@@ -73,67 +63,6 @@ def dense_bytes_ceiling() -> float:
     return math.inf  # pragma: no cover - /proc/meminfo always has the key
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs least costs as a dense matrix plus node index maps.
-
-    ``matrix[i, j]`` is the least cost of a ``nodes[i] -> nodes[j]`` path
-    (``math.inf`` when unreachable).  Row/column order follows ``nodes``,
-    which preserves the graph's node insertion order so results are
-    deterministic and comparable with the dict-based API.
-    """
-
-    nodes: tuple[Node, ...]
-    matrix: np.ndarray
-    index: dict[Node, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.index:
-            object.__setattr__(
-                self, "index", {v: k for k, v in enumerate(self.nodes)}
-            )
-
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __contains__(self, node: Node) -> bool:
-        return node in self.index
-
-    def distance(self, source: Node, target: Node) -> float:
-        """Least cost ``source -> target`` (``inf`` if unreachable)."""
-        return float(self.matrix[self.index[source], self.index[target]])
-
-    def row(self, source: Node) -> np.ndarray:
-        """Distances from ``source`` to every node (read-only view)."""
-        return self.matrix[self.index[source]]
-
-    def column(self, target: Node) -> np.ndarray:
-        """Distances from every node to ``target`` (read-only view)."""
-        return self.matrix[:, self.index[target]]
-
-    def w_max(self) -> float:
-        """Maximum finite pairwise cost, floored at 1.0 (paper convention)."""
-        finite = self.matrix[np.isfinite(self.matrix)]
-        if finite.size == 0:
-            return 1.0
-        top = float(finite.max())
-        return top if top > 0 else 1.0
-
-    def to_dict(self) -> dict[Node, dict[Node, float]]:
-        """Nested-dict view matching :func:`all_pairs_least_costs` (no infs)."""
-        out: dict[Node, dict[Node, float]] = {}
-        for i, u in enumerate(self.nodes):
-            row = self.matrix[i]
-            out[u] = {
-                v: float(row[j])
-                for j, v in enumerate(self.nodes)
-                if math.isfinite(row[j])
-            }
-        return out
-
-
 def _sparse_adjacency(
     graph: nx.DiGraph,
     nodes: Sequence[Node],
@@ -142,12 +71,10 @@ def _sparse_adjacency(
 ):
     """Adjacency of ``graph`` as a scipy CSR matrix, O(|V| + |E|) memory.
 
-    Structurally identical (indptr/indices/data) to what
-    ``csgraph_from_dense(dense_adjacency, null_value=inf)`` used to produce
-    — including the explicit zero-weight diagonal standing in for
-    ``fill_diagonal(adj, 0.0)`` — so every ``csgraph`` routine consuming it
-    returns bit-identical distances and predecessors, without the O(|V|²)
-    dense staging array that was fatal at 10k nodes.
+    Zero-cost edges are stored explicitly (a real edge, not a missing one),
+    and an explicit zero-weight diagonal stands in for self-loops, so every
+    ``csgraph`` routine consuming it sees the same graph whichever rows it
+    is asked for.
     """
     n = len(nodes)
     rows: list[int] = []
@@ -176,185 +103,7 @@ def _sparse_adjacency(
     return adj
 
 
-def _recompute_rows(
-    graph: nx.DiGraph,
-    node_list: Sequence[Node],
-    index: dict[Node, int],
-    weight: str,
-    sources: np.ndarray,
-    use_scipy: bool,
-) -> np.ndarray:
-    """Distance-matrix rows for ``sources`` (indices into ``node_list``).
-
-    Mirrors :func:`build_distance_matrix` exactly — same adjacency
-    construction and the same per-source Dijkstra backends — so recomputed
-    rows are bit-identical to the corresponding rows of a full rebuild.
-    """
-    n = len(node_list)
-    if use_scipy and HAVE_SCIPY:
-        csgraph = _sparse_adjacency(graph, node_list, index, weight)
-        rows = np.atleast_2d(_csgraph_dijkstra(csgraph, directed=True, indices=sources))
-        rows[np.arange(len(sources)), sources] = 0.0
-        return rows
-    rows = np.full((len(sources), n), math.inf, dtype=np.float64)
-    for k, i in enumerate(sources):
-        dist, _ = single_source_dijkstra(graph, node_list[i], weight=weight)
-        for target, d in dist.items():
-            j = index.get(target)
-            if j is not None:
-                rows[k, j] = d
-    return rows
-
-
-def affected_sources(
-    parent: DistanceMatrix,
-    removed_edges: Sequence[tuple[Node, Node, float]],
-) -> np.ndarray:
-    """Boolean mask of rows whose distances may change when edges are removed.
-
-    A source row ``i`` can only change if some removed edge ``(u, v)`` with
-    weight ``w`` lies on a shortest path out of ``i`` in the *parent* matrix,
-    i.e. ``D[i, u] + w + D[v, t] == D[i, t]`` for some target ``t``.  The
-    test is exact in one direction (every row that actually changes is
-    flagged) and conservative in the other (a flagged row may be covered by
-    an equal-cost surviving path — it is recomputed and comes back equal).
-    """
-    d = parent.matrix
-    n = len(parent)
-    affected = np.zeros(n, dtype=bool)
-    for u, v, w in removed_edges:
-        i = parent.index.get(u)
-        j = parent.index.get(v)
-        if i is None or j is None:
-            continue
-        via = d[:, i] + float(w)  # cost source -> u -> (u, v)
-        lhs = via[:, None] + d[j][None, :]
-        affected |= (np.isfinite(lhs) & (lhs == d)).any(axis=1)
-    return affected
-
-
-def repair_distance_matrix(
-    parent: DistanceMatrix,
-    degraded_graph: nx.DiGraph,
-    *,
-    removed_edges: Sequence[tuple[Node, Node, float]],
-    removed_nodes: Sequence[Node] = (),
-    weight: str = COST,
-    use_scipy: bool = True,
-    sources: Sequence[Node] | None = None,
-) -> DistanceMatrix:
-    """Incrementally rebuild ``parent`` after edge/node removals.
-
-    ``removed_edges`` lists every directed edge deleted from the parent
-    graph as ``(u, v, weight)`` triples (node removals must list their
-    incident edges too, as :func:`repro.robustness.faults.apply_failure`
-    records them); ``removed_nodes`` lists deleted nodes.  Rows whose
-    shortest paths cannot have used a removed element are copied from the
-    parent; the rest are recomputed on ``degraded_graph`` in one batched
-    sweep.  The result is bit-identical to
-    ``build_distance_matrix(degraded_graph)`` as long as the surviving node
-    order matches the degraded graph's insertion order — callers that cannot
-    guarantee that should fall back to a full rebuild.
-
-    ``sources`` switches to a **partial** matrix: exactly the listed rows
-    are computed (unconditionally, on the degraded graph — bit-identical to
-    the same rows of a full rebuild) and every other row is ``NaN`` (loudly
-    invalid — reading one is a contract violation, not a stale answer).  On
-    small dense graphs a single popular link already dirties most rows, so
-    an exact repair cannot beat a full rebuild; a caller that provably reads
-    only a few rows (failure recovery reads cache/pinned sources only) names
-    them and pays Dijkstra for that handful.  The affected-row analysis is
-    skipped outright in this mode: it needs the edge-head rows of the parent
-    matrix, which a chained partial parent no longer has.  A partial matrix
-    can parent further partial repairs as long as the requested sources
-    never grow along the chain.
-
-    Raises
-    ------
-    InvalidNetworkError
-        ``degraded_graph``'s node order is not the parent order minus
-        ``removed_nodes`` (the repaired matrix would be misindexed).
-    """
-    dead = set(removed_nodes)
-    node_list = tuple(v for v in parent.nodes if v not in dead)
-    if node_list != tuple(degraded_graph.nodes):
-        raise InvalidNetworkError(
-            "degraded graph nodes do not match the parent order minus "
-            "removed nodes; rebuild the distance matrix from scratch"
-        )
-    index = {v: k for k, v in enumerate(node_list)}
-    n = len(node_list)
-    if n == 0:
-        return DistanceMatrix(nodes=(), matrix=np.zeros((0, 0), dtype=np.float64))
-    if sources is not None:
-        matrix = np.full((n, n), math.nan, dtype=np.float64)
-        wanted = sorted({index[v] for v in sources if v in index})
-        dirty = np.asarray(wanted, dtype=np.intp)
-    else:
-        affected = affected_sources(parent, removed_edges)
-        keep = np.fromiter(
-            (parent.index[v] for v in node_list), dtype=np.intp, count=n
-        )
-        matrix = parent.matrix[np.ix_(keep, keep)].copy()
-        dirty = np.flatnonzero(affected[keep])
-    if dirty.size:
-        matrix[dirty] = _recompute_rows(
-            degraded_graph, node_list, index, weight, dirty, use_scipy
-        )
-    matrix.setflags(write=False)
-    return DistanceMatrix(nodes=node_list, matrix=matrix, index=index)
-
-
-def build_distance_matrix(
-    graph: nx.DiGraph,
-    *,
-    weight: str = COST,
-    nodes: Sequence[Node] | None = None,
-    use_scipy: bool = True,
-    max_bytes: float | None = None,
-) -> DistanceMatrix:
-    """Build the dense all-pairs least-cost matrix of a directed graph.
-
-    ``nodes`` fixes the row/column order (defaults to graph insertion
-    order).  Zero-cost edges are handled correctly in both backends: the
-    sparse adjacency stores ``0.0`` explicitly, so it is a real edge, not a
-    missing one.
-
-    ``max_bytes`` caps the estimated dense allocation
-    (:func:`estimate_dense_bytes`); it defaults to
-    :func:`dense_bytes_ceiling` (``REPRO_DENSE_MAX_BYTES`` or 80% of
-    available memory).  A build that would blow past the ceiling raises
-    :class:`~repro.exceptions.ResourceError` *before* allocating, naming
-    the byte count and pointing at the lazy row backend
-    (:class:`repro.graph.backends.LazyRowBackend`), instead of dying in a
-    raw ``MemoryError`` mid-Dijkstra.
-    """
-    node_list: tuple[Node, ...] = tuple(graph.nodes if nodes is None else nodes)
-    index = {v: k for k, v in enumerate(node_list)}
-    n = len(node_list)
-    if n == 0:
-        return DistanceMatrix(nodes=(), matrix=np.zeros((0, 0), dtype=np.float64))
-    ceiling = dense_bytes_ceiling() if max_bytes is None else float(max_bytes)
-    estimated = estimate_dense_bytes(n)
-    if estimated > ceiling:
-        raise ResourceError(
-            f"dense all-pairs matrix over {n} nodes needs an estimated "
-            f"{estimated:,} bytes, above the {ceiling:,.0f}-byte ceiling; "
-            "use the lazy row backend (repro.graph.backends.LazyRowBackend, "
-            "or SolverContext.from_problem(backend='lazy')) or raise "
-            f"{DENSE_MAX_BYTES_ENV}"
-        )
-    if use_scipy and HAVE_SCIPY:
-        csgraph = _sparse_adjacency(graph, node_list, index, weight)
-        matrix = _csgraph_dijkstra(csgraph, directed=True)
-        np.fill_diagonal(matrix, 0.0)
-    else:
-        matrix = np.full((n, n), math.inf, dtype=np.float64)
-        for i, v in enumerate(node_list):
-            dist, _ = single_source_dijkstra(graph, v, weight=weight)
-            for target, d in dist.items():
-                j = index.get(target)
-                if j is not None:
-                    matrix[i, j] = d
-    matrix.setflags(write=False)
-    return DistanceMatrix(nodes=node_list, matrix=matrix, index=index)
+# perfbench/tracer.py instruments this name by attribute lookup; it is kept
+# only as an alias of ``LazyRowBackend.repair`` and is not called here.
+def repair_distance_matrix(parent, degraded_graph):
+    return parent.repair(degraded_graph)

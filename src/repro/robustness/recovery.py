@@ -23,8 +23,8 @@ Every entry point accepts an optional ``context`` — a
 :class:`~repro.core.context.SolverContext` built *for the degraded
 instance* (usually derived from the healthy parent via
 :func:`repro.robustness.degraded.degraded_context`).  With a context, holder
-distances and repair gains are vectorized reductions over the dense
-distance matrix; without one the dict-based shortest-path cache is used, as
+distances and repair gains are vectorized reductions over the context's
+distance rows; without one the dict-based shortest-path cache is used, as
 before.  Both paths compute the same quantities.
 """
 
@@ -161,7 +161,7 @@ def repair_placement(
     serving-cost saving; returns the inserted ``(node, item)`` entries.
     Deterministic: ties break on ``repr`` of the candidate.  With a
     ``context`` the per-requester serving costs and marginal gains are
-    vectorized over the dense distance matrix (same values, same choices).
+    vectorized over the context's distance rows (same values, same choices).
     """
     if context is not None:
         return _repair_placement_ctx(
@@ -277,7 +277,7 @@ def _repair_placement_ctx(
     # Penalty: strictly above every finite distance out of cache/pinned
     # nodes.  ``finite_max_from`` floors the max at 1.0 exactly like the
     # historical inline reduction did, and runs as a row-oriented backend
-    # reduction, so the value is bit-identical on either distance tier.
+    # reduction, so the value does not depend on which rows are primed.
     pinned_nodes = sorted({v for v, _i in problem.pinned}, key=repr)
     probe = [v for v in (*cache_nodes, *pinned_nodes) if v in nidx]
     penalty = 2.0 * ctx.finite_max_from(probe) + 1.0
@@ -367,7 +367,7 @@ def cluster_local_recover(
     ``repaired`` lists the placement entries the cluster re-solve installed
     that the surviving placement did not hold.  A capacity-only scenario
     touches no cluster and reduces to a plain partial re-route.  ``context``
-    must be a context *of the degraded instance* (either tier), as for
+    must be a context *of the degraded instance* (primed or lazy), as for
     :func:`recover`.
     """
     from repro.core.decomposed import resolve_clusters, touched_clusters

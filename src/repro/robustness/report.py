@@ -200,8 +200,8 @@ def survivability_report(
 
     ``context`` is the *healthy* instance's :class:`SolverContext`; when
     given, each scenario's recovery runs on a context derived from it via
-    :func:`repro.robustness.degraded.degraded_context` (incremental
-    distance-matrix repair) instead of a per-scenario shortest-path cache.
+    :func:`repro.robustness.degraded.degraded_context` (distance rows
+    computed on demand) instead of a per-scenario shortest-path cache.
     Results are identical either way; only the wall-clock changes.
     """
     if healthy_routing is None:

@@ -4,7 +4,7 @@ The compiled :class:`~repro.serving.tables.RoutingTables` can be tens of
 megabytes on production instances; shipping them per task would dominate
 the replay.  Instead the owner exports the numeric payload once through
 :class:`repro.graph.shm.BundleBroadcast` (the same segment-lifecycle
-discipline as the distance-matrix broadcast of PR 4), each pool worker
+discipline as the distance-row broadcast), each pool worker
 attaches it in its initializer and registers the reconstructed tables in a
 process-local registry keyed by the segment name, and per-shard tasks carry
 only ``(segment name, shard index)`` — O(1) in the table size.

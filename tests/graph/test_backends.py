@@ -1,21 +1,21 @@
-"""Tiered distance backends: bit-parity, laziness, stores, memory guard."""
+"""The row backend: primed/lazy bit-parity, laziness, stores, memory guard."""
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ResourceError
 from repro.graph import (
-    DenseBackend,
-    DistanceBackend,
     LazyRowBackend,
     RowStore,
     abovenet,
     abvt,
-    build_distance_matrix,
     deltacom,
     estimate_dense_bytes,
     line_topology,
     random_topology,
+    single_source_dijkstra,
     tinet,
     tree_topology,
 )
@@ -25,8 +25,9 @@ TOPOLOGIES = [abovenet, abvt, tinet, deltacom, lambda: line_topology(7),
 
 
 def backends_for(net):
+    """A fully primed backend (one all-rows sweep) and a lazy one."""
     graph = net.graph
-    dense = DenseBackend(build_distance_matrix(graph))
+    dense = LazyRowBackend(graph).prime()
     lazy = LazyRowBackend(graph)
     return dense, lazy
 
@@ -39,7 +40,8 @@ class TestBitParity:
         assert lazy.nodes == dense.nodes
         for i in range(n):
             d, l = dense.row(i), lazy.row(i)
-            # bitwise equality, not approx: same CSR, same Dijkstra
+            # bitwise equality, not approx: one all-rows sweep vs one
+            # sweep per row over the same CSR
             assert np.array_equal(d, l), f"row {i} differs"
             assert d.tobytes() == l.tobytes()
 
@@ -58,16 +60,13 @@ class TestBitParity:
         assert dense.distance(3, 40) == lazy.distance(3, 40)
 
     def test_python_fallback_matches_scipy(self):
+        # The pure-python Dijkstra stays as the reference implementation.
         net = abvt()
-        scipy_rows = LazyRowBackend(net.graph, use_scipy=True)
-        py_rows = LazyRowBackend(net.graph, use_scipy=False)
-        for i in range(len(scipy_rows)):
-            assert np.allclose(scipy_rows.row(i), py_rows.row(i))
-
-    def test_protocol_conformance(self):
-        dense, lazy = backends_for(abvt())
-        assert isinstance(dense, DistanceBackend)
-        assert isinstance(lazy, DistanceBackend)
+        scipy_rows = LazyRowBackend(net.graph)
+        for i, source in enumerate(scipy_rows.nodes):
+            reference, _ = single_source_dijkstra(net.graph, source)
+            expected = [reference.get(v, math.inf) for v in scipy_rows.nodes]
+            assert np.allclose(scipy_rows.row(i), expected)
 
 
 class TestLaziness:
@@ -84,7 +83,7 @@ class TestLaziness:
         lazy.row(2)
         w = lazy.w_max()
         assert lazy.materialized == 1  # sweep streamed, nothing retained
-        assert w == DenseBackend(build_distance_matrix(net.graph)).dm.w_max()
+        assert w == LazyRowBackend(net.graph).prime().w_max()
 
     def test_rows_are_read_only(self):
         lazy = LazyRowBackend(abvt().graph)
@@ -121,23 +120,28 @@ class TestMemoryGuard:
     def test_estimate_counts_matrix_and_adjacency(self):
         assert estimate_dense_bytes(1000) == 2 * 8 * 1000 * 1000
 
-    def test_build_raises_over_explicit_ceiling(self):
+    def test_build_raises_over_explicit_ceiling(self, monkeypatch):
         net = deltacom()
         needed = estimate_dense_bytes(net.num_nodes)
+        monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", str(needed - 1))
+        backend = LazyRowBackend(net.graph)
         with pytest.raises(ResourceError) as err:
-            build_distance_matrix(net.graph, max_bytes=needed - 1)
+            backend.prime()
         msg = str(err.value)
         assert f"{needed:,}" in msg or str(needed) in msg
         assert "LazyRowBackend" in msg
+        assert backend.materialized == 0  # raised before computing a row
 
     def test_build_respects_env_ceiling(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_BYTES", "1024")
         with pytest.raises(ResourceError):
-            build_distance_matrix(deltacom().graph)
+            LazyRowBackend(deltacom().graph).prime()
 
-    def test_build_passes_under_ceiling(self):
+    def test_build_passes_under_ceiling(self, monkeypatch):
         net = abvt()
-        dm = build_distance_matrix(
-            net.graph, max_bytes=estimate_dense_bytes(net.num_nodes)
+        monkeypatch.setenv(
+            "REPRO_DENSE_MAX_BYTES", str(estimate_dense_bytes(net.num_nodes))
         )
-        assert dm.matrix.shape == (23, 23)
+        backend = LazyRowBackend(net.graph).prime()
+        assert backend.materialized == 23
+        assert backend.rows(np.arange(23)).shape == (23, 23)

@@ -1,11 +1,10 @@
-"""Parity tests: incremental distance-matrix repair vs. fresh rebuild.
+"""Parity tests: rows of a repaired backend vs a fresh primed rebuild.
 
-The reuse layer's correctness hinges on :func:`repair_distance_matrix`
-producing *bit-identical* matrices to :func:`build_distance_matrix` on the
+The reuse layer's correctness hinges on :meth:`LazyRowBackend.repair`
+serving *bit-identical* rows to a fresh fully primed backend on the
 degraded graph — these tests exercise randomized single-link, k-link, and
 node failures (including ones that disconnect the graph) and compare with
-``np.array_equal(..., equal_nan=True)`` style exact checks (inf == inf, no
-tolerances).
+exact checks (inf == inf, no tolerances).
 """
 
 import math
@@ -14,9 +13,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidNetworkError
-from repro.graph import build_distance_matrix
-from repro.graph.distance_matrix import affected_sources, repair_distance_matrix
+from repro.graph import LazyRowBackend, single_source_dijkstra
 
 
 def random_graph(seed: int, n: int = 12, p: float = 0.3) -> nx.DiGraph:
@@ -30,60 +27,60 @@ def random_graph(seed: int, n: int = 12, p: float = 0.3) -> nx.DiGraph:
     return g
 
 
+def primed(graph) -> LazyRowBackend:
+    return LazyRowBackend(graph).prime()
+
+
+def all_rows(backend: LazyRowBackend) -> np.ndarray:
+    return backend.rows(np.arange(len(backend), dtype=np.intp))
+
+
 def assert_bit_identical(repaired, fresh):
     assert repaired.nodes == fresh.nodes
-    assert np.array_equal(repaired.matrix, fresh.matrix), (
-        np.argwhere(~np.isclose(repaired.matrix, fresh.matrix, equal_nan=True))
-    )
-    # w_max is derived from the matrix, but assert it anyway: it feeds the
-    # submodular oracle's saturation cap.
+    got, want = all_rows(repaired), all_rows(fresh)
+    assert np.array_equal(got, want), np.argwhere(~np.isclose(got, want))
+    # w_max feeds the submodular oracle's saturation cap: assert it too.
     assert repaired.w_max() == fresh.w_max()
 
 
 def remove_edges(g: nx.DiGraph, edges):
-    removed = []
     for (u, v) in edges:
-        removed.append((u, v, float(g[u][v]["cost"])))
         g.remove_edge(u, v)
-    return removed
 
 
 class TestSingleLink:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_single_link_bit_identical(self, seed):
         g = random_graph(seed)
-        parent = build_distance_matrix(g)
+        parent = primed(g)
         rng = np.random.default_rng(1000 + seed)
         edges = list(g.edges)
         target = edges[int(rng.integers(len(edges)))]
         degraded = g.copy()
-        removed = remove_edges(degraded, [target])
-        repaired = repair_distance_matrix(parent, degraded, removed_edges=removed)
-        assert_bit_identical(repaired, build_distance_matrix(degraded))
+        remove_edges(degraded, [target])
+        repaired = parent.repair(degraded)
+        assert repaired.materialized == 0  # nothing carried, rows on demand
+        assert_bit_identical(repaired, primed(degraded))
 
     def test_every_single_link_on_one_topology(self):
         g = random_graph(3, n=8, p=0.35)
-        parent = build_distance_matrix(g)
+        parent = primed(g)
         for target in list(g.edges):
             degraded = g.copy()
-            removed = remove_edges(degraded, [target])
-            repaired = repair_distance_matrix(
-                parent, degraded, removed_edges=removed
-            )
-            assert_bit_identical(repaired, build_distance_matrix(degraded))
+            remove_edges(degraded, [target])
+            assert_bit_identical(parent.repair(degraded), primed(degraded))
 
     def test_disconnecting_bridge_goes_inf(self):
         g = nx.DiGraph()
         g.add_edge("a", "b", cost=1.0)
         g.add_edge("b", "c", cost=2.0)
         g.add_edge("c", "b", cost=2.0)
-        parent = build_distance_matrix(g)
+        parent = primed(g)
         degraded = g.copy()
-        removed = remove_edges(degraded, [("a", "b")])
-        repaired = repair_distance_matrix(parent, degraded, removed_edges=removed)
-        fresh = build_distance_matrix(degraded)
-        assert_bit_identical(repaired, fresh)
-        assert repaired.distance("a", "c") == math.inf
+        remove_edges(degraded, [("a", "b")])
+        repaired = parent.repair(degraded)
+        assert_bit_identical(repaired, primed(degraded))
+        assert repaired.distance(repaired.index["a"], repaired.index["c"]) == math.inf
 
 
 class TestKLink:
@@ -91,33 +88,27 @@ class TestKLink:
     @pytest.mark.parametrize("k", [2, 3])
     def test_random_k_link_bit_identical(self, seed, k):
         g = random_graph(seed, n=14)
-        parent = build_distance_matrix(g)
+        parent = primed(g)
         rng = np.random.default_rng(2000 + 10 * seed + k)
         edges = list(g.edges)
         picks = rng.choice(len(edges), size=min(k, len(edges)), replace=False)
         degraded = g.copy()
-        removed = remove_edges(degraded, [edges[int(i)] for i in picks])
-        repaired = repair_distance_matrix(parent, degraded, removed_edges=removed)
-        assert_bit_identical(repaired, build_distance_matrix(degraded))
+        remove_edges(degraded, [edges[int(i)] for i in picks])
+        assert_bit_identical(parent.repair(degraded), primed(degraded))
 
 
 class TestNodeFailure:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_node_removal_bit_identical(self, seed):
         g = random_graph(seed, n=12)
-        parent = build_distance_matrix(g)
+        parent = primed(g)
         rng = np.random.default_rng(3000 + seed)
         dead = int(rng.integers(g.number_of_nodes()))
         degraded = g.copy()
-        removed = remove_edges(
-            degraded,
-            [e for e in g.edges if dead in e],
-        )
         degraded.remove_node(dead)
-        repaired = repair_distance_matrix(
-            parent, degraded, removed_edges=removed, removed_nodes=(dead,)
-        )
-        assert_bit_identical(repaired, build_distance_matrix(degraded))
+        repaired = parent.repair(degraded)
+        assert dead not in repaired.index
+        assert_bit_identical(repaired, primed(degraded))
 
     def test_articulation_node_disconnects(self):
         # line a -> m -> b: removing m strands a from b entirely.
@@ -126,137 +117,79 @@ class TestNodeFailure:
         g.add_edge("m", "b", cost=1.0)
         g.add_edge("b", "m", cost=1.0)
         g.add_edge("m", "a", cost=1.0)
-        parent = build_distance_matrix(g)
+        parent = primed(g)
         degraded = g.copy()
-        removed = remove_edges(degraded, [e for e in g.edges if "m" in e])
         degraded.remove_node("m")
-        repaired = repair_distance_matrix(
-            parent, degraded, removed_edges=removed, removed_nodes=("m",)
-        )
-        fresh = build_distance_matrix(degraded)
-        assert_bit_identical(repaired, fresh)
-        assert repaired.distance("a", "b") == math.inf
-
-
-class TestAffectedSources:
-    def test_unflagged_rows_truly_unchanged(self):
-        # The mask is allowed to over-flag, never to under-flag: every row it
-        # leaves out must be identical in a full rebuild.
-        for seed in range(6):
-            g = random_graph(seed, n=10)
-            parent = build_distance_matrix(g)
-            rng = np.random.default_rng(4000 + seed)
-            edges = list(g.edges)
-            target = edges[int(rng.integers(len(edges)))]
-            degraded = g.copy()
-            removed = remove_edges(degraded, [target])
-            mask = affected_sources(parent, removed)
-            fresh = build_distance_matrix(degraded)
-            unflagged = np.flatnonzero(~mask)
-            assert np.array_equal(
-                parent.matrix[unflagged], fresh.matrix[unflagged]
-            )
-
-    def test_edge_off_every_shortest_path_flags_nothing(self):
-        g = nx.DiGraph()
-        g.add_edge("a", "b", cost=1.0)
-        g.add_edge("a", "c", cost=100.0)  # never on a shortest path
-        g.add_edge("b", "c", cost=1.0)
-        parent = build_distance_matrix(g)
-        mask = affected_sources(parent, [("a", "c", 100.0)])
-        assert not mask.any()
+        repaired = parent.repair(degraded)
+        assert_bit_identical(repaired, primed(degraded))
+        assert repaired.distance(repaired.index["a"], repaired.index["b"]) == math.inf
 
 
 class TestGuards:
-    def test_node_order_mismatch_raises(self):
-        g = random_graph(0, n=6)
-        parent = build_distance_matrix(g)
-        shuffled = nx.DiGraph()
-        shuffled.add_nodes_from(reversed(list(g.nodes)))
-        shuffled.add_edges_from(g.edges(data=True))
-        with pytest.raises(InvalidNetworkError):
-            repair_distance_matrix(parent, shuffled, removed_edges=[])
-
     def test_empty_after_removing_everything(self):
         g = nx.DiGraph()
         g.add_edge("a", "b", cost=1.0)
-        parent = build_distance_matrix(g)
-        degraded = nx.DiGraph()
-        repaired = repair_distance_matrix(
-            parent,
-            degraded,
-            removed_edges=[("a", "b", 1.0)],
-            removed_nodes=("a", "b"),
-        )
-        assert repaired.matrix.shape == (0, 0)
+        repaired = primed(g).repair(nx.DiGraph())
+        assert len(repaired) == 0
+        assert all_rows(repaired).shape == (0, 0)
+        assert repaired.w_max() == 1.0
 
     def test_pure_dijkstra_backend_matches(self):
+        # The pure-python Dijkstra is the reference for repaired rows too.
         g = random_graph(5, n=9)
-        parent = build_distance_matrix(g, use_scipy=False)
+        parent = primed(g)
         rng = np.random.default_rng(7)
         edges = list(g.edges)
         target = edges[int(rng.integers(len(edges)))]
         degraded = g.copy()
-        removed = remove_edges(degraded, [target])
-        repaired = repair_distance_matrix(
-            parent, degraded, removed_edges=removed, use_scipy=False
-        )
-        assert_bit_identical(
-            repaired, build_distance_matrix(degraded, use_scipy=False)
-        )
+        remove_edges(degraded, [target])
+        repaired = parent.repair(degraded)
+        for u in degraded.nodes:
+            reference, _ = single_source_dijkstra(degraded, u)
+            expected = [reference.get(v, math.inf) for v in repaired.nodes]
+            np.testing.assert_allclose(repaired.row(repaired.index[u]), expected)
 
 
 class TestPartialSources:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_requested_rows_bit_identical_rest_nan(self, seed):
-        g = random_graph(seed)
-        parent = build_distance_matrix(g)
-        rng = np.random.default_rng(seed)
-        edges = list(g.edges)
-        removed = remove_edges(
-            g, [edges[int(j)] for j in rng.choice(len(edges), 3, replace=False)]
-        )
-        wanted = [int(j) for j in rng.choice(len(parent), 4, replace=False)]
-        partial = repair_distance_matrix(
-            parent, g, removed_edges=removed, sources=[parent.nodes[j] for j in wanted]
-        )
-        fresh = build_distance_matrix(g)
-        for i in range(len(parent)):
-            if i in wanted:
-                assert np.array_equal(partial.matrix[i], fresh.matrix[i])
-            else:
-                # Unrequested rows are loudly invalid, never silently stale.
-                assert np.isnan(partial.matrix[i]).all()
-
     def test_chained_partial_repairs_stay_exact(self):
-        # A partial matrix may parent further partial repairs as long as the
-        # requested sources never grow — exactly the timeline controller's
-        # usage (cache/pinned rows only shrink as nodes fail).
+        # A repaired backend may parent further repairs; reading only a
+        # shrinking set of rows at each step (the timeline controller's
+        # usage) computes exactly those rows, and they match a fresh build.
         g = random_graph(3)
-        parent = build_distance_matrix(g)
-        sources = list(parent.nodes)[:5]
+        parent = primed(g)
         edges = list(g.edges)
-        first = remove_edges(g, edges[:2])
-        step1 = repair_distance_matrix(
-            parent, g, removed_edges=first, sources=sources
-        )
-        second = remove_edges(g, [e for e in list(g.edges)[:2]])
+        first = g.copy()
+        remove_edges(first, edges[:2])
+        step1 = parent.repair(first)
+        sources = [step1.index[v] for v in list(step1.nodes)[:5]]
+        step1.ensure_rows(sources)
+        second = first.copy()
+        remove_edges(second, list(first.edges)[:2])
+        step2 = step1.repair(second)
         shrunk = sources[:3]
-        step2 = repair_distance_matrix(
-            step1, g, removed_edges=second, sources=shrunk
-        )
-        fresh = build_distance_matrix(g)
-        for v in shrunk:
-            i = step2.index[v]
-            assert np.array_equal(step2.matrix[i], fresh.matrix[i])
+        fresh = primed(second)
+        for i in shrunk:
+            assert np.array_equal(step2.row(i), fresh.row(i))
+        assert step2.materialized == len(shrunk)
 
     def test_unknown_source_nodes_ignored(self):
-        g = random_graph(1)
-        parent = build_distance_matrix(g)
-        removed = remove_edges(g, list(g.edges)[:1])
-        partial = repair_distance_matrix(
-            parent, g, removed_edges=removed, sources=["not-a-node", 0]
+        # A row scope naming a node the degraded instance lost primes the
+        # surviving rows and skips the rest.
+        from repro.core.context import SolverContext
+        from repro.robustness import (
+            apply_failure,
+            degraded_context,
+            single_node_failures,
         )
-        fresh = build_distance_matrix(g)
-        assert np.array_equal(partial.matrix[partial.index[0]],
-                              fresh.matrix[fresh.index[0]])
+        from tests.core.conftest import random_uncapacitated_problem
+
+        problem = random_uncapacitated_problem(1)
+        parent = SolverContext.from_problem(problem)
+        degraded = apply_failure(problem, single_node_failures(problem)[1])
+        child = degraded_context(parent, degraded)
+        (dead,) = degraded.failed_nodes
+        survivor = child.nodes[0]
+        child.prime_rows(["not-a-node", dead, survivor])
+        assert child.backend.materialized == 1
+        fresh = SolverContext.from_problem(degraded.problem)
+        assert np.array_equal(child.row_of(survivor), fresh.row_of(survivor))

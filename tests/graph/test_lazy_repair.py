@@ -1,36 +1,29 @@
-"""LazyRowBackend.repair parity: carried rows == fresh degraded rows, bit for bit.
+"""LazyRowBackend.repair parity: derived rows == fresh degraded rows, bit for bit.
 
-The lazy tier's repair path mirrors :func:`repro.graph.distance_matrix.
-repair_distance_matrix` row by row: a memoized row is carried into the
-degraded backend only when no removed edge could have lain on one of its
-shortest paths; everything else is dropped and recomputes on demand against
-the degraded CSR.  Either way every row must equal a fresh
+A repaired backend carries no rows: every row recomputes on first read
+against the degraded CSR, so it must equal a fresh
 ``LazyRowBackend(degraded_graph)`` build exactly — these tests sweep random
-link and node removals over embedded mid-size topologies and assert the
-bit-parity, the carry behaviour, and the node-order contract.
+link and node removals over embedded mid-size topologies, from warm and
+cold parents, and assert the bit-parity.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidNetworkError
 from repro.graph import abovenet, abvt, tinet
 from repro.graph.backends import LazyRowBackend
-from repro.graph.network import COST
 
 TOPOLOGIES = [abovenet, abvt, tinet]
 
 
 def _remove_links(graph, picks):
-    """Degraded copy of ``graph`` minus ``picks`` + the removal triples."""
+    """Degraded copy of ``graph`` minus ``picks`` (both directions)."""
     degraded = graph.copy()
-    triples = []
     for u, v in picks:
         for a, b in ((u, v), (v, u)):
             if degraded.has_edge(a, b):
-                triples.append((a, b, float(graph[a][b][COST])))
                 degraded.remove_edge(a, b)
-    return degraded, triples
+    return degraded
 
 
 def _assert_full_parity(repaired, degraded_graph):
@@ -58,40 +51,17 @@ class TestLinkRemovals:
         )
         picks = [links[int(k)] for k in
                  rng.choice(len(links), size=3, replace=False)]
-        degraded, triples = _remove_links(graph, picks)
-        repaired = backend.repair(degraded, removed_edges=triples)
-        _assert_full_parity(repaired, degraded)
-
-    def test_unaffected_rows_are_carried_affected_dropped(self):
-        graph = abovenet().graph
-        backend = LazyRowBackend(graph)
-        n = len(backend.nodes)
-        backend.ensure_rows(range(n))
-        u, v = next(iter(graph.edges))
-        degraded, triples = _remove_links(graph, [(u, v)])
-        repaired = backend.repair(degraded, removed_edges=triples)
-        # some rows survive the carry; the affected ones were dropped, so the
-        # child cannot carry everything on a connected topology
-        assert 0 < repaired.materialized < n
-        # carried exactly the rows whose shortest paths could not have used
-        # the removed edge: src -> a -> b -> dst never ties the optimum
-        for i in range(n):
-            row = backend.row(i)
-            affected = False
-            for a, b, w in triples:
-                lhs = row[backend.index[a]] + w + backend.row(backend.index[b])
-                if np.any(np.isfinite(lhs) & (lhs == row)):
-                    affected = True
-                    break
-            assert (i in repaired._rows) == (not affected), (i, affected)
+        degraded = _remove_links(graph, picks)
+        repaired = backend.repair(degraded)
+        assert repaired.materialized == 0
         _assert_full_parity(repaired, degraded)
 
     def test_empty_parent_repairs_to_fresh_backend(self):
         graph = abvt().graph
         backend = LazyRowBackend(graph)  # nothing memoized
         u, v = next(iter(graph.edges))
-        degraded, triples = _remove_links(graph, [(u, v)])
-        repaired = backend.repair(degraded, removed_edges=triples)
+        degraded = _remove_links(graph, [(u, v)])
+        repaired = backend.repair(degraded)
         assert repaired.materialized == 0
         _assert_full_parity(repaired, degraded)
 
@@ -100,32 +70,12 @@ class TestNodeRemovals:
     @pytest.mark.parametrize("factory", TOPOLOGIES)
     def test_node_removal_bit_identical(self, factory):
         graph = factory().graph
-        backend = LazyRowBackend(graph)
-        backend.ensure_rows(range(min(12, len(backend.nodes))))
+        backend = LazyRowBackend(graph).prime()
         dead = list(graph.nodes)[3]
-        triples = []
-        for a, b in list(graph.in_edges(dead)) + list(graph.out_edges(dead)):
-            triples.append((a, b, float(graph[a][b][COST])))
         degraded = graph.copy()
         degraded.remove_node(dead)
-        repaired = backend.repair(
-            degraded, removed_edges=triples, removed_nodes=(dead,)
-        )
+        repaired = backend.repair(degraded)
         assert dead not in repaired.index
         _assert_full_parity(repaired, degraded)
-        # carried rows must be column-subset to the surviving order
-        for row_idx in repaired._rows:
-            assert repaired._rows[row_idx].shape == (len(repaired.nodes),)
-
-    def test_node_order_mismatch_raises(self):
-        import networkx as nx
-
-        graph = abovenet().graph
-        backend = LazyRowBackend(graph)
-        # same nodes and edges, different insertion order: carried rows
-        # would be silently mis-indexed, so repair must refuse
-        reordered = nx.DiGraph()
-        reordered.add_nodes_from(reversed(list(graph.nodes)))
-        reordered.add_edges_from(graph.edges(data=True))
-        with pytest.raises(InvalidNetworkError):
-            backend.repair(reordered, removed_edges=[])
+        # rows follow the surviving node order
+        assert repaired.row(0).shape == (len(repaired.nodes),)

@@ -1,4 +1,4 @@
-"""Shared-memory distance-matrix broadcast: signatures, round-trips, cleanup."""
+"""Shared-memory broadcast of rows and arrays: signatures, round-trips, cleanup."""
 
 from pathlib import Path
 
@@ -6,16 +6,14 @@ import networkx as nx
 import numpy as np
 import pickle
 
-from repro.graph import build_distance_matrix, line_topology
+from repro.graph import LazyRowBackend, line_topology
 from repro.graph.shm import (
     BundleBroadcast,
-    MatrixBroadcast,
     attach_bundle,
-    attach_matrix,
     graph_signature,
-    lookup_matrix,
-    register_matrix,
-    unregister_matrix,
+    lookup_rows,
+    register_rows,
+    unregister_rows,
 )
 
 
@@ -59,35 +57,20 @@ class TestSignature:
 
 
 class TestBroadcast:
-    def test_attach_round_trip_bit_identical(self):
-        g = small_graph()
-        dm = build_distance_matrix(g)
-        sig = graph_signature(g)
-        with MatrixBroadcast(dm, sig) as broadcast:
-            attached = attach_matrix(broadcast.handle)
-            assert attached.nodes == dm.nodes
-            assert np.array_equal(attached.matrix, dm.matrix)
-            assert not attached.matrix.flags.writeable
-
-    def test_close_unlinks_segment(self):
-        dm = build_distance_matrix(small_graph())
-        before = shm_segments()
-        broadcast = MatrixBroadcast(dm, "sig")
-        assert shm_segments() - before  # segment exists while open
-        broadcast.close()
-        assert shm_segments() - before == set()
-        broadcast.close()  # idempotent
-
     def test_handle_pickles_small_and_subquadratic(self):
-        # The per-pool payload is the handle, not the matrix: O(|V|) bytes.
+        # The per-pool payload of a fully primed context is the handle, not
+        # the O(|V|^2) row block: O(|V|) bytes.
+        from repro.graph.shm import RowsBroadcast
+
         sizes = {}
         for n in (30, 60):
             net = line_topology(n)
-            dm = build_distance_matrix(net.graph)
-            with MatrixBroadcast(dm, "sig") as broadcast:
+            backend = LazyRowBackend(net.graph).prime()
+            store = backend.row_store()
+            with RowsBroadcast(store, backend.nodes, "sig") as broadcast:
                 sizes[n] = len(pickle.dumps(broadcast.handle))
-                assert sizes[n] < dm.matrix.nbytes / 10
-        # Doubling |V| quadruples the matrix but must not quadruple the
+                assert sizes[n] < store.block.nbytes / 10
+        # Doubling |V| quadruples the block but must not quadruple the
         # handle (node labels grow linearly).
         assert sizes[60] < 3 * sizes[30]
 
@@ -151,35 +134,39 @@ class TestBundle:
 class TestRegistry:
     def test_lookup_hits_only_matching_graph(self):
         g = small_graph()
-        dm = build_distance_matrix(g)
+        store = LazyRowBackend(g).prime().row_store()
         sig = graph_signature(g)
-        assert lookup_matrix(g) is None  # empty registry: free miss
-        register_matrix(sig, dm)
+        assert lookup_rows(g) is None  # empty registry: free miss
+        register_rows(sig, store)
         try:
-            assert lookup_matrix(g) is dm
+            assert lookup_rows(g) is store
             other = small_graph()
             other["a"]["b"]["cost"] = 7.0
-            assert lookup_matrix(other) is None
+            assert lookup_rows(other) is None
         finally:
-            unregister_matrix(sig)
-        assert lookup_matrix(g) is None
+            unregister_rows(sig)
+        assert lookup_rows(g) is None
 
     def test_context_from_problem_uses_registry(self):
         from repro.core.context import SolverContext
         from tests.core.conftest import random_uncapacitated_problem
 
         problem = random_uncapacitated_problem(0)
-        dm = build_distance_matrix(problem.network.graph)
-        sig = graph_signature(problem.network.graph)
-        register_matrix(sig, dm)
+        graph = problem.network.graph
+        store = LazyRowBackend(graph).prime().row_store()
+        sig = graph_signature(graph)
+        register_rows(sig, store)
         try:
             ctx = SolverContext.from_problem(problem)
-            assert ctx.dm is dm
+            # every row is a zero-copy view into the registered block
+            assert ctx.backend.materialized == len(store)
+            assert np.shares_memory(ctx.backend.row(0), store.block)
         finally:
-            unregister_matrix(sig)
+            unregister_rows(sig)
         fresh = SolverContext.from_problem(problem)
-        assert fresh.dm is not dm
-        assert np.array_equal(fresh.dm.matrix, dm.matrix)
+        idx = np.arange(len(fresh.nodes))
+        assert not np.shares_memory(fresh.backend.row(0), store.block)
+        assert np.array_equal(fresh.backend.rows(idx), store.block)
 
 
 class TestRowsBroadcast:

@@ -2,21 +2,29 @@
 
 The failure-sweep fast path (:func:`repro.robustness.degraded.degraded_context`)
 must never change a result — only how fast it is computed.  These tests
-assert bit-identical distance matrices and ``w_max`` against
+assert bit-identical distance rows and ``w_max`` against
 ``SolverContext.from_problem`` across randomized single-link, k-link, and
-node failures (including disconnecting ones), and that a full
-``survivability_report`` with a threaded context equals the uncontexted one
-record for record.
+node failures (including disconnecting ones) and chains of them, and that
+a full ``survivability_report`` with a threaded context equals the
+uncontexted one record for record.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import pin_full_catalog
 from repro.core.context import SolverContext
+from repro.core.problem import ProblemInstance
+from repro.graph import CacheNetwork, abovenet
 from repro.robustness import (
     CapacityDegradation,
     FailureScenario,
+    LinkFailure,
+    NodeFailure,
     apply_failure,
+    canonical_links,
     degraded_context,
     k_link_failures,
     single_link_failures,
@@ -27,10 +35,14 @@ from repro.robustness.demo import gadget_placement, gadget_problem
 from tests.core.conftest import random_uncapacitated_problem
 
 
+def all_rows(ctx: SolverContext) -> np.ndarray:
+    return ctx.backend.rows(np.arange(len(ctx.nodes), dtype=np.intp))
+
+
 def assert_context_parity(derived: SolverContext, degraded_problem) -> None:
-    fresh = SolverContext.from_problem(degraded_problem)
-    assert derived.dm.nodes == fresh.dm.nodes
-    assert np.array_equal(derived.dm.matrix, fresh.dm.matrix)
+    fresh = SolverContext.from_problem(degraded_problem, backend="dense")
+    assert derived.nodes == fresh.nodes
+    assert np.array_equal(all_rows(derived), all_rows(fresh))
     assert derived.w_max == fresh.w_max
 
 
@@ -89,8 +101,65 @@ class TestCapacityOnly:
         )
         degraded = apply_failure(problem, scenario)
         derived = degraded_context(parent, degraded)
-        assert derived.dm is parent.dm  # shared, not copied
+        assert derived.backend is parent.backend  # shared, primed rows too
         assert derived.problem is degraded.problem
+
+
+def abovenet_problem() -> ProblemInstance:
+    net = abovenet()
+    nodes = list(net.nodes)
+    items = ("a", "b")
+    return ProblemInstance(
+        network=CacheNetwork(net.graph, {v: 1.0 for v in nodes[1:6]}),
+        catalog=items,
+        demand={(it, s): 1.0 for it in items for s in nodes[-4:]},
+        pinned=pin_full_catalog(items, [nodes[0]]),
+    )
+
+
+class TestChainProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_chained_removals_read_on_demand_match_fresh(self, data):
+        # Each step removes a random set of links and at most one node (or
+        # only scales capacity) from the previous step's instance; rows are
+        # read on demand from the derived chain and must equal a fresh
+        # fully primed build of the same instance, bit for bit.
+        ctx = SolverContext.from_problem(abovenet_problem())
+        for step in range(data.draw(st.integers(2, 3), label="steps")):
+            problem = ctx.problem
+            links = data.draw(
+                st.lists(
+                    st.sampled_from(canonical_links(problem)),
+                    max_size=3,
+                    unique=True,
+                ),
+                label=f"links{step}",
+            )
+            nodes = data.draw(
+                st.lists(
+                    st.sampled_from(sorted(problem.network.nodes, key=repr)),
+                    max_size=1,
+                ),
+                label=f"nodes{step}",
+            )
+            faults = [LinkFailure(u, v) for u, v in links]
+            faults += [NodeFailure(v) for v in nodes]
+            if not faults:
+                faults = [CapacityDegradation(factor=0.5)]
+            degraded = apply_failure(problem, FailureScenario("step", tuple(faults)))
+            child = degraded_context(ctx, degraded)
+            if not links and not nodes:
+                assert child.backend is ctx.backend
+            fresh = SolverContext.from_problem(degraded.problem, backend="dense")
+            read = data.draw(
+                st.lists(st.sampled_from(child.nodes), max_size=4),
+                label=f"read{step}",
+            )
+            for v in read:
+                assert np.array_equal(child.row_of(v), fresh.row_of(v))
+            ctx = child
+        assert_context_parity(ctx, ctx.problem)
 
 
 class TestReportParity:
