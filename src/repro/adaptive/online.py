@@ -34,7 +34,7 @@ from repro.adaptive.strategies import (
 from repro.core.algorithm1 import algorithm1
 from repro.core.evaluation import path_cost
 from repro.core.problem import ProblemInstance
-from repro.core.rnr import ShortestPathCache, route_to_nearest_replica
+from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement
 from repro.exceptions import InvalidProblemError
 
@@ -51,16 +51,10 @@ ALL_POLICIES = (
 )
 
 
-def placement_type_costs(
-    reactive: ReactiveTables,
-    placement: Placement,
-    *,
-    sp: ShortestPathCache | None = None,
-) -> np.ndarray:
+def placement_type_costs(reactive: ReactiveTables, placement: Placement) -> np.ndarray:
     """Per-type RNR serving cost under ``placement`` (tables' type order)."""
     problem = reactive.problem
-    sp = sp or ShortestPathCache(problem)
-    routing = route_to_nearest_replica(problem, placement, sp_cache=sp)
+    routing = route_to_nearest_replica(problem, placement, context=reactive.context)
     costs = np.zeros(reactive.num_types)
     network = problem.network
     for t, request in enumerate(reactive.tables.types):
@@ -147,8 +141,6 @@ def run_online_adaptive(
     chunk_requests = np.array(
         [min(chunk_size, n - s) for s in starts], dtype=np.int64
     )
-    sp = ShortestPathCache(problem)
-
     report = OnlineAdaptiveReport(
         n_requests=n,
         chunk_size=chunk_size,
@@ -208,9 +200,7 @@ def run_online_adaptive(
     static_costs: np.ndarray | None = None
     if "static_alg1" in policies or "periodic_alg1_gpr" in policies:
         static_result = algorithm1(problem)
-        static_costs = placement_type_costs(
-            rt, static_result.solution.placement, sp=sp
-        )
+        static_costs = placement_type_costs(rt, static_result.solution.placement)
         report.static_lp_objective = static_result.lp_objective
         report.static_constant = static_result.constant
 
@@ -228,7 +218,7 @@ def run_online_adaptive(
             placement = grad.placement()
             if placement is not cache["placement"]:
                 cache["placement"] = placement
-                cache["costs"] = placement_type_costs(rt, placement, sp=sp)
+                cache["costs"] = placement_type_costs(rt, placement)
             return cache["costs"]
 
         def grad_observe(counts, elapsed, _k) -> bool:
@@ -256,9 +246,7 @@ def run_online_adaptive(
             planner.observe(counts, elapsed)
             if (k + 1) % replan_every == 0:
                 result = planner.replan()
-                cache["costs"] = placement_type_costs(
-                    rt, result.solution.placement, sp=sp
-                )
+                cache["costs"] = placement_type_costs(rt, result.solution.placement)
                 return True
             return False
 

@@ -28,6 +28,7 @@ from repro.core.algorithm1 import (
     _prepare,
     finish_from_lp,
 )
+from repro.core.context import SolverContext
 from repro.core.problem import ProblemInstance, Request
 from repro.exceptions import InvalidProblemError
 from repro.prediction.gpr import GaussianProcessRegressor
@@ -44,22 +45,22 @@ class Algorithm1Template:
     The template is built once from ``problem``; :meth:`solve` accepts any
     demand over the *same* request support (same ``(item, s)`` keys) and
     patches only the z-block objective before re-solving.  An unpatched
-    solve is bit-identical to ``algorithm1(problem, assembly="array")``.
+    solve is bit-identical to ``algorithm1(problem)``.  The distance rows
+    live on one lazy backend shared by every re-solve.
     """
 
     def __init__(self, problem: ProblemInstance, *, polish: bool = True) -> None:
         self.problem = problem
         self.polish = polish
+        context = SolverContext.from_problem(problem, backend="lazy")
+        self._backend = context.backend
         (
-            self._distance,
-            self._sp,
             self._cache_nodes,
-            _requested,
             self._w_max,
             self._x_pairs,
             self._request_rows,
             _constant,
-        ) = _prepare(problem, None)
+        ) = _prepare(problem, context)
         lp = _assemble_lp7_array(
             problem, self._cache_nodes, self._x_pairs, self._request_rows,
             self._w_max,
@@ -100,8 +101,9 @@ class Algorithm1Template:
         ]
         return finish_from_lp(
             swapped,
-            distance=self._distance,
-            sp=self._sp,
+            # A context caches requester rates per problem, so every
+            # re-solve wraps the shared backend in a context of its own.
+            context=SolverContext(swapped, backend=self._backend),
             cache_nodes=self._cache_nodes,
             w_max=self._w_max,
             x_pairs=self._x_pairs,
@@ -110,7 +112,6 @@ class Algorithm1Template:
             lp_objective=lp_solution.objective,
             x_values=lp_solution.block("x").tolist(),
             polish=self.polish,
-            context=None,
         )
 
 

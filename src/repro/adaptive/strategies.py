@@ -46,8 +46,9 @@ import numpy as np
 
 from repro.adaptive.state import CacheArrayState
 from repro.baselines.candidate_paths import origin_server
+from repro.core.context import SolverContext
 from repro.core.problem import Item, Node, ProblemInstance
-from repro.core.rnr import ShortestPathCache, route_to_nearest_replica
+from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement
 from repro.exceptions import InvalidProblemError
 from repro.serving.engine import generate_requests, horizon_for_requests
@@ -68,10 +69,13 @@ class ReactiveTables:
     carry, per request type, the node sequence of its cost-shortest request
     path ``s -> origin`` and everything the strategies derive from it.
     Rectangles are ``(R, L)`` with ``L`` the longest path; positions past a
-    type's path length are masked out.
+    type's path length are masked out.  ``context`` is the lazy solver
+    context the tables were built from; placement scoring reuses its
+    distance rows and path trees.
     """
 
     problem: ProblemInstance
+    context: SolverContext
     tables: RoutingTables
     nodes: tuple[Node, ...]
     items: tuple[Item, ...]
@@ -124,13 +128,13 @@ def build_reactive_tables(problem: ProblemInstance) -> ReactiveTables:
     order; request-path geometry is derived independently along the
     cost-shortest ``s -> origin`` direction.
     """
-    sp = ShortestPathCache(problem)
+    context = SolverContext.from_problem(problem, backend="lazy")
     origin = origin_server(problem)
-    routing = route_to_nearest_replica(problem, Placement(), sp_cache=sp)
+    routing = route_to_nearest_replica(problem, Placement(), context=context)
     tables = compile_tables(problem, routing)
 
-    nodes = tuple(problem.network.nodes)
-    node_id = {v: k for k, v in enumerate(nodes)}
+    nodes = context.nodes
+    node_id = context.node_index
     items = tuple(problem.catalog)
     item_id = {i: k for k, i in enumerate(items)}
 
@@ -142,9 +146,10 @@ def build_reactive_tables(problem: ProblemInstance) -> ReactiveTables:
 
     paths = []
     type_item = np.empty(tables.num_types, dtype=np.int64)
+    to_origin = node_id[origin]
     for t, (item, s) in enumerate(tables.types):
         type_item[t] = item_id[item]
-        paths.append(sp.path(s, origin))
+        paths.append(context.path_oracle.path_by_index(node_id[s], to_origin))
     path_len = np.array([len(p) for p in paths], dtype=np.int64)
     R, L = tables.num_types, int(path_len.max())
 
@@ -179,6 +184,7 @@ def build_reactive_tables(problem: ProblemInstance) -> ReactiveTables:
 
     rt = ReactiveTables(
         problem=problem,
+        context=context,
         tables=tables,
         nodes=nodes,
         items=items,
@@ -197,7 +203,7 @@ def build_reactive_tables(problem: ProblemInstance) -> ReactiveTables:
         pad_cap_sum=pad_cap_sum,
         pad_best_prefix=pad_best_prefix,
     )
-    _attach_hash_routing(rt, problem, sp, node_id, origin)
+    _attach_hash_routing(rt, origin)
     return rt
 
 
@@ -228,13 +234,8 @@ def _best_prefix_positions(
     return best
 
 
-def _attach_hash_routing(
-    rt: ReactiveTables,
-    problem: ProblemInstance,
-    sp: ShortestPathCache,
-    node_id: dict[Node, int],
-    origin: Node,
-) -> None:
+def _attach_hash_routing(rt: ReactiveTables, origin: Node) -> None:
+    problem, context = rt.problem, rt.context
     cache_nodes = sorted(
         (v for v in problem.network.cache_nodes() if problem.network.cache_capacity(v) > 0),
         key=repr,
@@ -255,9 +256,9 @@ def _attach_hash_routing(
             digest = zlib.crc32(repr(item).encode())
             a = cache_nodes[digest % len(cache_nodes)]
             auth_of[item] = a
-        rt.hash_node[t] = node_id[a]
-        rt.hash_request_cost[t] = sp.distance(s, a)
-        rt.hash_fetch_cost[t] = sp.distance(a, origin)
+        rt.hash_node[t] = context.node_index[a]
+        rt.hash_request_cost[t] = context.distance(s, a)
+        rt.hash_fetch_cost[t] = context.distance(a, origin)
         rt.hash_pinned[t] = (a, item) in problem.pinned
 
 

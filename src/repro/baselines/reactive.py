@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.context import SolverContext
 from repro.core.problem import Item, ProblemInstance
-from repro.core.rnr import ShortestPathCache
 from repro.exceptions import InvalidProblemError
 
 Node = Hashable
@@ -132,7 +132,7 @@ def simulate_reactive_caching(
     if n_requests <= 0:
         raise InvalidProblemError("n_requests must be positive")
     rng = rng or np.random.default_rng(0)
-    sp = ShortestPathCache(problem)
+    context = SolverContext.from_problem(problem, backend="lazy")
 
     from repro.baselines.candidate_paths import origin_server
 
@@ -149,8 +149,10 @@ def simulate_reactive_caching(
     # request-direction edge costs; on asymmetric-cost networks this differs
     # from reversing the origin -> s response path (which is a different
     # path) or charging response-direction costs.
+    nidx = context.node_index
     paths_to_origin = {
-        s: sp.path(s, origin) for s in {s for (_i, s) in requests}
+        s: context.path_oracle.path_by_index(nidx[s], nidx[origin])
+        for s in {s for (_i, s) in requests}
     }
 
     warmup = int(n_requests * warmup_fraction)

@@ -65,7 +65,7 @@ from repro.core.placement import (
     placement_saving,
 )
 from repro.core.problem import ProblemInstance, Request, pin_full_catalog
-from repro.core.rnr import ShortestPathCache, route_to_nearest_replica
+from repro.core.rnr import route_to_nearest_replica
 from repro.core.routing import (
     MMSFPTemplate,
     greedy_unsplittable_routing,
@@ -108,7 +108,6 @@ __all__ = [
     "utilization_profile",
     "summarize",
     "route_to_nearest_replica",
-    "ShortestPathCache",
     "SolverContext",
     "RequesterBlock",
     "relevant_sources",

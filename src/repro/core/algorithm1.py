@@ -17,32 +17,28 @@ every other node is provably unused by an optimal LP solution; this shrinks
 the LP without changing its optimum (only by an additive constant in the
 objective, which is reported as ``constant`` for bound checking).
 
-LP (7) itself is assembled either through the keyed :class:`LPBuilder` API
-(``assembly="dict"``) or, by default, through the array fast path
-(``assembly="array"``): the z/r/x rows are emitted as COO batches over
-flattened per-request eligible-source index arrays (taken from the
-:class:`~repro.core.context.SolverContext` distance rows when one is
-passed).  Both paths materialize bit-identical LPs.
+Every pairwise cost and ``w_max`` comes from one
+:class:`~repro.core.context.SolverContext` (built on the lazy tier when the
+caller passes none), shared with the polish and the RNR routing step.
+LP (7) is assembled as COO batches over flattened per-request
+eligible-source index arrays.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.context import SolverContext
 from repro.core.pipage import pipage_round
 from repro.core.problem import Item, Node, ProblemInstance
-from repro.core.rnr import ShortestPathCache, route_to_nearest_replica
+from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement, Solution
 from repro.core.submodular import local_search_swap
-from repro.exceptions import InfeasibleError, InvalidProblemError
+from repro.exceptions import InfeasibleError
 from repro.flow.lp import LPBuilder
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
 
 logger = logging.getLogger(__name__)
 
@@ -63,45 +59,8 @@ class Algorithm1Result:
     fractional_placement: dict[tuple[Node, Item], float]
 
 
-def _assemble_lp7_dict(problem, cache_nodes, requested_items, x_pairs, request_rows, w_max):
-    """Keyed assembly of LP (7) (column order: all x, all r, all z)."""
-    lp = LPBuilder(sense="max")
-    for (v, i) in x_pairs:
-        lp.add_variable(("x", v, i), lb=0.0, ub=1.0)
-    for (item, s), _rate, sources, _coefs in request_rows:
-        for v in sources:
-            lp.add_variable(("r", v, item, s), lb=0.0, ub=1.0)
-    for (item, s), rate, sources, _coefs in request_rows:
-        for v in sources:
-            z_key = lp.add_variable(("z", v, item, s), lb=0.0, ub=1.0)
-            lp.add_objective_terms({z_key: rate * w_max})
-    for (item, s), _rate, sources, coefs in request_rows:
-        for v, coef in zip(sources, coefs):
-            r_key = ("r", v, item, s)
-            z_key = ("z", v, item, s)
-            if (v, item) in problem.pinned:
-                # x_vi == 1 permanently: z <= 1 - r + coef.
-                lp.add_le({z_key: 1.0, r_key: 1.0}, 1.0 + coef)
-            elif lp.has_variable(("x", v, item)):
-                lp.add_le(
-                    {z_key: 1.0, r_key: 1.0, ("x", v, item): -coef}, 1.0
-                )
-            else:
-                lp.add_le({z_key: 1.0, r_key: 1.0}, 1.0)
-        lp.add_eq({("r", v, item, s): 1.0 for v in sources}, 1.0)
-    for v in cache_nodes:
-        coeffs = {
-            ("x", v, i): 1.0
-            for i in requested_items
-            if (v, i) not in problem.pinned
-        }
-        if coeffs:
-            lp.add_le(coeffs, problem.network.cache_capacity(v))
-    return lp
-
-
 def _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max):
-    """Vectorized COO assembly of LP (7) (same row/column order)."""
+    """Vectorized COO assembly of LP (7) (column order: all x, all r, all z)."""
     x_index = {pair: k for k, pair in enumerate(x_pairs)}
     req_of: list[int] = []
     x_col: list[int] = []
@@ -175,45 +134,29 @@ def _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max):
 def assemble_lp7(
     problem: ProblemInstance,
     *,
-    assembly: str = "array",
-    context: "SolverContext | None" = None,
+    context: SolverContext | None = None,
 ) -> LPBuilder:
     """Assemble (without solving) LP (7) — benchmarking/testing hook."""
-    prep = _prepare(problem, context)
-    _dist, _sp, cache_nodes, requested, w_max, x_pairs, request_rows, _c = prep
-    if assembly == "dict":
-        return _assemble_lp7_dict(
-            problem, cache_nodes, requested, x_pairs, request_rows, w_max
-        )
+    context = context or SolverContext.from_problem(problem, backend="lazy")
+    cache_nodes, w_max, x_pairs, request_rows, _c = _prepare(problem, context)
     return _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max)
 
 
-def _prepare(problem: ProblemInstance, context: "SolverContext | None"):
-    """Distances, w_max, optimizable x pairs, and per-request source rows."""
-    if context is not None:
-        distance = context.distance
-        sp = None
-    else:
-        sp = ShortestPathCache(problem)
-        distance = sp.distance
+def _prepare(problem: ProblemInstance, context: SolverContext):
+    """w_max, optimizable x pairs, and per-request eligible-source rows."""
+    distance = context.distance
     cache_nodes = [
         v for v in problem.network.cache_nodes() if problem.network.cache_capacity(v) > 0
     ]
     requested_items = sorted({i for (i, _s) in problem.demand}, key=repr)
 
-    # w_max: upper bound over pairwise least costs (computed from candidate
-    # sources, which are the only nodes whose costs enter the objective).
+    # w_max: the largest finite least cost out of the candidate sources
+    # (cache nodes and pinned holders), the only nodes whose costs enter the
+    # objective.
     candidate_sources = set(cache_nodes)
     for item in requested_items:
         candidate_sources |= problem.pinned_holders(item)
-    if context is not None:
-        w_max = context.finite_max_from(candidate_sources) if candidate_sources else 1.0
-    else:
-        w_max = 1.0
-        for v in candidate_sources:
-            dist, _ = sp.from_node(v)
-            if dist:
-                w_max = max(w_max, max(dist.values()))
+    w_max = context.finite_max_from(candidate_sources) if candidate_sources else 1.0
 
     x_pairs = [
         (v, i)
@@ -235,18 +178,14 @@ def _prepare(problem: ProblemInstance, context: "SolverContext | None"):
         constant += rate * len(sources) * w_max
         coefs = [(w_max - distance(v, s)) / w_max for v in sources]
         request_rows.append(((item, s), rate, sources, coefs))
-    return (
-        distance, sp, cache_nodes, requested_items, w_max, x_pairs, request_rows,
-        constant,
-    )
+    return cache_nodes, w_max, x_pairs, request_rows, constant
 
 
 def algorithm1(
     problem: ProblemInstance,
     *,
     polish: bool = True,
-    context: "SolverContext | None" = None,
-    assembly: str = "array",
+    context: SolverContext | None = None,
 ) -> Algorithm1Result:
     """Run Algorithm 1 on an instance with (assumed) unlimited link capacities.
 
@@ -260,58 +199,37 @@ def algorithm1(
     coordination; the polish recovers it while only ever increasing F_RNR,
     so Theorem 4.4's (1 - 1/e) guarantee is preserved.
 
-    Pass a :class:`~repro.core.context.SolverContext` to take every pairwise
-    cost from the context's distance rows (shared with the polish and the RNR
-    routing step) instead of running memoized Dijkstras on demand.
-    ``assembly`` selects how LP (7) is built: ``"array"`` (COO batches, the
-    fast default) or ``"dict"`` (keyed rows); both produce bit-identical LPs.
+    Every pairwise cost comes from ``context``'s distance rows, shared with
+    the polish and the RNR routing step; without one, a lazy context is
+    built for the call.
     """
-    if assembly not in ("array", "dict"):
-        raise InvalidProblemError("assembly must be 'array' or 'dict'")
-    prep = _prepare(problem, context)
-    (
-        distance, sp, cache_nodes, requested_items, w_max, x_pairs, request_rows,
-        constant,
-    ) = prep
-
-    if assembly == "dict":
-        lp = _assemble_lp7_dict(
-            problem, cache_nodes, requested_items, x_pairs, request_rows, w_max
-        )
-    else:
-        lp = _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max)
+    context = context or SolverContext.from_problem(problem, backend="lazy")
+    cache_nodes, w_max, x_pairs, request_rows, constant = _prepare(problem, context)
+    lp = _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max)
 
     logger.debug(
         "Algorithm 1 LP: %d variables, %d constraints", lp.num_variables,
         lp.num_constraints,
     )
     lp_solution = lp.solve()
-
-    if assembly == "dict":
-        x_values = [lp_solution[("x", v, i)] for (v, i) in x_pairs]
-    else:
-        x_values = lp_solution.block("x").tolist()
     return finish_from_lp(
         problem,
-        distance=distance,
-        sp=sp,
+        context=context,
         cache_nodes=cache_nodes,
         w_max=w_max,
         x_pairs=x_pairs,
         request_rows=request_rows,
         constant=constant,
         lp_objective=lp_solution.objective,
-        x_values=x_values,
+        x_values=lp_solution.block("x").tolist(),
         polish=polish,
-        context=context,
     )
 
 
 def finish_from_lp(
     problem: ProblemInstance,
     *,
-    distance,
-    sp: ShortestPathCache | None,
+    context: SolverContext,
     cache_nodes: list[Node],
     w_max: float,
     x_pairs: list[tuple[Node, Item]],
@@ -320,7 +238,6 @@ def finish_from_lp(
     lp_objective: float,
     x_values: list[float],
     polish: bool = True,
-    context: "SolverContext | None" = None,
 ) -> Algorithm1Result:
     """Post-LP stage of Algorithm 1: concentrate r, pipage-round, route.
 
@@ -328,8 +245,10 @@ def finish_from_lp(
     re-solver of :mod:`repro.adaptive.periodic` (patched objective): given
     the optimal fractional ``x`` of LP (7), rebuild the source selection,
     the pipage weights, the rounded (optionally polished) placement, and
-    the RNR routing — all against ``problem``'s *current* demand rates.
+    the RNR routing — all against ``problem``'s *current* demand rates,
+    which ``context`` must be built for.
     """
+    distance = context.distance
     fractional = {
         pair: value
         for pair, value in zip(x_pairs, x_values)
@@ -374,18 +293,9 @@ def finish_from_lp(
     placement = Placement(rounded)
     if polish:
         placement = local_search_swap(
-            problem,
-            placement,
-            sp_cache=sp,
-            max_sweeps=12,
-            context=context,
+            problem, placement, max_sweeps=12, context=context
         )
-    routing = route_to_nearest_replica(
-        problem,
-        placement,
-        sp_cache=sp,
-        context=context,
-    )
+    routing = route_to_nearest_replica(problem, placement, context=context)
     return Algorithm1Result(
         solution=Solution(placement, routing),
         lp_objective=lp_objective,

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.algorithm1 import algorithm1
 from repro.core.alternating import alternating_optimization
+from repro.core.context import SolverContext
 from repro.core.evaluation import (
     check_feasibility,
     congestion,
@@ -103,9 +104,11 @@ def solve(
                 solution = algorithm1(problem).solution
             else:
                 method = "greedy placement (Thm 5.2) + RNR"
-                placement = greedy_rnr_placement(problem)
+                context = SolverContext.from_problem(problem, backend="lazy")
+                placement = greedy_rnr_placement(problem, context=context)
                 solution = Solution(
-                    placement, route_to_nearest_replica(problem, placement)
+                    placement,
+                    route_to_nearest_replica(problem, placement, context=context),
                 )
         else:
             method = f"alternating (MMUFP {mmufp_method})"

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 from repro.core.algorithm1 import algorithm1
+from repro.core.context import SolverContext
 from repro.core.fcfr import solve_fcfr
 from repro.core.problem import ProblemInstance
-from repro.core.rnr import ShortestPathCache
 from repro.exceptions import ReproError
 
 
@@ -51,12 +51,12 @@ def rnr_relaxation_bound(problem: ProblemInstance) -> float:
     capacities (shortest paths) — sound for every regime, computable in
     milliseconds.
     """
-    sp = ShortestPathCache(problem)
+    context = SolverContext.from_problem(problem, backend="lazy")
     total = 0.0
     for (item, s), rate in problem.demand.items():
         candidates = set(problem.network.cache_nodes()) | problem.pinned_holders(item)
         best = min(
-            (sp.distance(v, s) for v in candidates),
+            (context.distance(v, s) for v in candidates),
             default=math.inf,
         )
         if math.isinf(best):

@@ -2,10 +2,8 @@
 
 Every Section 4 solver consumes the same instance-level structure — the
 least costs ``w_{v->s}`` between cache nodes and requesters, the per-item
-requester lists with their rates, and the bound ``w_max``.  The seed code
-recomputed (or dict-looked-up) these inside inner loops through
-:class:`~repro.core.rnr.ShortestPathCache`.  A :class:`SolverContext`
-materializes them once per instance:
+requester lists with their rates, and the bound ``w_max``.  A
+:class:`SolverContext` materializes them once per instance:
 
 - a :class:`~repro.graph.backends.LazyRowBackend` over the graph's nodes,
   primed with every row up front (the dense policy) up to
@@ -14,15 +12,16 @@ materializes them once per instance:
   way;
 - per-item requester index arrays and rate vectors, aligned with
   :meth:`ProblemInstance.requesters_of` order so vectorized reductions are
-  deterministic and comparable with the dict-based code path;
+  deterministic;
 - precomputed per-request baseline serving costs over pinned holders;
 - an edge-cost dict for O(1) link-cost lookups (serving-path suffix sums);
-- a lazy :class:`ShortestPathCache` for actual path reconstruction, which
-  numpy cannot replace.
+- a lazy :class:`PredecessorPathCache` for actual path reconstruction.
 
-The context is an optional argument everywhere (``context=None`` keeps the
-dict-based fallback), so callers can cross-check both paths.  Solver code
-never touches a raw matrix: every distance access goes through
+The context is the only distance source of the solvers.  Their public
+entry points take it as an optional argument; called without one, they
+build ``SolverContext.from_problem(problem, backend="lazy")``, which
+computes one Dijkstra row per source read.  Solver code never touches a
+raw matrix: every distance access goes through
 :meth:`row_of`/:meth:`rows_of`/:meth:`distance`.
 """
 
@@ -33,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import Item, Node, ProblemInstance
-from repro.core.rnr import PredecessorPathCache, ShortestPathCache
-from repro.exceptions import InvalidProblemError
+from repro.exceptions import InfeasibleError, InvalidProblemError
 from repro.graph.backends import LazyRowBackend
 
 Edge = tuple[Node, Node]
@@ -75,6 +73,56 @@ class RequesterBlock:
         return len(self.nodes)
 
 
+class PredecessorPathCache:
+    """Path reconstruction from per-source scipy predecessor trees.
+
+    RNR only needs actual node paths for holders that serve flow, and a
+    failure sweep asks for paths out of many sources on many degraded
+    graphs.  This oracle runs one
+    ``scipy.sparse.csgraph.dijkstra(..., return_predecessors=True)`` per
+    serving source (memoized) and backtracks the predecessor array.
+    """
+
+    def __init__(self, csgraph, nodes: tuple[Node, ...]) -> None:
+        self._nodes = nodes
+        # The distance rows' own CSR adjacency (shared, not rebuilt), so
+        # paths follow the same shortest-path trees the rows measure.
+        self._csgraph = csgraph
+        self._pred: dict[int, np.ndarray] = {}
+        self._paths: dict[tuple[int, int], tuple[Node, ...]] = {}
+
+    def path_by_index(self, source: int, target: int) -> tuple[Node, ...]:
+        """Shortest ``nodes[source] -> nodes[target]`` path as node labels."""
+        cached = self._paths.get((source, target))
+        if cached is not None:
+            return cached
+        pred = self._pred.get(source)
+        if pred is None:
+            from scipy.sparse.csgraph import dijkstra
+
+            _, pred = dijkstra(
+                self._csgraph,
+                directed=True,
+                indices=source,
+                return_predecessors=True,
+            )
+            self._pred[source] = pred
+        hops = [target]
+        j = target
+        while j != source:
+            j = int(pred[j])
+            if j < 0:
+                nodes = self._nodes
+                raise InfeasibleError(
+                    f"{nodes[target]!r} unreachable from {nodes[source]!r}"
+                )
+            hops.append(j)
+        nodes = self._nodes
+        path = tuple(nodes[k] for k in reversed(hops))
+        self._paths[(source, target)] = path
+        return path
+
+
 class SolverContext:
     """Per-instance solver state shared across algorithms.
 
@@ -93,7 +141,6 @@ class SolverContext:
         self._requesters: dict[Item, RequesterBlock] = {}
         self._pinned_base: dict[Item, np.ndarray] = {}
         self._edge_costs: dict[Edge, float] = problem.network.costs()
-        self._sp: ShortestPathCache | None = None
         self._path_oracle: PredecessorPathCache | None = None
 
     @classmethod
@@ -132,7 +179,7 @@ class SolverContext:
 
     @property
     def w_max(self) -> float:
-        """Paper bound on pairwise costs (max finite entry, floored at 1.0).
+        """Paper bound on pairwise costs: the max finite entry (1.0 if it is 0).
 
         Lazily computed and streamed in bounded memory (see
         :meth:`repro.graph.backends.LazyRowBackend.w_max`).
@@ -184,7 +231,7 @@ class SolverContext:
         return bool(np.isfinite(self.distance(source, target)))
 
     def finite_max_from(self, sources) -> float:
-        """Max finite distance out of ``sources``, floored at 1.0.
+        """Max finite distance out of ``sources`` (1.0 if that max is 0).
 
         Matches Algorithm 1's ``w_max`` over candidate sources.
         """
@@ -256,21 +303,11 @@ class SolverContext:
     # ------------------------------------------------------------------
 
     @property
-    def sp(self) -> ShortestPathCache:
-        """Lazy dict-based cache used only for path reconstruction."""
-        if self._sp is None:
-            self._sp = ShortestPathCache(self.problem)
-        return self._sp
-
-    @property
     def path_oracle(self) -> PredecessorPathCache:
         """Lazy scipy predecessor-tree path oracle over the backend's CSR."""
         if self._path_oracle is None:
             self._path_oracle = PredecessorPathCache(self.backend.csgraph, self.nodes)
         return self._path_oracle
-
-    def path(self, source: Node, target: Node) -> tuple[Node, ...]:
-        return self.sp.path(source, target)
 
     def link_cost(self, u: Node, v: Node) -> float:
         """Routing cost ``w_uv`` of a single link (precomputed dict)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.context import SolverContext
 from repro.core.problem import Node, ProblemInstance, Request
 from repro.core.solution import Placement, Routing, Solution
 from repro.graph.network import CacheNetwork
@@ -244,10 +245,8 @@ def path_stretch(
     Requests whose floor is 0 (servable from their own cache) contribute
     stretch 1.0 when actually served at zero cost.
     """
-    from repro.core.rnr import ShortestPathCache
-
     demand = problem.demand if demand is None else demand
-    sp = ShortestPathCache(problem)
+    context = SolverContext.from_problem(problem, backend="lazy")
     # Only nodes that could actually hold a copy enter the floor: caches
     # with strictly positive capacity (zero-capacity nodes would understate
     # the floor and overstate stretch).  Pinned holders stay regardless.
@@ -261,7 +260,7 @@ def path_stretch(
     for request, rate in demand.items():
         item, s = request
         candidates = candidates_base | problem.pinned_holders(item)
-        floor = min((sp.distance(v, s) for v in candidates), default=math.inf)
+        floor = min((context.distance(v, s) for v in candidates), default=math.inf)
         served = sum(
             pf.amount * path_cost(problem.network, pf.path)
             for pf in routing.paths.get(request, [])

@@ -11,22 +11,16 @@ other regime (IC-FR and IC-IR).  The solver below builds (1a)-(1f) directly:
 and decomposes the optimal per-request flows into serving paths so the
 result is a regular (fractional) :class:`~repro.core.solution.Solution`.
 
-Two LP assembly paths are available (``assembly="array"`` is the default):
-the array path registers ``x``/``r``/``f`` as contiguous
+The LP registers ``x``/``r``/``f`` as contiguous
 :class:`~repro.flow.lp.VariableBlock` columns and emits the constraint
-families (1b)-(1f) as COO batches built from the graph's incidence arrays
-(via the :class:`~repro.core.context.SolverContext` node index when one is
-passed), while ``assembly="dict"`` keeps the original keyed per-row
-assembly.  Both materialize bit-identical LPs, so they return bit-identical
-optima — the array path is just built orders of magnitude faster at
-Deltacom scale.
+families (1b)-(1f) as COO batches built from the graph's cached node-arc
+incidence arrays (:func:`~repro.flow.mincost.arc_incidence`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +29,7 @@ from repro.core.solution import Placement, Routing, Solution
 from repro.exceptions import InfeasibleError, InvalidProblemError
 from repro.flow.decomposition import PathFlow, decompose_single_source_flow
 from repro.flow.lp import LPBuilder
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
+from repro.flow.mincost import arc_incidence
 
 Node = Hashable
 
@@ -82,69 +74,6 @@ def _eligible_sources(problem: ProblemInstance, cache_nodes, requests) -> dict:
     return eligible
 
 
-def _assemble_dict(problem: ProblemInstance, cache_nodes, requests, edges, eligible, x_pairs):
-    """Keyed (row-at-a-time) assembly of (1a)-(1f)."""
-    network = problem.network
-    graph = network.graph
-    lp = LPBuilder(sense="min")
-    for (v, i) in x_pairs:
-        lp.add_variable(("x", v, i), lb=0.0, ub=1.0)
-    for (item, s) in requests:
-        for v in eligible[(item, s)]:
-            lp.add_variable(("r", v, item, s), lb=0.0, ub=1.0)
-    for (item, s) in requests:
-        for (u, v) in edges:
-            lp.add_variable(("f", item, s, u, v), lb=0.0, ub=1.0)
-
-    # (1b) link capacities.
-    for (u, v) in edges:
-        cap = network.capacity(u, v)
-        lp.add_le(
-            {
-                ("f", item, s, u, v): problem.demand[(item, s)]
-                for (item, s) in requests
-            },
-            cap,
-        )
-    # (1c) flow conservation; (1d) full service; (1e) r <= x.
-    for (item, s) in requests:
-        sources = set(eligible[(item, s)])
-        for node in graph.nodes:
-            coeffs: dict = {}
-            for _, w in graph.out_edges(node):
-                key = ("f", item, s, node, w)
-                coeffs[key] = coeffs.get(key, 0.0) + 1.0
-            for w, _ in graph.in_edges(node):
-                key = ("f", item, s, w, node)
-                coeffs[key] = coeffs.get(key, 0.0) - 1.0
-            rhs = -1.0 if node == s else 0.0
-            if node in sources:
-                coeffs[("r", node, item, s)] = -1.0
-            lp.add_eq(coeffs, rhs)
-        lp.add_eq({("r", v, item, s): 1.0 for v in eligible[(item, s)]}, 1.0)
-        for v in eligible[(item, s)]:
-            if (v, item) in problem.pinned:
-                continue  # r <= 1 already enforced by the bound.
-            lp.add_le({("r", v, item, s): 1.0, ("x", v, item): -1.0}, 0.0)
-    # (1f) cache capacities (with sizes in the heterogeneous model).
-    for v in cache_nodes:
-        coeffs = {
-            ("x", v, i): problem.size_of(i)
-            for i in problem.catalog
-            if lp.has_variable(("x", v, i))
-        }
-        if coeffs:
-            lp.add_le(coeffs, network.cache_capacity(v))
-    # (1a) objective.
-    for (item, s) in requests:
-        rate = problem.demand[(item, s)]
-        for (u, v) in edges:
-            lp.add_objective_terms(
-                {("f", item, s, u, v): rate * network.cost(u, v)}
-            )
-    return lp
-
-
 def _assemble_array(
     problem: ProblemInstance,
     cache_nodes,
@@ -152,25 +81,16 @@ def _assemble_array(
     edges,
     eligible,
     x_pairs,
-    context: "SolverContext | None",
 ):
-    """Vectorized COO assembly of the same LP (same row/column order)."""
+    """Vectorized COO assembly of (1a)-(1f); ``edges`` in graph edge order."""
     network = problem.network
-    graph = network.graph
-    if context is not None:
-        node_index = context.node_index
-    else:
-        node_index = {n: k for k, n in enumerate(graph.nodes)}
-    n_nodes = graph.number_of_nodes()
+    inc = arc_incidence(network.graph)
+    node_index = inc.node_index
+    tail_idx, head_idx = inc.tail_idx, inc.head_idx
+    n_nodes = len(inc.nodes)
     n_edges = len(edges)
     n_req = len(requests)
 
-    tail_idx = np.fromiter(
-        (node_index[u] for u, _ in edges), dtype=np.intp, count=n_edges
-    )
-    head_idx = np.fromiter(
-        (node_index[v] for _, v in edges), dtype=np.intp, count=n_edges
-    )
     edge_costs = np.fromiter(
         (network.cost(u, v) for u, v in edges), dtype=np.float64, count=n_edges
     )
@@ -219,9 +139,8 @@ def _assemble_array(
             np.tile(rates, finite.size),
             caps[finite],
         )
-    # (1c) flow conservation + (1d) full service, interleaved per request
-    # exactly like the keyed path: for each request, one row per node
-    # followed by the sum-r row.
+    # (1c) flow conservation + (1d) full service, interleaved per request:
+    # for each request, one row per node followed by the sum-r row.
     rows_per_req = n_nodes + 1
     r_rep = np.repeat(np.arange(n_req, dtype=np.intp), n_edges)
     e_rep = np.tile(np.arange(n_edges, dtype=np.intp), n_req)
@@ -330,24 +249,10 @@ def _build_result(
     return FCFRResult(solution=Solution(placement, routing), cost=objective)
 
 
-def solve_fcfr(
-    problem: ProblemInstance,
-    *,
-    assembly: str = "array",
-    context: "SolverContext | None" = None,
-) -> FCFRResult:
-    """Solve FC-FR exactly.  Raises :class:`InfeasibleError` when (1) is.
-
-    ``assembly`` selects the LP assembly path (``"array"`` block/COO fast
-    path, ``"dict"`` keyed rows — both produce bit-identical LPs); pass a
-    :class:`~repro.core.context.SolverContext` to reuse its node index maps
-    in the array path.
-    """
-    if assembly not in ("array", "dict"):
-        raise InvalidProblemError("assembly must be 'array' or 'dict'")
+def _assemble(problem: ProblemInstance):
+    """Assemble (1a)-(1f): the LP, its decode layout, and its row meta."""
     network = problem.network
-    graph = network.graph
-    edges = list(graph.edges)
+    edges = list(network.graph.edges)
     cache_nodes = [v for v in network.cache_nodes() if network.cache_capacity(v) > 0]
     requests = problem.requests
     eligible = _eligible_sources(problem, cache_nodes, requests)
@@ -357,40 +262,21 @@ def solve_fcfr(
         for i in problem.catalog
         if (v, i) not in problem.pinned
     ]
-
-    if assembly == "dict":
-        lp = _assemble_dict(problem, cache_nodes, requests, edges, eligible, x_pairs)
-        lp_solution = lp.solve()
-        x_vals = [lp_solution[("x", v, i)] for (v, i) in x_pairs]
-        flow_dicts = []
-        r_vals = []
-        for (item, s) in requests:
-            flow = {}
-            for (u, v) in edges:
-                value = lp_solution[("f", item, s, u, v)]
-                if value > _EPS:
-                    flow[(u, v)] = value
-            flow_dicts.append(flow)
-            r_vals.append(
-                [lp_solution[("r", v, item, s)] for v in eligible[(item, s)]]
-            )
-        return _build_result(
-            problem, requests, eligible, x_pairs, x_vals, flow_dicts, r_vals,
-            lp_solution.objective,
-        )
-
-    lp, elig_offsets, _meta = _assemble_array(
-        problem, cache_nodes, requests, edges, eligible, x_pairs, context
+    lp, elig_offsets, meta = _assemble_array(
+        problem, cache_nodes, requests, edges, eligible, x_pairs
     )
-    return _result_from_arrays(
-        problem, requests, eligible, x_pairs, edges, elig_offsets, lp.solve()
-    )
+    return lp, (requests, eligible, x_pairs, edges, elig_offsets), meta
 
 
-def _result_from_arrays(
-    problem, requests, eligible, x_pairs, edges, elig_offsets, lp_solution
-) -> FCFRResult:
-    """Decode an array-assembled LP solution into an :class:`FCFRResult`."""
+def solve_fcfr(problem: ProblemInstance) -> FCFRResult:
+    """Solve FC-FR exactly.  Raises :class:`InfeasibleError` when (1) is."""
+    lp, layout, _meta = _assemble(problem)
+    return _result_from_arrays(problem, layout, lp.solve())
+
+
+def _result_from_arrays(problem, layout, lp_solution) -> FCFRResult:
+    """Decode an assembled LP's solution into an :class:`FCFRResult`."""
+    requests, eligible, x_pairs, edges, elig_offsets = layout
     x_arr = lp_solution.block("x")
     f_arr = lp_solution.block("f")
     r_arr = lp_solution.block("r")
@@ -421,9 +307,8 @@ class FCFRTemplate:
 
     Every :meth:`solve` rewrites *all* capacity rows (baseline plus the
     scenario's overrides), so scenarios never leak into one another and
-    ``solve()`` with no overrides is bit-identical to
-    :func:`solve_fcfr(..., assembly="array")` — the patched arrays equal the
-    fresh assembly's arrays exactly.
+    ``solve()`` with no overrides is bit-identical to :func:`solve_fcfr` —
+    the patched arrays equal the fresh assembly's arrays exactly.
 
     Patch-rule consequences (see :class:`~repro.flow.lp.LPTemplate`): a
     fresh assembly *drops* rows for infinitely-capacitated links and
@@ -432,32 +317,10 @@ class FCFRTemplate:
     :func:`solve_fcfr` call.
     """
 
-    def __init__(
-        self, problem: ProblemInstance, *, context: "SolverContext | None" = None
-    ) -> None:
+    def __init__(self, problem: ProblemInstance) -> None:
         network = problem.network
         self.problem = problem
-        self._edges = list(network.graph.edges)
-        cache_nodes = [
-            v for v in network.cache_nodes() if network.cache_capacity(v) > 0
-        ]
-        self._requests = problem.requests
-        self._eligible = _eligible_sources(problem, cache_nodes, self._requests)
-        self._x_pairs = [
-            (v, i)
-            for v in cache_nodes
-            for i in problem.catalog
-            if (v, i) not in problem.pinned
-        ]
-        lp, self._elig_offsets, self._meta = _assemble_array(
-            problem,
-            cache_nodes,
-            self._requests,
-            self._edges,
-            self._eligible,
-            self._x_pairs,
-            context,
-        )
+        lp, self._layout, self._meta = _assemble(problem)
         self._frozen = lp.freeze()
         meta = self._meta
         self._base_link = np.fromiter(
@@ -523,23 +386,10 @@ class FCFRTemplate:
             self._frozen.set_b_ub(
                 np.arange(cache.size, dtype=np.intp) + meta.cache_row_start, cache
             )
-        return _result_from_arrays(
-            self.problem,
-            self._requests,
-            self._eligible,
-            self._x_pairs,
-            self._edges,
-            self._elig_offsets,
-            self._frozen.solve(),
-        )
+        return _result_from_arrays(self.problem, self._layout, self._frozen.solve())
 
 
-def fcfr_capacity_sweep(
-    problem: ProblemInstance,
-    scenarios,
-    *,
-    context: "SolverContext | None" = None,
-) -> list[FCFRResult]:
+def fcfr_capacity_sweep(problem: ProblemInstance, scenarios) -> list[FCFRResult]:
     """Solve FC-FR across capacity scenarios, assembling the LP once.
 
     ``scenarios`` is an iterable of mappings with optional ``"link"`` and
@@ -548,7 +398,7 @@ def fcfr_capacity_sweep(
     scenario, in order — each bit-identical to a from-scratch
     :func:`solve_fcfr` on the correspondingly re-capacitated problem.
     """
-    template = FCFRTemplate(problem, context=context)
+    template = FCFRTemplate(problem)
     return [
         template.solve(
             link_capacities=scenario.get("link"),
@@ -558,28 +408,6 @@ def fcfr_capacity_sweep(
     ]
 
 
-def assemble_fcfr_lp(
-    problem: ProblemInstance,
-    *,
-    assembly: str = "array",
-    context: "SolverContext | None" = None,
-) -> LPBuilder:
+def assemble_fcfr_lp(problem: ProblemInstance) -> LPBuilder:
     """Assemble (without solving) the FC-FR LP — benchmarking/testing hook."""
-    network = problem.network
-    edges = list(network.graph.edges)
-    cache_nodes = [v for v in network.cache_nodes() if network.cache_capacity(v) > 0]
-    requests = problem.requests
-    eligible = _eligible_sources(problem, cache_nodes, requests)
-    x_pairs = [
-        (v, i)
-        for v in cache_nodes
-        for i in problem.catalog
-        if (v, i) not in problem.pinned
-    ]
-    if assembly == "dict":
-        lp = _assemble_dict(problem, cache_nodes, requests, edges, eligible, x_pairs)
-    else:
-        lp, _, _ = _assemble_array(
-            problem, cache_nodes, requests, edges, eligible, x_pairs, context
-        )
-    return lp
+    return _assemble(problem)[0]

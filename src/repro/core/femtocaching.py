@@ -23,8 +23,8 @@ from collections.abc import Hashable, Mapping, Sequence
 
 import networkx as nx
 
+from repro.core.context import SolverContext
 from repro.core.problem import Item, ProblemInstance, pin_full_catalog
-from repro.core.rnr import ShortestPathCache
 from repro.exceptions import InvalidProblemError
 from repro.graph.network import CAPACITY, COST, CacheNetwork
 
@@ -69,7 +69,7 @@ def femtocaching_instance(
     costs of the original network, so RNR costs — and therefore the optimal
     joint solution — are preserved (Section 4.1.4).
     """
-    sp = ShortestPathCache(problem)
+    context = SolverContext.from_problem(problem, backend="lazy")
     helpers = sorted(
         (v for v in problem.network.cache_nodes()), key=repr
     )
@@ -85,7 +85,7 @@ def femtocaching_instance(
         label_u = ("user", u)
         graph.add_node(label_u)
         for h in set(helpers) | set(pinned_holders):
-            d = sp.distance(h, u)
+            d = context.distance(h, u)
             if d < float("inf"):
                 graph.add_edge(
                     label[h], label_u, **{COST: d, CAPACITY: float("inf")}

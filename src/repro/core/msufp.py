@@ -39,7 +39,7 @@ from repro.flow.decomposition import (
     split_among_commodities,
     split_with_removal_quotas,
 )
-from repro.flow.mincost import arc_incidence, min_cost_single_source_flow
+from repro.flow.mincost import min_cost_single_source_flow
 from repro.flow.ssp import min_cost_flow_ssp
 from repro.flow.unsplittable import round_to_unsplittable
 from repro.graph.network import CAPACITY, COST
@@ -106,22 +106,17 @@ def solve_msufp(
     *,
     K: int = 2,
     engine: str = "lp",
-    assembly: str = "array",
 ) -> MSUFPResult:
     """Run Algorithm 2.  ``K=2`` reproduces the benchmark of [33].
 
     ``engine`` selects the splittable-flow solver of line 1: ``"lp"``
     (scipy HiGHS, the default) or ``"ssp"`` (the combinatorial
-    successive-shortest-paths solver); both are exact.  With the LP engine,
-    ``assembly`` picks the LP assembly path (``"array"`` COO batches over the
-    graph's cached arc incidence, ``"dict"`` keyed rows).
+    successive-shortest-paths solver); both are exact.
     """
     if K < 1:
         raise InvalidProblemError("K must be a positive integer")
     if engine not in ("lp", "ssp"):
         raise InvalidProblemError("engine must be 'lp' or 'ssp'")
-    if assembly not in ("array", "dict"):
-        raise InvalidProblemError("assembly must be 'array' or 'dict'")
     ids = [c.id for c in commodities]
     if len(set(ids)) != len(ids):
         raise InvalidProblemError("commodity ids must be unique")
@@ -141,13 +136,7 @@ def solve_msufp(
     else:
         # The arc incidence is cached per graph object, so repeated
         # Algorithm 2 runs on the same (auxiliary) graph skip the rebuild.
-        flow, splittable_cost = min_cost_single_source_flow(
-            graph,
-            source,
-            aggregate,
-            assembly=assembly,
-            incidence=arc_incidence(graph) if assembly == "array" else None,
-        )
+        flow, splittable_cost = min_cost_single_source_flow(graph, source, aggregate)
 
     # Line 3 first: rounded demands (equation (11)) fix each commodity's
     # removal quota, which then steers the per-commodity path split so that
@@ -258,7 +247,6 @@ def solve_binary_cache_case(
     servers: list[Node],
     *,
     K: int = 2,
-    assembly: str = "array",
 ) -> tuple[Solution, MSUFPResult]:
     """Joint source selection + integral routing when ``servers`` hold everything.
 
@@ -273,7 +261,7 @@ def solve_binary_cache_case(
         MSUFPCommodity(id=(i, s), sink=s, demand=rate)
         for (i, s), rate in problem.demand.items()
     ]
-    result = solve_msufp(aux, VIRTUAL_SOURCE, commodities, K=K, assembly=assembly)
+    result = solve_msufp(aux, VIRTUAL_SOURCE, commodities, K=K)
     routing = Routing()
     for c in commodities:
         real_path = _strip_virtual(result.paths[c.id])
@@ -284,8 +272,6 @@ def solve_binary_cache_case(
 def splittable_binary_cache(
     problem: ProblemInstance,
     servers: list[Node],
-    *,
-    assembly: str = "array",
 ) -> tuple[Solution, float]:
     """Fractional-routing lower bound for the binary-cache case (LP optimum)."""
     _check_servers(problem, servers)
@@ -293,9 +279,7 @@ def splittable_binary_cache(
     aggregate: dict[Node, float] = {}
     for (_i, s), rate in problem.demand.items():
         aggregate[s] = aggregate.get(s, 0.0) + rate
-    flow, cost = min_cost_single_source_flow(
-        aux, VIRTUAL_SOURCE, aggregate, assembly=assembly
-    )
+    flow, cost = min_cost_single_source_flow(aux, VIRTUAL_SOURCE, aggregate)
     per_sink = decompose_single_source_flow(flow, VIRTUAL_SOURCE, aggregate)
     split = split_among_commodities(
         per_sink,

@@ -15,113 +15,36 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.context import SolverContext
 from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement, Routing
 from repro.exceptions import InfeasibleError
 from repro.flow.decomposition import PathFlow
-from repro.graph.shortest_paths import reconstruct_path, single_source_dijkstra
-
-if TYPE_CHECKING:  # avoid a module cycle; context imports ShortestPathCache
-    from repro.core.context import SolverContext
 
 Node = Hashable
 
 _EPS = 1e-9
 
 
-class ShortestPathCache:
-    """Memoized single-source Dijkstra runs over one network graph."""
-
-    def __init__(self, problem: ProblemInstance) -> None:
-        self._graph = problem.network.graph
-        self._runs: dict[Node, tuple[dict, dict]] = {}
-
-    def from_node(self, source: Node) -> tuple[dict, dict]:
-        if source not in self._runs:
-            self._runs[source] = single_source_dijkstra(self._graph, source)
-        return self._runs[source]
-
-    def distance(self, source: Node, target: Node) -> float:
-        dist, _ = self.from_node(source)
-        return dist.get(target, float("inf"))
-
-    def path(self, source: Node, target: Node) -> tuple[Node, ...]:
-        dist, pred = self.from_node(source)
-        if target not in dist:
-            raise InfeasibleError(f"{target!r} unreachable from {source!r}")
-        return tuple(reconstruct_path(pred, source, target))
-
-
-class PredecessorPathCache:
-    """Path reconstruction from per-source scipy predecessor trees.
-
-    Context RNR only needs actual node paths for holders that serve flow,
-    and a failure sweep asks for paths out of many sources on many degraded
-    graphs.  This oracle runs one
-    ``scipy.sparse.csgraph.dijkstra(..., return_predecessors=True)`` per
-    serving source (memoized) and backtracks the predecessor array, which is
-    far cheaper than a pure-python Dijkstra per source.
-    """
-
-    def __init__(self, csgraph, nodes: tuple[Node, ...]) -> None:
-        self._nodes = nodes
-        # The distance rows' own CSR adjacency (shared, not rebuilt), so
-        # paths follow the same shortest-path trees the rows measure.
-        self._csgraph = csgraph
-        self._pred: dict[int, np.ndarray] = {}
-        self._paths: dict[tuple[int, int], tuple[Node, ...]] = {}
-
-    def path_by_index(self, source: int, target: int) -> tuple[Node, ...]:
-        """Shortest ``nodes[source] -> nodes[target]`` path as node labels."""
-        cached = self._paths.get((source, target))
-        if cached is not None:
-            return cached
-        pred = self._pred.get(source)
-        if pred is None:
-            from scipy.sparse.csgraph import dijkstra
-
-            _, pred = dijkstra(
-                self._csgraph,
-                directed=True,
-                indices=source,
-                return_predecessors=True,
-            )
-            self._pred[source] = pred
-        hops = [target]
-        j = target
-        while j != source:
-            j = int(pred[j])
-            if j < 0:
-                nodes = self._nodes
-                raise InfeasibleError(
-                    f"{nodes[target]!r} unreachable from {nodes[source]!r}"
-                )
-            hops.append(j)
-        nodes = self._nodes
-        path = tuple(nodes[k] for k in reversed(hops))
-        self._paths[(source, target)] = path
-        return path
-
-
 def route_to_nearest_replica(
     problem: ProblemInstance,
     placement: Placement,
     *,
-    sp_cache: ShortestPathCache | None = None,
-    context: "SolverContext | None" = None,
+    context: SolverContext | None = None,
     on_unservable: str = "raise",
 ) -> Routing:
     """RNR routing for every request under the given placement.
 
-    With a :class:`~repro.core.context.SolverContext`, holder distances come
-    from the context's distance rows (no pure-python Dijkstra per holder)
-    and paths are reconstructed from memoized scipy predecessor trees
-    (:class:`PredecessorPathCache`), so serving costs are unchanged while a
-    failure sweep stops paying a pure-python Dijkstra per serving holder.
+    Holder distances come from the :class:`~repro.core.context.SolverContext`
+    distance rows (one is built on the lazy tier when none is passed) and
+    paths are reconstructed from its memoized scipy predecessor trees.
+    Candidates are served in ``(distance, repr(holder))`` order (holders
+    pre-sorted by ``repr`` plus a stable argsort on row distances), and
+    unreachable holders are skipped.  Under equal-cost ties the serving
+    *path* is whichever shortest path the predecessor tree records.
 
     ``on_unservable`` controls what happens when a request cannot be fully
     covered by reachable holders (including pinned contents):
@@ -135,72 +58,8 @@ def route_to_nearest_replica(
     """
     if on_unservable not in ("raise", "partial"):
         raise ValueError("on_unservable must be 'raise' or 'partial'")
-    if context is not None:
-        return _route_with_context(problem, placement, context, on_unservable)
-    sp = sp_cache or ShortestPathCache(problem)
-    dist_fn = sp.distance
-    routing = Routing()
-    item_fractions: dict[Node, dict[Node, float]] = {}
-    for (item, requester), _rate in problem.demand.items():
-        fractions = item_fractions.get(item)
-        if fractions is None:
-            fractions = _holder_fractions(problem, placement, item)
-            item_fractions[item] = fractions
-        candidates = sorted(
-            (
-                (dist_fn(holder, requester), repr(holder), holder)
-                for holder in fractions
-            ),
-        )
-        paths: list[PathFlow] = []
-        remaining = 1.0
-        for distance, _, holder in candidates:
-            if remaining <= _EPS:
-                break
-            if distance == float("inf"):
-                continue
-            take = min(fractions[holder], remaining)
-            if take <= _EPS:
-                continue
-            paths.append(PathFlow(path=sp.path(holder, requester), amount=take))
-            remaining -= take
-        if remaining > 1e-6 and on_unservable == "raise":
-            raise InfeasibleError(
-                f"request {(item, requester)!r} cannot be fully served by RNR "
-                f"(uncovered fraction {remaining:.4g})"
-            )
-        routing.paths[(item, requester)] = paths
-    return routing
-
-
-def _holder_fractions(
-    problem: ProblemInstance, placement: Placement, item
-) -> dict[Node, float]:
-    """Available fraction per holder of ``item`` (pinned copies count 1.0)."""
-    fractions: dict[Node, float] = {}
-    for holder in placement.holders(item):
-        fractions[holder] = max(fractions.get(holder, 0.0), placement[(holder, item)])
-    for holder in problem.pinned_holders(item):
-        fractions[holder] = 1.0
-    return fractions
-
-
-def _route_with_context(
-    problem: ProblemInstance,
-    placement: Placement,
-    context: "SolverContext",
-    on_unservable: str,
-) -> Routing:
-    """Context RNR: vectorized candidate ordering, predecessor paths.
-
-    Semantics match the dict-based branch: candidates are served in
-    ``(distance, repr(holder))`` order (holders pre-sorted by ``repr`` plus a
-    stable argsort on row distances), unreachable holders are skipped, and
-    the take/remaining arithmetic runs on the same python floats.  Only the
-    path *reconstruction* backend differs — scipy predecessor trees instead
-    of per-source pure-python Dijkstra — which can pick a different (equal
-    cost) shortest path under ties.
-    """
+    if context is None:
+        context = SolverContext.from_problem(problem, backend="lazy")
     nidx = context.node_index
     oracle = context.path_oracle
     routing = Routing()
@@ -269,3 +128,15 @@ def _route_with_context(
             )
         routing.paths[(item, requester)] = paths
     return routing
+
+
+def _holder_fractions(
+    problem: ProblemInstance, placement: Placement, item
+) -> dict[Node, float]:
+    """Available fraction per holder of ``item`` (pinned copies count 1.0)."""
+    fractions: dict[Node, float] = {}
+    for holder in placement.holders(item):
+        fractions[holder] = max(fractions.get(holder, 0.0), placement[(holder, item)])
+    for holder in problem.pinned_holders(item):
+        fractions[holder] = 1.0
+    return fractions

@@ -11,14 +11,12 @@ Two building blocks used throughout the paper's algorithms:
   single-source flow per *commodity group* (in our use, per content item
   rooted at its virtual source), coupled only through shared link capacities.
 
-Both default to the array assembly path (``assembly="array"``): the node-arc
-incidence of the graph is materialized once as COO index arrays
-(:func:`arc_incidence`, cached per graph object and reused across Algorithm 2
-iterations) and the balance/capacity families are registered through
+Both assemble their LP from the node-arc incidence of the graph,
+materialized once as COO index arrays (:func:`arc_incidence`, cached per
+graph object and reused across Algorithm 2 iterations): the
+balance/capacity families are registered through
 :meth:`~repro.flow.lp.LPBuilder.add_eq_batch` /
-:meth:`~repro.flow.lp.LPBuilder.add_le_batch` instead of per-key dict rows.
-``assembly="dict"`` keeps the original keyed assembly; both produce
-bit-identical LPs (see ``tests/core/test_lp_assembly_parity.py``).
+:meth:`~repro.flow.lp.LPBuilder.add_le_batch`.
 """
 
 from __future__ import annotations
@@ -124,11 +122,6 @@ def _validate(graph: nx.DiGraph, source: Node, demands: Mapping[Node, float]) ->
             raise InvalidProblemError(f"negative demand at {t!r}")
 
 
-def _check_assembly(assembly: str) -> None:
-    if assembly not in ("array", "dict"):
-        raise InvalidProblemError("assembly must be 'array' or 'dict'")
-
-
 def _balance_rhs(
     inc: ArcIncidence, source: Node, demands: Mapping[Node, float], total: float
 ) -> np.ndarray:
@@ -147,53 +140,20 @@ def min_cost_single_source_flow(
     *,
     cost_attr: str = COST,
     capacity_attr: str = CAPACITY,
-    assembly: str = "array",
-    incidence: ArcIncidence | None = None,
 ) -> tuple[dict[Edge, float], float]:
     """Cheapest splittable flow shipping ``demands`` from ``source``.
 
     Returns ``(flow, cost)`` where ``flow[(u, v)]`` is the aggregate amount on
     each link (zero entries omitted).  Raises :class:`InfeasibleError` when
-    the demands cannot be routed within link capacities.  ``assembly``
-    selects the LP assembly path (``"array"`` COO batches, ``"dict"`` keyed
-    rows); ``incidence`` lets callers reuse a prebuilt :class:`ArcIncidence`.
+    the demands cannot be routed within link capacities.
     """
-    _check_assembly(assembly)
     _validate(graph, source, demands)
     demands = {t: d for t, d in demands.items() if d > _EPS}
     if not demands:
         return {}, 0.0
     total = sum(demands.values())
 
-    if assembly == "dict":
-        lp = LPBuilder(sense="min")
-        for u, v, data in graph.edges(data=True):
-            lp.add_variable(
-                ("f", u, v),
-                lb=0.0,
-                ub=data.get(capacity_attr, math.inf),
-                cost=data.get(cost_attr, 1.0),
-            )
-        for node in graph.nodes:
-            balance = {}
-            for _, v in graph.out_edges(node):
-                balance[("f", node, v)] = balance.get(("f", node, v), 0.0) + 1.0
-            for u, _ in graph.in_edges(node):
-                balance[("f", u, node)] = balance.get(("f", u, node), 0.0) - 1.0
-            if node == source:
-                rhs = total - demands.get(node, 0.0)
-            else:
-                rhs = -demands.get(node, 0.0)
-            lp.add_eq(balance, rhs)
-        solution = lp.solve()
-        flow = {
-            (u, v): value
-            for (_, u, v), value in solution.values.items()
-            if value > _EPS
-        }
-        return flow, solution.objective
-
-    inc = incidence if incidence is not None else arc_incidence(graph)
+    inc = arc_incidence(graph)
     n_edges = len(inc.edges)
     costs = np.fromiter(
         (d.get(cost_attr, 1.0) for _, _, d in graph.edges(data=True)),
@@ -228,7 +188,6 @@ def min_cost_multicommodity_flow(
     *,
     cost_attr: str = COST,
     capacity_attr: str = CAPACITY,
-    assembly: str = "array",
 ) -> tuple[dict[Hashable, dict[Edge, float]], float]:
     """Cheapest splittable multicommodity flow under shared link capacities.
 
@@ -237,52 +196,11 @@ def min_cost_multicommodity_flow(
     per-requester split is recovered later by path decomposition).  Returns
     ``(flows, cost)`` with ``flows[name][(u, v)]`` the per-commodity loads.
     """
-    _check_assembly(assembly)
     if not commodities:
         return {}, 0.0
     names = [c.name for c in commodities]
     if len(set(names)) != len(names):
         raise InvalidProblemError("commodity names must be unique")
-
-    if assembly == "dict":
-        lp = LPBuilder(sense="min")
-        for commodity in commodities:
-            _validate(graph, commodity.source, commodity.demands)
-            for u, v, data in graph.edges(data=True):
-                lp.add_variable(
-                    ("f", commodity.name, u, v),
-                    lb=0.0,
-                    cost=data.get(cost_attr, 1.0),
-                )
-        # Shared capacity constraints.
-        for u, v, data in graph.edges(data=True):
-            cap = data.get(capacity_attr, math.inf)
-            if math.isinf(cap):
-                continue
-            lp.add_le({("f", c.name, u, v): 1.0 for c in commodities}, cap)
-        # Per-commodity balance.
-        for commodity in commodities:
-            demands = {t: d for t, d in commodity.demands.items() if d > _EPS}
-            total = sum(demands.values())
-            for node in graph.nodes:
-                balance = {}
-                for _, v in graph.out_edges(node):
-                    key = ("f", commodity.name, node, v)
-                    balance[key] = balance.get(key, 0.0) + 1.0
-                for u, _ in graph.in_edges(node):
-                    key = ("f", commodity.name, u, node)
-                    balance[key] = balance.get(key, 0.0) - 1.0
-                if node == commodity.source:
-                    rhs = total - demands.get(node, 0.0)
-                else:
-                    rhs = -demands.get(node, 0.0)
-                lp.add_eq(balance, rhs)
-        solution = lp.solve()
-        flows: dict[Hashable, dict[Edge, float]] = {c.name: {} for c in commodities}
-        for (_, name, u, v), value in solution.values.items():
-            if value > _EPS:
-                flows[name][(u, v)] = value
-        return flows, solution.objective
 
     inc = arc_incidence(graph)
     n_edges = len(inc.edges)

@@ -214,7 +214,7 @@ class LazyRowBackend:
         return _finite_max(self.rows(idx))
 
     def w_max(self) -> float:
-        """Global max finite pairwise cost, floored at 1.0.
+        """Global max finite pairwise cost (1.0 if every finite cost is 0).
 
         Streams the full Dijkstra sweep in chunks of ``_WMAX_CHUNK`` rows,
         serving memoized rows from the cache and computing the rest

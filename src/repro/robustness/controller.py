@@ -42,8 +42,9 @@ from __future__ import annotations
 import heapq
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from repro.core.context import SolverContext
 from repro.core.evaluation import routing_cost
 from repro.core.problem import Node, ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
@@ -67,9 +68,6 @@ from repro.robustness.report import (
     survivability_record,
 )
 from repro.robustness.timeline import FailureEvent, FailureTimeline, RepairEvent
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
 
 Edge = tuple[Node, Node]
 
@@ -330,7 +328,7 @@ class TimelineController:
         timeline: FailureTimeline,
         policy: RecoveryPolicy | None = None,
         *,
-        context: "SolverContext | None" = None,
+        context: SolverContext | None = None,
         incremental: bool = True,
         healthy_routing: Routing | None = None,
         observer: Observer | None = None,
@@ -340,7 +338,7 @@ class TimelineController:
         self.timeline = timeline
         self.policy = policy or RecoveryPolicy()
         self.policy.validate()
-        self.context = context
+        self.context = context or SolverContext.from_problem(problem, backend="lazy")
         self.incremental = incremental
         self.observer = observer
         #: Optional :class:`~repro.core.decomposed.ClusterPartition` of the
@@ -354,7 +352,7 @@ class TimelineController:
 
         if healthy_routing is None:
             healthy_routing = route_to_nearest_replica(
-                problem, placement, context=context
+                problem, placement, context=self.context
             )
         self.healthy_cost = routing_cost(
             problem, healthy_routing, demand=problem.demand
@@ -372,7 +370,7 @@ class TimelineController:
 
         # --- incremental solver state ------------------------------------
         self._cur_problem: ProblemInstance = problem
-        self._cur_ctx: "SolverContext | None" = context
+        self._cur_ctx: SolverContext = self.context
         self._have_degraded = False
         self._must_recompose = False
         self._pending_new: list[Fault] = []
@@ -616,7 +614,7 @@ class TimelineController:
 
     def _derive_state(
         self, scenario: FailureScenario
-    ) -> tuple[DegradedProblem, "SolverContext | None"]:
+    ) -> tuple[DegradedProblem, SolverContext]:
         """The degraded problem + context the next recovery should run on."""
         use_delta = (
             self.incremental and self._have_degraded and not self._must_recompose
@@ -631,11 +629,7 @@ class TimelineController:
                 self._cur_problem,
                 FailureScenario(scenario.name, self._ordered_faults(delta_faults)),
             )
-            ctx = (
-                degraded_context(self._cur_ctx, delta)
-                if self._cur_ctx is not None
-                else None
-            )
+            ctx = degraded_context(self._cur_ctx, delta)
             self._cum_failed_nodes |= delta.failed_nodes
             self._cum_failed_links |= delta.failed_links
             lost = {
@@ -652,9 +646,7 @@ class TimelineController:
             )
         else:
             degraded = apply_failure(self.problem, scenario)
-            if self.context is None:
-                ctx = None
-            elif self.incremental:
+            if self.incremental:
                 ctx = degraded_context(self.context, degraded)
             else:
                 ctx = rebuild_context(degraded)
@@ -807,7 +799,7 @@ def replay_timeline(
     timeline: FailureTimeline,
     policy: RecoveryPolicy | None = None,
     *,
-    context: "SolverContext | None" = None,
+    context: SolverContext | None = None,
     incremental: bool = True,
     healthy_routing: Routing | None = None,
     observer: Observer | None = None,
@@ -815,12 +807,13 @@ def replay_timeline(
 ) -> TimelineReport:
     """Replay ``timeline`` against a healthy placement under ``policy``.
 
-    ``context`` is the *healthy* instance's solver context; when given, each
-    action's degraded context is derived incrementally from it (or rebuilt
-    from scratch with ``incremental=False`` — same report, more wall-clock).
-    The context may be primed or lazy: derived contexts compute rows on
-    demand either way, so timelines replay unchanged on 10k-node
-    topologies under ``backend="lazy"``.  ``observer`` is
+    ``context`` is the *healthy* instance's solver context (a lazy one is
+    built when none is passed); each action's degraded context is derived
+    incrementally from it (or rebuilt from scratch with
+    ``incremental=False`` — same report, more wall-clock).  The context may
+    be primed or lazy: derived contexts compute rows on demand either way,
+    so timelines replay unchanged on 10k-node topologies under
+    ``backend="lazy"``.  ``observer`` is
     invoked after every processed event and action; the chaos harness uses
     it to assert invariants mid-replay.  ``partition`` (a healthy-topology
     :class:`~repro.core.decomposed.ClusterPartition`) switches

@@ -22,26 +22,22 @@ restoring service always dominates shaving cost.
 Every entry point accepts an optional ``context`` — a
 :class:`~repro.core.context.SolverContext` built *for the degraded
 instance* (usually derived from the healthy parent via
-:func:`repro.robustness.degraded.degraded_context`).  With a context, holder
-distances and repair gains are vectorized reductions over the context's
-distance rows; without one the dict-based shortest-path cache is used, as
-before.  Both paths compute the same quantities.
+:func:`repro.robustness.degraded.degraded_context`); without one, a lazy
+context of the degraded instance is built.  Holder distances and repair
+gains are vectorized reductions over the context's distance rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.context import SolverContext
 from repro.core.problem import Item, Node, ProblemInstance, Request
-from repro.core.rnr import ShortestPathCache, route_to_nearest_replica
+from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement, Routing, Solution
 from repro.robustness.faults import DegradedProblem
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
 
 _EPS = 1e-9
 _SERVED_TOL = 1e-6
@@ -114,17 +110,17 @@ def recover(
     *,
     repair: bool = False,
     max_repairs: int | None = None,
-    context: "SolverContext | None" = None,
+    context: SolverContext | None = None,
 ) -> RecoveryResult:
     """Re-route (and optionally repair) a healthy placement after failures.
 
     ``context``, when given, must be a solver context *of the degraded
-    instance* (see :func:`repro.robustness.degraded.degraded_context`); it
-    accelerates both the re-routing and the repair greedy without changing
-    their decisions.
+    instance* (see :func:`repro.robustness.degraded.degraded_context`); the
+    re-routing and the repair greedy share it.
     """
     survivor, dropped = surviving_placement(placement, degraded)
     problem = degraded.problem
+    context = context or SolverContext.from_problem(problem, backend="lazy")
     routing = route_to_nearest_replica(
         problem, survivor, on_unservable="partial", context=context
     )
@@ -152,121 +148,19 @@ def repair_placement(
     placement: Placement,
     *,
     max_repairs: int | None = None,
-    context: "SolverContext | None" = None,
+    context: SolverContext | None = None,
 ) -> list[tuple[Node, Item]]:
     """Greedy incremental repair: refill residual cache space in place.
 
     Mutates ``placement`` by inserting whole copies (fraction 1.0) into
     surviving caches with enough residual space, ordered by marginal
     serving-cost saving; returns the inserted ``(node, item)`` entries.
-    Deterministic: ties break on ``repr`` of the candidate.  With a
-    ``context`` the per-requester serving costs and marginal gains are
-    vectorized over the context's distance rows (same values, same choices).
-    """
-    if context is not None:
-        return _repair_placement_ctx(
-            problem, placement, context, max_repairs=max_repairs
-        )
-    sp = ShortestPathCache(problem)
-    cache_nodes = sorted(problem.network.cache_nodes(), key=repr)
-    residual = {
-        v: problem.network.cache_capacity(v) - placement.used_capacity(v, problem)
-        for v in cache_nodes
-    }
-
-    # Requesters per item with rates, plus each request's current best cost.
-    requesters: dict[Item, list[tuple[Node, float]]] = {}
-    for (item, s), rate in problem.demand.items():
-        requesters.setdefault(item, []).append((s, rate))
-    for lst in requesters.values():
-        lst.sort(key=lambda pair: repr(pair[0]))
-
-    # Penalty for an unserved request: strictly above every finite distance,
-    # so restoring service dominates re-shuffling already-served items.
-    pinned_nodes = sorted({v for v, _i in problem.pinned}, key=repr)
-    finite = [
-        d
-        for v in (*cache_nodes, *pinned_nodes)
-        for d in (sp.from_node(v)[0].values())
-    ]
-    penalty = 2.0 * (max(finite) if finite else 1.0) + 1.0
-
-    def holders(item: Item) -> set[Node]:
-        full = {
-            v for v in placement.holders(item) if placement[(v, item)] >= 1 - _SERVED_TOL
-        }
-        return full | problem.pinned_holders(item)
-
-    def current_cost(item: Item, s: Node) -> float:
-        best = penalty
-        for h in holders(item):
-            d = sp.distance(h, s)
-            if d < best:
-                best = d
-        return best
-
-    cost: dict[Request, float] = {
-        (item, s): current_cost(item, s)
-        for item, lst in requesters.items()
-        for s, _rate in lst
-    }
-
-    def gain(v: Node, item: Item) -> float:
-        total = 0.0
-        for s, rate in requesters.get(item, []):
-            d = sp.distance(v, s)
-            saved = cost[(item, s)] - d
-            if saved > _EPS:
-                total += rate * saved
-        return total
-
-    repaired: list[tuple[Node, Item]] = []
-    budget = max_repairs if max_repairs is not None else len(cache_nodes) * len(
-        problem.catalog
-    )
-    while len(repaired) < budget:
-        best: tuple[float, str, Node, Item] | None = None
-        for v in cache_nodes:
-            for item in problem.catalog:
-                if (v, item) in problem.pinned:
-                    continue
-                if placement[(v, item)] >= 1 - _SERVED_TOL:
-                    continue
-                if problem.size_of(item) > residual[v] + _EPS:
-                    continue
-                g = gain(v, item)
-                if g <= _EPS:
-                    continue
-                key = (-g, repr((v, item)), v, item)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, _, v, item = best
-        placement[(v, item)] = 1.0
-        residual[v] -= problem.size_of(item)
-        repaired.append((v, item))
-        for s, _rate in requesters.get(item, []):
-            d = sp.distance(v, s)
-            if d < cost[(item, s)]:
-                cost[(item, s)] = d
-    return repaired
-
-
-def _repair_placement_ctx(
-    problem: ProblemInstance,
-    placement: Placement,
-    ctx: "SolverContext",
-    *,
-    max_repairs: int | None = None,
-) -> list[tuple[Node, Item]]:
-    """Dense-matrix implementation of :func:`repair_placement`.
-
-    Same move structure and tie-breaking as the dict path; per-requester
+    Deterministic: ties break on ``repr`` of the candidate.  Per-requester
     current costs live in one array per item (aligned with the context's
-    requester blocks, which follow the same repr-sorted order as the dict
-    path), and marginal gains are clipped dot products over matrix rows.
+    requester blocks), and marginal gains are clipped dot products over the
+    context's distance rows.
     """
+    ctx = context or SolverContext.from_problem(problem, backend="lazy")
     nidx = ctx.node_index
     cache_nodes = sorted(problem.network.cache_nodes(), key=repr)
     residual = {
@@ -274,9 +168,9 @@ def _repair_placement_ctx(
         for v in cache_nodes
     }
 
-    # Penalty: strictly above every finite distance out of cache/pinned
-    # nodes.  ``finite_max_from`` floors the max at 1.0 exactly like the
-    # historical inline reduction did, and runs as a row-oriented backend
+    # Penalty for an unserved request: strictly above every finite distance
+    # out of cache/pinned nodes, so restoring service dominates re-shuffling
+    # already-served items.  ``finite_max_from`` is a row-oriented backend
     # reduction, so the value does not depend on which rows are primed.
     pinned_nodes = sorted({v for v, _i in problem.pinned}, key=repr)
     probe = [v for v in (*cache_nodes, *pinned_nodes) if v in nidx]
@@ -344,7 +238,7 @@ def cluster_local_recover(
     placement: Placement,
     partition,
     *,
-    context: "SolverContext | None" = None,
+    context: SolverContext | None = None,
     parallel: bool = False,
     max_workers: int | None = None,
     polish: bool = True,
@@ -374,6 +268,7 @@ def cluster_local_recover(
 
     survivor, dropped = surviving_placement(placement, degraded)
     problem = degraded.problem
+    context = context or SolverContext.from_problem(problem, backend="lazy")
     touched = touched_clusters(
         partition,
         failed_nodes=degraded.failed_nodes,

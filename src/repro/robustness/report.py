@@ -13,8 +13,8 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
 
+from repro.core.context import SolverContext
 from repro.core.evaluation import congestion, routing_cost
 from repro.core.problem import ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
@@ -22,9 +22,6 @@ from repro.core.solution import Placement, Routing
 from repro.robustness.degraded import degraded_context
 from repro.robustness.faults import FailureScenario, apply_failure
 from repro.robustness.recovery import RecoveryResult, recover
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
 
 _SERVED_TOL = 1e-6
 
@@ -189,7 +186,7 @@ def survivability_report(
     *,
     repair: bool = False,
     healthy_routing: Routing | None = None,
-    context: "SolverContext | None" = None,
+    context: SolverContext | None = None,
 ) -> SurvivabilityReport:
     """Evaluate a placement's graceful degradation across ``scenarios``.
 
@@ -198,12 +195,13 @@ def survivability_report(
     cost inflation is guaranteed ≥ 1 for every fully-served scenario
     (removing links can only lengthen shortest paths).
 
-    ``context`` is the *healthy* instance's :class:`SolverContext`; when
-    given, each scenario's recovery runs on a context derived from it via
-    :func:`repro.robustness.degraded.degraded_context` (distance rows
-    computed on demand) instead of a per-scenario shortest-path cache.
-    Results are identical either way; only the wall-clock changes.
+    ``context`` is the *healthy* instance's :class:`SolverContext` (a lazy
+    one is built when none is passed); each scenario's recovery runs on a
+    context derived from it via
+    :func:`repro.robustness.degraded.degraded_context`, whose distance rows
+    are computed on demand.
     """
+    context = context or SolverContext.from_problem(problem, backend="lazy")
     if healthy_routing is None:
         healthy_routing = route_to_nearest_replica(
             problem, placement, context=context
@@ -212,7 +210,7 @@ def survivability_report(
     records = []
     for scenario in scenarios:
         degraded = apply_failure(problem, scenario)
-        ctx = degraded_context(context, degraded) if context is not None else None
+        ctx = degraded_context(context, degraded)
         records.append(
             survivability_record(
                 recover(degraded, placement, repair=repair, context=ctx),

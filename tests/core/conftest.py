@@ -5,12 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import (
-    ProblemInstance,
-    ShortestPathCache,
-    pin_full_catalog,
-)
-from repro.graph import CacheNetwork, line_topology
+from repro.core import ProblemInstance, pin_full_catalog
+from repro.graph import CacheNetwork, all_pairs_least_costs, line_topology
 
 
 def make_line_problem(
@@ -74,8 +70,10 @@ def brute_force_rnr_optimum(problem: ProblemInstance) -> float:
 
     Enumerates every integral placement within cache capacities and serves
     each request from its nearest replica (optimal routing in this regime).
+    Distances come from pure-python Dijkstra, independent of the solvers'
+    distance rows.
     """
-    sp = ShortestPathCache(problem)
+    costs, _w_max = all_pairs_least_costs(problem.network.graph)
     cache_nodes = [
         v
         for v in problem.network.cache_nodes()
@@ -99,7 +97,7 @@ def brute_force_rnr_optimum(problem: ProblemInstance) -> float:
         cost = 0.0
         for (item, s), rate in problem.demand.items():
             candidates = set(holders.get(item, set())) | problem.pinned_holders(item)
-            d = min(sp.distance(v, s) for v in candidates)
+            d = min(costs[v].get(s, float("inf")) for v in candidates)
             cost += rate * d
         best = min(best, cost)
     return best

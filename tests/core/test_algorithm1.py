@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ProblemInstance,
+    SolverContext,
     algorithm1,
     check_feasibility,
     route_to_nearest_replica,
     routing_cost,
 )
 from repro.exceptions import InfeasibleError
+from repro.graph import all_pairs_least_costs
 
 from tests.core.conftest import (
     brute_force_rnr_optimum,
@@ -103,4 +106,39 @@ class TestAlgorithm1:
         rebuilt = route_to_nearest_replica(prob, result.solution.placement)
         assert routing_cost(prob, rebuilt) == pytest.approx(
             routing_cost(prob, result.solution.routing)
+        )
+
+
+class TestWmax:
+    """``w_max`` is the largest finite least cost out of the candidate sources,
+    whether or not the caller passes a context."""
+
+    @staticmethod
+    def scaled_problem(factor: float) -> ProblemInstance:
+        prob = random_uncapacitated_problem(0)
+        network = prob.network.copy()
+        for u, v in network.edges:
+            network.graph.edges[u, v]["cost"] *= factor
+        return ProblemInstance(
+            network=network,
+            catalog=prob.catalog,
+            demand=dict(prob.demand),
+            pinned=prob.pinned,
+        )
+
+    def test_sub_unit_costs_keep_w_max_below_one(self):
+        prob = self.scaled_problem(0.01)
+        costs, _ = all_pairs_least_costs(prob.network.graph)
+        sources = set(prob.network.cache_nodes()) | {v for v, _i in prob.pinned}
+        expected = max(d for v in sources for d in costs[v].values())
+        assert expected < 1.0
+        result = algorithm1(prob)
+        assert result.w_max == pytest.approx(expected)
+        with_context = algorithm1(prob, context=SolverContext.from_problem(prob))
+        assert with_context.w_max == result.w_max
+        assert dict(result.solution.placement.items()) == dict(
+            with_context.solution.placement.items()
+        )
+        assert routing_cost(prob, result.solution.routing) == routing_cost(
+            prob, with_context.solution.routing
         )

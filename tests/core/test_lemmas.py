@@ -12,13 +12,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ShortestPathCache, pipage_round
+from repro.core import pipage_round
+from repro.graph import all_pairs_least_costs
 
 from tests.core.conftest import random_uncapacitated_problem
 
 
+class _Distances:
+    """Pure-python all-pairs least costs behind a ``distance`` lookup."""
+
+    def __init__(self, problem):
+        self.costs, _w_max = all_pairs_least_costs(problem.network.graph)
+
+    def distance(self, v, s):
+        return self.costs[v].get(s, math.inf)
+
+
 def _setup(problem):
-    sp = ShortestPathCache(problem)
+    sp = _Distances(problem)
     w_max = 1.0
     sources = {}
     for (item, s) in problem.demand:
