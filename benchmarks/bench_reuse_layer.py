@@ -7,7 +7,7 @@ on top of its solvers.  Three independent measurements:
    recovered on contexts derived from one parent
    :class:`~repro.core.context.SolverContext` (rows computed on demand, as
    ``survivability_report`` threads them) against a fresh
-   ``rebuild_context`` per scenario.  Both sweeps and
+   ``SolverContext.from_problem`` per scenario.  Both sweeps and
    ``survivability_report`` itself must produce identical records, and the
    derived contexts must compute fewer distance rows than the rebuilt
    ones.  The wall-clock ratio is reported, not asserted.
@@ -35,7 +35,6 @@ from repro.graph.shm import RowsBroadcast, graph_signature
 from repro.robustness import (
     apply_failure,
     degraded_context,
-    rebuild_context,
     recover,
     single_link_failures,
     survivability_record,
@@ -80,7 +79,7 @@ def test_degraded_context_sweep(benchmark, report, bench_json):
 
     def run():
         (rebuilt, rebuild_rows), rebuild_seconds = _timed(
-            lambda: sweep(rebuild_context)
+            lambda: sweep(lambda degraded: SolverContext.from_problem(degraded.problem))
         )
         (derived, derived_rows), reuse_seconds = _timed(
             lambda: sweep(lambda degraded: degraded_context(context, degraded))
@@ -94,7 +93,7 @@ def test_degraded_context_sweep(benchmark, report, bench_json):
     identical = rebuilt == derived == shipped.records
     rows = [
         {
-            "variant": "rebuild_context per scenario",
+            "variant": "fresh context per scenario",
             "seconds": rebuild_seconds,
             "rows": rebuild_rows,
         },

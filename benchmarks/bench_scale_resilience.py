@@ -19,9 +19,9 @@ land in one ``BENCH_scale_resilience.json``:
    yields equal :class:`~repro.robustness.controller.TimelineReport`'s
    (dataclass equality already excludes wall-clock).  Gate: parity on
    every topology.
-3. **Chaos at scale** — a seeded :func:`~repro.robustness.chaos.
-   run_scale_chaos` campaign on ≥1k-node hierarchies with the full
-   invariant checker.  Gate: zero violations.
+3. **Chaos at scale** — seeded :func:`~repro.robustness.chaos.run_chaos`
+   campaigns on ≥1k-node hierarchies (``ChaosConfig.n_total``) with the
+   full invariant checker and static parity.  Gate: zero violations.
 4. **Cluster-local vs global recovery** — one sampled failure re-optimized
    both ways; the cluster-local path must serve the same demand (the
    decomposed model replaces placements only inside source-reachable parts
@@ -50,9 +50,9 @@ from repro.graph import CacheNetwork, abovenet, tinet
 from repro.graph.distance_matrix import estimate_dense_bytes
 from repro.experiments import format_sweep
 from repro.robustness import (
+    ChaosConfig,
     FailureScenario,
     RecoveryPolicy,
-    ScaleChaosConfig,
     TimelineConfig,
     apply_failure,
     canonical_links,
@@ -62,7 +62,7 @@ from repro.robustness import (
     hierarchy_problem,
     recover,
     replay_timeline,
-    run_scale_chaos,
+    run_chaos,
 )
 from repro.robustness.chaos import random_placement
 
@@ -211,10 +211,11 @@ def test_scale_resilience(benchmark, report, bench_json):
             )
 
         # -- 3. chaos campaigns at >= 1k nodes -------------------------
-        chaos = run_scale_chaos(
-            ScaleChaosConfig(
+        chaos = run_chaos(
+            ChaosConfig(
                 campaigns=2,
                 n_total=min(1000, largest),
+                n_items=12,
                 horizon=30.0,
                 min_events=30,
             )

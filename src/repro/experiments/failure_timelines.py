@@ -52,9 +52,6 @@ class TimelineAlgorithm:
     #: Added to the scenario seed so timeline randomness is decoupled from
     #: the workload randomness of the run itself.
     timeline_seed_offset: int = 0
-    #: Build a healthy SolverContext and derive degraded ones incrementally.
-    use_context: bool = True
-    incremental: bool = True
     #: Spare the origin from node failures (it pins the whole catalog, so
     #: killing it measures origin loss rather than placement quality).
     exclude_origin: bool = True
@@ -67,11 +64,6 @@ class TimelineAlgorithm:
             tcfg = replace(
                 tcfg, exclude_nodes=(*tcfg.exclude_nodes, scenario.origin)
             )
-        context = None
-        if self.use_context:
-            from repro.core.context import SolverContext
-
-            context = SolverContext.from_problem(problem)
         timeline = generate_timeline(
             problem,
             tcfg,
@@ -83,8 +75,6 @@ class TimelineAlgorithm:
             solution.placement,
             timeline,
             self.policy,
-            context=context,
-            incremental=self.incremental,
             healthy_routing=solution.routing,
         )
         solution.extra_metrics = {"timeline": report.to_json_dict()}
@@ -99,8 +89,6 @@ def run_timeline_campaign(
     timeline_config: TimelineConfig = TimelineConfig(),
     policy: RecoveryPolicy | None = None,
     timeline_seed_offset: int = 0,
-    use_context: bool = True,
-    incremental: bool = True,
     **runner_kwargs,
 ) -> list[RunRecord]:
     """Monte Carlo campaign where every run also replays a failure timeline.
@@ -118,8 +106,6 @@ def run_timeline_campaign(
             timeline_config=timeline_config,
             policy=policy or RecoveryPolicy(),
             timeline_seed_offset=timeline_seed_offset,
-            use_context=use_context,
-            incremental=incremental,
         )
         for name, algorithm in algorithms.items()
     }

@@ -61,19 +61,23 @@ def format_sweep(
     if title:
         lines.append(title)
         lines.append("=" * len(title))
-    widths = {c: max(16, len(c) + 2) for c in columns}
-    header = "".join(c.rjust(widths[c]) for c in columns)
+    cells = [
+        [
+            _fmt(value, 0) if isinstance(value, float) else str(value)
+            for value in (row.get(c, "") for c in columns)
+        ]
+        for row in rows
+    ]
+    # Every column keeps at least two spaces of gap to its left neighbour.
+    widths = [
+        max(16, len(c) + 2, *(len(r[k]) + 2 for r in cells))
+        for k, c in enumerate(columns)
+    ]
+    header = "".join(c.rjust(w) for c, w in zip(columns, widths))
     lines.append(header)
     lines.append("-" * len(header))
-    for row in rows:
-        cells = []
-        for c in columns:
-            value = row.get(c, "")
-            if isinstance(value, float):
-                cells.append(_fmt(value, widths[c]))
-            else:
-                cells.append(str(value).rjust(widths[c]))
-        lines.append("".join(cells))
+    for r in cells:
+        lines.append("".join(cell.rjust(w) for cell, w in zip(r, widths)))
     return "\n".join(lines)
 
 

@@ -10,7 +10,8 @@ placement produced by the paper's algorithms:
 Static sweeps ignore *when* faults happen; the timeline stack adds the time
 axis.  :func:`generate_timeline` draws a seeded discrete-event fault
 sequence, :func:`replay_timeline` runs an online recovery controller through
-it, and :func:`run_chaos` fuzzes the whole pipeline under invariants:
+it, and :func:`run_chaos` fuzzes the whole pipeline under invariants on
+small random topologies, 1k–10k-node hierarchies and streamed workloads:
 
 >>> from repro.robustness import TimelineConfig, generate_timeline, replay_timeline
 >>> timeline = generate_timeline(problem, TimelineConfig(horizon=100.0), seed=0)
@@ -27,15 +28,10 @@ from repro.robustness.chaos import (
     ChaosConfig,
     ChaosReport,
     InvariantChecker,
-    ScaleChaosConfig,
-    StreamingChaosConfig,
-    StreamingChaosReport,
     check_static_parity,
     check_streaming_invariants,
     hierarchy_problem,
     run_chaos,
-    run_scale_chaos,
-    run_streaming_chaos,
 )
 from repro.robustness.controller import (
     RecoveryPolicy,
@@ -44,7 +40,7 @@ from repro.robustness.controller import (
     TimelineReport,
     replay_timeline,
 )
-from repro.robustness.degraded import degraded_context, rebuild_context
+from repro.robustness.degraded import degraded_context
 from repro.robustness.faults import (
     CapacityDegradation,
     DegradedProblem,
@@ -98,7 +94,6 @@ __all__ = [
     "single_node_failures",
     "sample_failures",
     "degraded_context",
-    "rebuild_context",
     "FailureEvent",
     "RepairEvent",
     "FailureTimeline",
@@ -116,15 +111,10 @@ __all__ = [
     "ChaosConfig",
     "ChaosReport",
     "InvariantChecker",
-    "ScaleChaosConfig",
-    "StreamingChaosConfig",
-    "StreamingChaosReport",
     "check_static_parity",
     "check_streaming_invariants",
     "hierarchy_problem",
     "run_chaos",
-    "run_scale_chaos",
-    "run_streaming_chaos",
     "RecoveryResult",
     "cluster_local_recover",
     "recover",

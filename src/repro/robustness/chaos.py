@@ -1,10 +1,10 @@
 """Chaos harness: fuzz randomized failure campaigns, assert hard invariants.
 
-The timeline controller claims a lot — incremental degraded state that is
-bit-identical to rebuilds, piecewise-exact availability integration,
+The timeline controller claims a lot — degraded state identical to the
+static survivability path, piecewise-exact availability integration,
 policies that never lose track of demand.  This module earns trust in
 those claims the operational way: seeded random campaigns (random
-topologies × random timelines × random policies) replayed with an
+instances × random timelines × random policies) replayed with an
 :class:`InvariantChecker` observer that verifies, after *every* event and
 action:
 
@@ -20,11 +20,14 @@ action:
 5. **static parity** — a timeline holding one permanent failure at
    ``t=0`` reproduces the static ``survivability_record`` bit-for-bit.
 
-:func:`run_streaming_chaos` extends the fuzz to the request level: each
-campaign replays its timeline through the segmented streaming engine
+:func:`run_chaos` is the one campaign driver.  :class:`ChaosConfig`
+picks the instance family: small random topologies (the default),
+1k–10k-node :func:`hierarchy_problem` instances on a lazy context with
+cluster-local recovery (``n_total``), or request-level campaigns
+(``requests``) that replay through the segmented streaming engine
 (:func:`~repro.robustness.streaming.replay_timeline_streaming`) under a
 random non-stationary workload regime with reactive cache strategies
-riding the stream, and :func:`check_streaming_invariants` asserts
+riding the stream, where :func:`check_streaming_invariants` also asserts
 
 6. **dead links carry nothing** — zero served volume over any edge that
    is down (or endpoint-down) during its segment, and zero served
@@ -50,6 +53,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.context import SolverContext
+from repro.core.decomposed import partition_graph
 from repro.core.problem import ProblemInstance, pin_full_catalog
 from repro.core.solution import Placement
 from repro.exceptions import InvalidProblemError
@@ -375,7 +379,15 @@ def check_static_parity(
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Fuzzing budget and randomization ranges of a chaos run."""
+    """Fuzzing budget and instance family of a chaos run.
+
+    By default every campaign replays a random policy over a random
+    topology of ``min_nodes``..``max_nodes`` nodes.  ``n_total`` switches to
+    :func:`hierarchy_problem` instances of about that many nodes on a lazy
+    context, re-optimized by cluster-local recovery under a scale-tuned
+    policy.  ``requests > 0`` streams about that many requests per campaign
+    through the failures (random instances only).
+    """
 
     campaigns: int = 5
     seed: int = 0
@@ -385,8 +397,10 @@ class ChaosConfig:
     horizon: float = 60.0
     #: Regenerate (halving MTBF) until a campaign's timeline has this many events.
     min_events: int = 40
-    #: Also assert static parity on the first fault of every campaign.
-    static_parity: bool = True
+    #: Approximate hierarchy size; ``hierarchy_problem`` rounds to 100·n_core.
+    n_total: int | None = None
+    #: Expected arrivals per streamed campaign (0 = analytic replay only).
+    requests: int = 0
 
 
 @dataclass
@@ -399,9 +413,15 @@ class CampaignResult:
     events: int
     reoptimizations: int
     availability: float
-    with_context: bool
+    #: The healthy context had every distance row computed up front.
+    primed: bool
     violations: list[str] = field(default_factory=list)
     static_parity_ok: bool = True
+    #: Streamed campaigns only: the workload regime and request counts.
+    regime: str | None = None
+    segments: int = 0
+    generated: int = 0
+    served: int = 0
 
     @property
     def ok(self) -> bool:
@@ -429,7 +449,7 @@ class ChaosReport:
         return all(r.ok for r in self.results)
 
     def summary(self) -> dict:
-        return {
+        summary = {
             "campaigns": len(self.results),
             "total_events": self.total_events,
             "total_reoptimizations": sum(r.reoptimizations for r in self.results),
@@ -440,6 +460,11 @@ class ChaosReport:
                 else 1.0
             ),
         }
+        if any(r.regime is not None for r in self.results):
+            summary["total_segments"] = sum(r.segments for r in self.results)
+            summary["total_generated"] = sum(r.generated for r in self.results)
+            summary["total_served"] = sum(r.served for r in self.results)
+        return summary
 
     def format(self) -> str:
         lines = [
@@ -450,10 +475,16 @@ class ChaosReport:
             status = "ok" if r.ok else f"VIOLATIONS={len(r.violations)}"
             if not r.static_parity_ok:
                 status += " static-parity-FAILED"
+            stream = ""
+            if r.regime is not None:
+                stream = (
+                    f"segments={r.segments} generated={r.generated} "
+                    f"served={r.served} regime={r.regime} "
+                )
             lines.append(
                 f"  #{r.index}: |V|={r.nodes} |E|={r.links} events={r.events} "
                 f"reopts={r.reoptimizations} avail={r.availability:.4f} "
-                f"ctx={'y' if r.with_context else 'n'} {status}"
+                f"primed={'y' if r.primed else 'n'} {stream}{status}"
             )
         return "\n".join(lines)
 
@@ -469,16 +500,26 @@ def _random_policy(rng: np.random.Generator) -> RecoveryPolicy:
     )
 
 
+def _scale_policy(rng: np.random.Generator, horizon: float) -> RecoveryPolicy:
+    # A dwell floor bounds re-optimizations to ~horizon/dwell per campaign,
+    # and structural repair stays off (cluster re-solves already re-place
+    # within touched clusters).
+    return RecoveryPolicy(
+        detection_delay=round(float(rng.uniform(0.1, 0.5)), 3),
+        min_dwell=horizon / 8.0,
+        repair=False,
+    )
+
+
 def _campaign_timeline(
     rng: np.random.Generator,
     problem: ProblemInstance,
-    config,
+    config: ChaosConfig,
     *,
     timeline_seed: int,
-    origin: str = "n0",
-) -> tuple[FailureTimeline, TimelineConfig]:
+) -> FailureTimeline:
     links = canonical_links(problem)
-    exclude = (origin,) if rng.random() < 0.5 else ()
+    exclude = (pinned_origin(problem),) if rng.random() < 0.5 else ()
     srlg: tuple = ()
     if len(links) >= 3 and rng.random() < 0.5:
         chosen = rng.choice(len(links), size=int(rng.integers(2, 4)), replace=False)
@@ -503,9 +544,9 @@ def _campaign_timeline(
             problem, tcfg, seed=timeline_seed, name=f"chaos:{timeline_seed}"
         )
         if len(timeline) >= config.min_events:
-            return timeline, tcfg
+            return timeline
         link_mtbf /= 2.0
-    return timeline, tcfg
+    return timeline
 
 
 def run_chaos(
@@ -513,37 +554,68 @@ def run_chaos(
 ) -> ChaosReport:
     """Run seeded randomized campaigns with full invariant checking.
 
-    With ``raise_on_violation`` the first broken invariant raises
-    :class:`AssertionError` naming the campaign and event time; otherwise
-    violations are collected per campaign into the returned report.
+    Every campaign replays its timeline under an :class:`InvariantChecker`
+    and checks static parity on its first fault; streamed campaigns also
+    assert :func:`check_streaming_invariants`.  With ``raise_on_violation``
+    the first broken invariant raises :class:`AssertionError` naming the
+    event time (or campaign); otherwise violations are collected per
+    campaign into the returned report.
     """
+    streamed = config.requests > 0
+    scale = config.n_total is not None
+    if streamed and scale:
+        raise InvalidProblemError(
+            "streamed chaos campaigns run on random instances; "
+            "set n_total or requests, not both"
+        )
     results: list[CampaignResult] = []
     children = np.random.SeedSequence(config.seed).spawn(config.campaigns)
     for index, child in enumerate(children):
         rng = np.random.default_rng(child)
-        n_nodes = int(rng.integers(config.min_nodes, config.max_nodes + 1))
-        problem = random_problem(rng, n_nodes=n_nodes, n_items=config.n_items)
+        if scale:
+            problem = hierarchy_problem(
+                config.n_total, n_items=config.n_items, seed=1000 * config.seed + index
+            )
+        else:
+            n_nodes = int(rng.integers(config.min_nodes, config.max_nodes + 1))
+            problem = random_problem(rng, n_nodes=n_nodes, n_items=config.n_items)
         placement = random_placement(rng, problem)
         timeline_seed = int(rng.integers(0, 2**31 - 1))
-        timeline, _tcfg = _campaign_timeline(
-            rng, problem, config, timeline_seed=timeline_seed
+        timeline = _campaign_timeline(rng, problem, config, timeline_seed=timeline_seed)
+        policy = _scale_policy(rng, config.horizon) if scale else _random_policy(rng)
+        primed = False
+        if not (scale or streamed):
+            primed = bool(rng.random() < 0.7)
+        context = SolverContext.from_problem(
+            problem, backend="dense" if primed else "lazy"
         )
-        policy = _random_policy(rng)
-        with_context = bool(rng.random() < 0.7)
-        context = SolverContext.from_problem(problem) if with_context else None
+        partition = partition_graph(problem.network, seed=index) if scale else None
 
         checker = InvariantChecker(strict=raise_on_violation)
-        report: TimelineReport = replay_timeline(
-            problem,
-            placement.copy(),
-            timeline,
-            policy,
-            context=context,
-            observer=checker,
-        )
+        counts: dict = {}
+        stream_violations: list[str] = []
+        if streamed:
+            report, counts, stream_violations = _streamed_replay(
+                rng, problem, placement, timeline, policy, config, context, checker
+            )
+            if stream_violations and raise_on_violation:
+                raise AssertionError(
+                    f"chaos campaign #{index} violated streaming invariants:\n  "
+                    + "\n  ".join(stream_violations)
+                )
+        else:
+            report = replay_timeline(
+                problem,
+                placement.copy(),
+                timeline,
+                policy,
+                context=context,
+                observer=checker,
+                partition=partition,
+            )
 
         parity_ok = True
-        if config.static_parity and timeline.failures:
+        if timeline.failures:
             first = timeline.failures[0].fault
             scenario = FailureScenario(f"chaos-parity:{index}", (first,))
             try:
@@ -562,136 +634,22 @@ def run_chaos(
         results.append(
             CampaignResult(
                 index=index,
-                nodes=n_nodes,
-                links=len(canonical_links(problem)),
-                events=report.events,
-                reoptimizations=report.reoptimizations,
-                availability=report.availability,
-                with_context=with_context,
-                violations=list(checker.violations),
-                static_parity_ok=parity_ok,
-            )
-        )
-    return ChaosReport(results=results)
-
-
-# ----------------------------------------------------------------------
-# Scale chaos (large hierarchies on the lazy tier)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScaleChaosConfig:
-    """Budget of a large-topology chaos run (lazy tier, cluster recovery)."""
-
-    campaigns: int = 3
-    seed: int = 0
-    #: Approximate hierarchy size; ``hierarchy_problem`` rounds to 100·n_core.
-    n_total: int = 1000
-    n_items: int = 12
-    horizon: float = 40.0
-    min_events: int = 30
-    #: Re-optimize via cluster-local re-solves instead of global ``recover``.
-    cluster_resolve: bool = True
-    #: Static parity replays the first fault through a *second* full
-    #: timeline + survivability sweep — meaningful but slow at scale, so
-    #: off by default here (``run_chaos`` keeps it on for small instances).
-    static_parity: bool = False
-
-
-def run_scale_chaos(
-    config: ScaleChaosConfig = ScaleChaosConfig(),
-    *,
-    raise_on_violation: bool = False,
-) -> ChaosReport:
-    """Seeded chaos campaigns on 1k–10k-node hierarchies, lazy tier only.
-
-    The scale twin of :func:`run_chaos`: each campaign builds a
-    :func:`hierarchy_problem`, forces the solver context onto the lazy row
-    tier (``backend="lazy"`` — these sizes must never materialize the dense
-    matrix), draws a seeded failure timeline over the hierarchy, and
-    replays it under the full :class:`InvariantChecker`.  With
-    ``config.cluster_resolve`` the controller re-optimizes through
-    cluster-local re-solves (:func:`~repro.robustness.recovery.
-    cluster_local_recover`) on a healthy-topology partition; otherwise it
-    falls back to the global :func:`~repro.robustness.recovery.recover`
-    path.  Returns the same :class:`ChaosReport` shape as :func:`run_chaos`
-    so gates (`report.ok`, violation counts) carry over unchanged.
-    """
-    from repro.core.decomposed import partition_graph
-
-    results: list[CampaignResult] = []
-    children = np.random.SeedSequence(config.seed).spawn(config.campaigns)
-    for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        problem = hierarchy_problem(
-            config.n_total,
-            n_items=config.n_items,
-            seed=1000 * config.seed + index,
-        )
-        origin = pinned_origin(problem)
-        placement = random_placement(rng, problem)
-        timeline_seed = int(rng.integers(0, 2**31 - 1))
-        timeline, _tcfg = _campaign_timeline(
-            rng, problem, config, timeline_seed=timeline_seed, origin=origin
-        )
-        # Scale-tuned policy: a dwell floor bounds re-optimizations to
-        # ~horizon/dwell per campaign, and structural repair stays off
-        # (cluster re-solves already re-place within touched clusters).
-        policy = RecoveryPolicy(
-            detection_delay=round(float(rng.uniform(0.1, 0.5)), 3),
-            min_dwell=config.horizon / 8.0,
-            repair=False,
-        )
-        context = SolverContext.from_problem(problem, backend="lazy")
-        partition = (
-            partition_graph(problem.network, seed=index)
-            if config.cluster_resolve
-            else None
-        )
-
-        checker = InvariantChecker(strict=raise_on_violation)
-        report: TimelineReport = replay_timeline(
-            problem,
-            placement.copy(),
-            timeline,
-            policy,
-            context=context,
-            observer=checker,
-            partition=partition,
-        )
-
-        parity_ok = True
-        if config.static_parity and timeline.failures:
-            first = timeline.failures[0].fault
-            scenario = FailureScenario(f"scale-parity:{index}", (first,))
-            try:
-                check_static_parity(
-                    problem, placement, scenario, repair=False, context=context
-                )
-            except AssertionError:
-                parity_ok = False
-                if raise_on_violation:
-                    raise
-
-        results.append(
-            CampaignResult(
-                index=index,
                 nodes=problem.network.num_nodes,
                 links=len(canonical_links(problem)),
                 events=report.events,
                 reoptimizations=report.reoptimizations,
                 availability=report.availability,
-                with_context=True,
-                violations=list(checker.violations),
+                primed=primed,
+                violations=checker.violations + stream_violations,
                 static_parity_ok=parity_ok,
+                **counts,
             )
         )
     return ChaosReport(results=results)
 
 
 # ----------------------------------------------------------------------
-# Streaming chaos (failures under load)
+# Streamed campaigns (failures under load)
 # ----------------------------------------------------------------------
 
 
@@ -781,82 +739,6 @@ def check_streaming_invariants(report, *, tol: float = _TOL) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class StreamingChaosConfig:
-    """Fuzzing budget of a request-level (streaming) chaos run."""
-
-    campaigns: int = 4
-    seed: int = 0
-    min_nodes: int = 6
-    max_nodes: int = 10
-    n_items: int = 4
-    horizon: float = 30.0
-    min_events: int = 20
-    #: Expected arrivals per campaign (sets the stream's ``rate_scale``).
-    requests: int = 20_000
-    #: Reactive strategies riding each campaign's stream.
-    strategies: tuple[str, ...] = ("lce", "probcache")
-
-
-@dataclass
-class StreamingCampaignResult:
-    """Outcome of one randomized streaming campaign."""
-
-    index: int
-    nodes: int
-    events: int
-    segments: int
-    generated: int
-    served: int
-    regime: str
-    strategies: tuple[str, ...]
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class StreamingChaosReport:
-    """Aggregate of a streaming chaos run across campaigns."""
-
-    results: list[StreamingCampaignResult]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(len(r.violations) for r in self.results)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def summary(self) -> dict:
-        return {
-            "campaigns": len(self.results),
-            "total_events": sum(r.events for r in self.results),
-            "total_segments": sum(r.segments for r in self.results),
-            "total_generated": sum(r.generated for r in self.results),
-            "total_served": sum(r.served for r in self.results),
-            "total_violations": self.total_violations,
-        }
-
-    def format(self) -> str:
-        lines = [
-            f"streaming chaos: {len(self.results)} campaigns, "
-            f"{self.total_violations} violations"
-        ]
-        for r in self.results:
-            status = "ok" if r.ok else f"VIOLATIONS={len(r.violations)}"
-            lines.append(
-                f"  #{r.index}: |V|={r.nodes} events={r.events} "
-                f"segments={r.segments} generated={r.generated} "
-                f"served={r.served} regime={r.regime} "
-                f"policies={','.join(r.strategies)} {status}"
-            )
-        return "\n".join(lines)
-
-
 def _random_regime(rng: np.random.Generator, problem, horizon: float):
     """A random non-stationary workload (name, regime-or-None)."""
     from repro.workload.nonstationary import (
@@ -901,19 +783,21 @@ def _random_regime(rng: np.random.Generator, problem, horizon: float):
     return "+".join(names), CompositeRegime(tuple(regimes))
 
 
-def run_streaming_chaos(
-    config: StreamingChaosConfig = StreamingChaosConfig(),
-    *,
-    raise_on_violation: bool = False,
-) -> StreamingChaosReport:
-    """Fuzz timeline x workload regime x reactive policies at the request level.
+#: Reactive strategies riding every streamed campaign's request stream.
+_STREAM_RIDERS = ("lce", "probcache")
 
-    Each campaign replays a random timeline through the segmented
-    streaming engine under a random non-stationary regime, with
-    ``config.strategies`` reactive engines consuming the same stream,
-    and asserts :func:`check_streaming_invariants` (plus exact
-    offered-rate conservation when the regime is churn-only or absent,
-    and that dead reactive caches hold nothing).
+
+def _streamed_replay(
+    rng, problem, placement, timeline, policy, config, context, observer
+) -> tuple[TimelineReport, dict, list[str]]:
+    """Replay one campaign at the request level.
+
+    Streams a random non-stationary regime with the ``_STREAM_RIDERS``
+    reactive engines riding it, and asserts
+    :func:`check_streaming_invariants`, exact offered-rate conservation when
+    the regime is churn-only or absent, and that dead reactive caches hold
+    nothing.  Returns the analytic report, the request counts of the
+    campaign's :class:`CampaignResult` and the request-level violations.
     """
     from repro.adaptive.strategies import (
         ReactiveStrategyEngine,
@@ -922,77 +806,51 @@ def run_streaming_chaos(
     from repro.robustness.streaming import replay_timeline_streaming
     from repro.serving.engine import ServingConfig
 
-    results: list[StreamingCampaignResult] = []
-    children = np.random.SeedSequence(config.seed).spawn(config.campaigns)
-    for index, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        n_nodes = int(rng.integers(config.min_nodes, config.max_nodes + 1))
-        problem = random_problem(rng, n_nodes=n_nodes, n_items=config.n_items)
-        placement = random_placement(rng, problem)
-        timeline_seed = int(rng.integers(0, 2**31 - 1))
-        timeline, _tcfg = _campaign_timeline(
-            rng, problem, config, timeline_seed=timeline_seed
+    regime_name, regime = _random_regime(rng, problem, config.horizon)
+    rt = build_reactive_tables(problem)
+    engines = {
+        name: ReactiveStrategyEngine(
+            rt, strategy=name, seed=int(rng.integers(0, 2**31 - 1))
         )
-        policy = _random_policy(rng)
-        regime_name, regime = _random_regime(rng, problem, config.horizon)
+        for name in _STREAM_RIDERS
+    }
+    total = problem.total_demand
+    stream = replay_timeline_streaming(
+        problem,
+        placement.copy(),
+        timeline,
+        policy,
+        config=ServingConfig(
+            horizon=config.horizon,
+            seed=int(rng.integers(0, 2**31 - 1)),
+            n_shards=int(rng.integers(1, 4)),
+        ),
+        rate_scale=config.requests / (total * config.horizon),
+        workload=regime,
+        reactive=engines,
+        context=context,
+        observer=observer,
+    )
 
-        rt = build_reactive_tables(problem)
-        engines = {
-            name: ReactiveStrategyEngine(
-                rt, strategy=name, seed=int(rng.integers(0, 2**31 - 1))
-            )
-            for name in config.strategies
-        }
-        total = problem.total_demand
-        rate_scale = config.requests / (total * config.horizon)
-        report = replay_timeline_streaming(
-            problem,
-            placement.copy(),
-            timeline,
-            policy,
-            config=ServingConfig(
-                horizon=config.horizon,
-                seed=int(rng.integers(0, 2**31 - 1)),
-                n_shards=int(rng.integers(1, 4)),
-            ),
-            rate_scale=rate_scale,
-            workload=regime,
-            reactive=engines,
-        )
-
-        violations = check_streaming_invariants(report)
-        if regime_name in ("stationary", "churn"):
-            # Churn permutes popularity but conserves the total demand
-            # rate exactly — offered load must match in every segment.
-            for seg in report.segments:
-                if abs(seg.offered_rate - total) > 1e-9 * max(1.0, total):
-                    violations.append(
-                        f"segment #{seg.index}: churn broke demand "
-                        f"conservation: offered {seg.offered_rate!r} != "
-                        f"total {total!r}"
-                    )
-        for name, engine in engines.items():
-            state = engine.state
-            if state.resident[state.down].any():
+    violations = check_streaming_invariants(stream)
+    if regime_name in ("stationary", "churn"):
+        # Churn permutes popularity but conserves the total demand
+        # rate exactly — offered load must match in every segment.
+        for seg in stream.segments:
+            if abs(seg.offered_rate - total) > 1e-9 * max(1.0, total):
                 violations.append(
-                    f"reactive[{name}]: a dead cache still holds items"
+                    f"segment #{seg.index}: churn broke demand "
+                    f"conservation: offered {seg.offered_rate!r} != "
+                    f"total {total!r}"
                 )
-        if violations and raise_on_violation:
-            raise AssertionError(
-                f"streaming chaos campaign #{index} violated invariants:\n  "
-                + "\n  ".join(violations)
-            )
-        results.append(
-            StreamingCampaignResult(
-                index=index,
-                nodes=n_nodes,
-                events=len(timeline),
-                segments=len(report.segments),
-                generated=report.generated,
-                served=report.served,
-                regime=regime_name,
-                strategies=tuple(config.strategies),
-                violations=violations,
-            )
-        )
-    return StreamingChaosReport(results=results)
+    for name, engine in engines.items():
+        state = engine.state
+        if state.resident[state.down].any():
+            violations.append(f"reactive[{name}]: a dead cache still holds items")
+    counts = {
+        "regime": regime_name,
+        "segments": len(stream.segments),
+        "generated": stream.generated,
+        "served": stream.served,
+    }
+    return stream.analytic, counts, violations

@@ -27,14 +27,9 @@ Re-optimization recovers via the *same* code path as the static
 survivability layer — ``apply_failure`` → ``degraded_context`` →
 ``recover`` → ``survivability_record`` — so a timeline holding a single
 permanent failure at ``t=0`` reproduces the static record **bit-for-bit**
-(the chaos harness asserts this).  The degraded solver state is maintained
-incrementally: consecutive failures chain ``degraded_context`` child-on-
-child (each step computes only the distance rows its recovery reads),
-while a repair event invalidates the chain and recomposes the full fault
-set from the healthy root (itself an incremental derivation).  Passing
-``incremental=False`` rebuilds a fresh context per action instead; both
-modes produce identical :class:`TimelineReport`'s, which the parity tests
-and ``benchmarks/bench_failure_timeline.py`` enforce.
+(the chaos harness asserts this).  Every action composes the active fault
+set and derives its degraded problem and context from the healthy root;
+a derived context computes only the distance rows its recovery reads.
 """
 
 from __future__ import annotations
@@ -50,10 +45,9 @@ from repro.core.problem import Node, ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement, Routing
 from repro.exceptions import InvalidProblemError
-from repro.robustness.degraded import degraded_context, rebuild_context
+from repro.robustness.degraded import degraded_context
 from repro.robustness.faults import (
     CapacityDegradation,
-    DegradedProblem,
     FailureScenario,
     Fault,
     LinkFailure,
@@ -205,8 +199,8 @@ class TimelineReport:
     """Time-weighted outcome of replaying one timeline against a placement.
 
     Integrals are exact (piecewise-constant integration between events).
-    ``incremental`` and ``wall_seconds`` are excluded from equality so the
-    incremental-vs-rebuild parity tests can compare reports directly.
+    ``wall_seconds`` is excluded from equality so parity tests can compare
+    reports directly.
     """
 
     name: str
@@ -231,7 +225,6 @@ class TimelineReport:
     #: Total placement entries installed by repair across all actions.
     repaired_entries: int
     actions: list[TimelineAction] = field(default_factory=list)
-    incremental: bool = field(default=True, compare=False)
     wall_seconds: float = field(default=0.0, compare=False)
     #: Request-level aggregates when a streaming replay produced this report
     #: (excluded from equality: the analytic integrals are seed-independent).
@@ -329,7 +322,6 @@ class TimelineController:
         policy: RecoveryPolicy | None = None,
         *,
         context: SolverContext | None = None,
-        incremental: bool = True,
         healthy_routing: Routing | None = None,
         observer: Observer | None = None,
         partition=None,
@@ -339,7 +331,6 @@ class TimelineController:
         self.policy = policy or RecoveryPolicy()
         self.policy.validate()
         self.context = context or SolverContext.from_problem(problem, backend="lazy")
-        self.incremental = incremental
         self.observer = observer
         #: Optional :class:`~repro.core.decomposed.ClusterPartition` of the
         #: healthy topology.  When set, re-optimizations run
@@ -366,19 +357,11 @@ class TimelineController:
         self.down_links: dict[Edge, int] = {}
         self.down_nodes: dict[Node, int] = {}
         self._active_since: dict[Fault, float] = {}
-        self._composed_faults: set[Fault] = set()
-
-        # --- incremental solver state ------------------------------------
-        self._cur_problem: ProblemInstance = problem
-        self._cur_ctx: SolverContext = self.context
-        self._have_degraded = False
-        self._must_recompose = False
-        self._pending_new: list[Fault] = []
-        self._cum_failed_nodes: set[Node] = set()
-        self._cum_failed_links: set[Edge] = set()
         self._dropped_pending: list[tuple] = []
 
         # --- control loop -------------------------------------------------
+        #: Fault set the installed routing was recovered for.
+        self._composed_faults: set[Fault] = set()
         #: (time, fault) of effective transitions not yet covered by a re-opt.
         self._uncovered: list[tuple[float, Fault]] = []
         self._deferred_scheduled = False
@@ -503,8 +486,6 @@ class TimelineController:
             return  # already down through another process (e.g. SRLG overlap)
         self._activate_element(fault, event.time)
         self._active_since[fault] = event.time
-        if fault not in self._composed_faults:
-            self._pending_new.append(fault)
         self._uncovered.append((event.time, fault))
         self._push_action(
             event.time + self.policy.detection_delay, ("check", fault, 0)
@@ -525,18 +506,15 @@ class TimelineController:
         self._deactivate_element(fault)
         self._active_since.pop(fault, None)
         if fault in self._composed_faults:
-            # The current solver state includes this fault: the incremental
-            # chain is invalid (repairs add elements back) — recompose from
-            # the healthy root at the next action.
-            self._must_recompose = True
+            # The installed routing avoids this element: re-optimize so
+            # traffic can use it again.
             self._uncovered.append((event.time, fault))
             self._push_action(
                 event.time + self.policy.detection_delay, ("repair",)
             )
         else:
             # Absorbed flap: it was never routed around, and its fail/repair
-            # pair cancels out — scrub it from the pending ledgers.
-            self._pending_new = [f for f in self._pending_new if f != fault]
+            # pair cancels out — scrub it from the uncovered ledger.
             self._uncovered = [
                 (tt, f) for (tt, f) in self._uncovered if f != fault
             ]
@@ -592,68 +570,6 @@ class TimelineController:
     def _composed_scenario(self, name: str) -> FailureScenario:
         return FailureScenario(name, self._ordered_faults(self.active_faults))
 
-    def _effective_delta(self, fault: Fault) -> Fault | None:
-        """``fault`` restricted to what still changes the current problem."""
-        graph = self._cur_problem.network.graph
-        if isinstance(fault, LinkFailure):
-            if graph.has_edge(fault.u, fault.v) or (
-                fault.both_directions and graph.has_edge(fault.v, fault.u)
-            ):
-                return fault
-            return None
-        if isinstance(fault, NodeFailure):
-            return fault if fault.node in graph else None
-        if isinstance(fault, CapacityDegradation):
-            if fault.links is None:
-                return fault
-            alive = tuple(e for e in fault.links if graph.has_edge(*e))
-            if not alive:
-                return None
-            return CapacityDegradation(fault.factor, alive)
-        return fault  # pragma: no cover - guarded by the Fault union
-
-    def _derive_state(
-        self, scenario: FailureScenario
-    ) -> tuple[DegradedProblem, SolverContext]:
-        """The degraded problem + context the next recovery should run on."""
-        use_delta = (
-            self.incremental and self._have_degraded and not self._must_recompose
-        )
-        if use_delta:
-            delta_faults = [
-                f
-                for f in (self._effective_delta(f) for f in self._pending_new)
-                if f is not None
-            ]
-            delta = apply_failure(
-                self._cur_problem,
-                FailureScenario(scenario.name, self._ordered_faults(delta_faults)),
-            )
-            ctx = degraded_context(self._cur_ctx, delta)
-            self._cum_failed_nodes |= delta.failed_nodes
-            self._cum_failed_links |= delta.failed_links
-            lost = {
-                r: rate
-                for r, rate in self.problem.demand.items()
-                if r[1] in self._cum_failed_nodes
-            }
-            degraded = DegradedProblem(
-                scenario=scenario,
-                problem=delta.problem,
-                failed_nodes=frozenset(self._cum_failed_nodes),
-                failed_links=frozenset(self._cum_failed_links),
-                lost_demand=lost,
-            )
-        else:
-            degraded = apply_failure(self.problem, scenario)
-            if self.incremental:
-                ctx = degraded_context(self.context, degraded)
-            else:
-                ctx = rebuild_context(degraded)
-            self._cum_failed_nodes = set(degraded.failed_nodes)
-            self._cum_failed_links = set(degraded.failed_links)
-        return degraded, ctx
-
     def _reoptimize(self) -> TimelineAction:
         now = self._now
         name = (
@@ -662,7 +578,8 @@ class TimelineController:
             else f"{self.timeline.name}@t={now:g}"
         )
         scenario = self._composed_scenario(name)
-        degraded, ctx = self._derive_state(scenario)
+        degraded = apply_failure(self.problem, scenario)
+        ctx = degraded_context(self.context, degraded)
 
         if self.partition is not None:
             result = cluster_local_recover(
@@ -688,12 +605,7 @@ class TimelineController:
         self.placement = result.placement
         self.routing = result.routing
         self.last_result = result
-        self._cur_problem = degraded.problem
-        self._cur_ctx = ctx
-        self._have_degraded = True
         self._composed_faults = set(scenario.faults)
-        self._pending_new = []
-        self._must_recompose = False
         self._dropped_pending = []
         trigger = self._uncovered[0][0]
         self._uncovered = []
@@ -788,7 +700,6 @@ class TimelineController:
             deferrals=self.deferrals,
             repaired_entries=self.repaired_entries,
             actions=list(self.actions),
-            incremental=self.incremental,
             wall_seconds=_time.perf_counter() - start,
         )
 
@@ -800,7 +711,6 @@ def replay_timeline(
     policy: RecoveryPolicy | None = None,
     *,
     context: SolverContext | None = None,
-    incremental: bool = True,
     healthy_routing: Routing | None = None,
     observer: Observer | None = None,
     partition=None,
@@ -809,13 +719,11 @@ def replay_timeline(
 
     ``context`` is the *healthy* instance's solver context (a lazy one is
     built when none is passed); each action's degraded context is derived
-    incrementally from it (or rebuilt from scratch with
-    ``incremental=False`` — same report, more wall-clock).  The context may
-    be primed or lazy: derived contexts compute rows on demand either way,
-    so timelines replay unchanged on 10k-node topologies under
-    ``backend="lazy"``.  ``observer`` is
-    invoked after every processed event and action; the chaos harness uses
-    it to assert invariants mid-replay.  ``partition`` (a healthy-topology
+    from it.  The context may be primed or lazy: derived contexts compute
+    rows on demand either way, so timelines replay unchanged on 10k-node
+    topologies under ``backend="lazy"``.  ``observer`` is invoked after
+    every processed event and action; the chaos harness uses it to assert
+    invariants mid-replay.  ``partition`` (a healthy-topology
     :class:`~repro.core.decomposed.ClusterPartition`) switches
     re-optimizations to cluster-local re-solves — see
     :class:`TimelineController`.
@@ -826,7 +734,6 @@ def replay_timeline(
         timeline,
         policy,
         context=context,
-        incremental=incremental,
         healthy_routing=healthy_routing,
         observer=observer,
         partition=partition,

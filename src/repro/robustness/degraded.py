@@ -22,13 +22,9 @@ distance it serves — parity is asserted in
 through recovery and reporting without changing any result, only the
 wall-clock (and without ever materializing O(|V|²) state).
 
-**Chaining (failure timelines).**  A derived context can itself serve as
-the parent of the next derivation: the timeline controller
-(:mod:`repro.robustness.controller`) composes ``degraded_context``
-child-on-child across consecutive failure events.  The chain is
-failure-monotone; a repair event recomposes the surviving fault set from
-the healthy root context instead (:func:`rebuild_context` is the
-from-scratch twin both parity tests compare against).
+The timeline controller (:mod:`repro.robustness.controller`) derives
+every re-optimization's context from the healthy root the same way, from
+the composed set of active faults.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from __future__ import annotations
 from repro.core.context import SolverContext
 from repro.robustness.faults import DegradedProblem
 
-__all__ = ["degraded_context", "rebuild_context"]
+__all__ = ["degraded_context"]
 
 
 def degraded_context(
@@ -45,7 +41,7 @@ def degraded_context(
     """A :class:`SolverContext` for ``degraded.problem``, derived from ``parent``.
 
     The parent must be the context of the instance the scenario was applied
-    to (the healthy one, or an earlier derived context in a chain).
+    to (usually the healthy one; a derived context works as a parent too).
     Capacity-only scenarios share the parent's backend outright; removals
     get a fresh backend on the surviving graph whose rows compute on demand.
     """
@@ -59,15 +55,3 @@ def degraded_context(
         backend = backend.repair(graph)
     return SolverContext(degraded.problem, backend=backend)
 
-
-def rebuild_context(degraded: DegradedProblem) -> SolverContext:
-    """Full-rebuild twin of :func:`degraded_context` (fresh build, no reuse).
-
-    The baseline the incremental path is measured — and parity-tested —
-    against: ``degraded_context(parent, degraded)`` must equal
-    ``rebuild_context(degraded)`` bit-for-bit in every derived quantity.
-    The priming policy follows :meth:`SolverContext.from_problem`: every
-    row up front on mid-size instances, rows on demand above the dense
-    threshold.
-    """
-    return SolverContext.from_problem(degraded.problem)

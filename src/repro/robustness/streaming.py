@@ -356,7 +356,6 @@ def replay_timeline_streaming(
     workload=None,
     reactive: dict | None = None,
     context=None,
-    incremental: bool = True,
     healthy_routing: Routing | None = None,
     observer=None,
 ) -> StreamingTimelineReport:
@@ -394,7 +393,6 @@ def replay_timeline_streaming(
         timeline,
         policy,
         context=context,
-        incremental=incremental,
         healthy_routing=healthy_routing,
         observer=_capture_observer(entries, observer),
     )

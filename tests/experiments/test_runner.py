@@ -247,13 +247,21 @@ class TestReporting:
 
     def test_format_sweep_alignment(self):
         text = format_sweep(
-            [{"k": 1, "cost": 5.0}, {"k": 2, "cost": 7.0}],
+            [
+                {"k": 1, "cost": 5.0},
+                {"k": 2, "cost": 7.0},
+                {"k": "deltacom / greedy@t=2.42705", "cost": 1.25},
+            ],
             ["k", "cost"],
             title="sweep",
         )
         lines = text.splitlines()
         assert lines[0] == "sweep"
-        assert len(lines) == 6
+        assert len(lines) == 7
+        header, *body = lines[2:]
+        assert all(len(line) == len(header) for line in body)
+        # A cell wider than the default width keeps a gap to its neighbour.
+        assert "  deltacom / greedy@t=2.42705" in lines[-1]
 
     def test_write_records_csv(self, tmp_path):
         records = [RunRecord("a", 0, 1.0, 0.5, 0.9, 0.01)]

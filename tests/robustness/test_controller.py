@@ -21,6 +21,7 @@ from repro.robustness import (
     single_link_failures,
     single_node_failures,
 )
+from repro.robustness import controller
 from repro.robustness.chaos import check_static_parity
 from repro.robustness.demo import gadget_placement, gadget_problem
 
@@ -197,9 +198,12 @@ class TestPolicies:
         assert report.availability < 0.5
 
 
-class TestIncrementalParity:
+class TestDerivedStateParity:
     @pytest.mark.parametrize("repair", [False, True])
-    def test_incremental_rebuild_and_no_context_agree(self, repair):
+    def test_derived_rebuilt_plain_agree(self, repair, monkeypatch):
+        # Every action derives its context from the healthy root; swapping
+        # the derivation for a fresh build, or replaying without a healthy
+        # context, must not change a single number.
         problem = gadget_problem()
         placement = gadget_placement()
         timeline = generate_timeline(
@@ -220,14 +224,18 @@ class TestIncrementalParity:
             detection_delay=0.2, flap_backoff=0.1, max_retries=1, repair=repair
         )
         context = SolverContext.from_problem(problem)
-        incremental = replay_timeline(
+        derived = replay_timeline(
             problem, placement, timeline, policy, context=context
         )
-        rebuilt = replay_timeline(
-            problem, placement, timeline, policy, context=context,
-            incremental=False,
-        )
         plain = replay_timeline(problem, placement, timeline, policy)
-        assert incremental.reoptimizations > 0
-        assert incremental == rebuilt
-        assert incremental == plain
+        monkeypatch.setattr(
+            controller,
+            "degraded_context",
+            lambda _parent, degraded: SolverContext.from_problem(degraded.problem),
+        )
+        rebuilt = replay_timeline(
+            problem, placement, timeline, policy, context=context
+        )
+        assert derived.reoptimizations > 0
+        assert derived == rebuilt
+        assert derived == plain

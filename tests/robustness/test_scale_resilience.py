@@ -27,8 +27,8 @@ from repro.robustness import (
     FailureScenario,
     InvariantChecker,
     LinkFailure,
+    ChaosConfig,
     RecoveryPolicy,
-    ScaleChaosConfig,
     TimelineConfig,
     apply_failure,
     canonical_links,
@@ -38,7 +38,7 @@ from repro.robustness import (
     hierarchy_problem,
     recover,
     replay_timeline,
-    run_scale_chaos,
+    run_chaos,
     timeline_from_scenario,
 )
 from repro.robustness.chaos import random_placement
@@ -230,8 +230,8 @@ class TestClusterLocalRecovery:
 
 class TestScaleChaosSmoke:
     def test_reduced_hierarchy_campaign(self):
-        report = run_scale_chaos(
-            ScaleChaosConfig(
+        report = run_chaos(
+            ChaosConfig(
                 campaigns=1,
                 seed=0,
                 n_total=200,
@@ -242,6 +242,7 @@ class TestScaleChaosSmoke:
             raise_on_violation=True,
         )
         assert report.ok
+        assert all(r.static_parity_ok and not r.primed for r in report.results)
         summary = dict(report.summary())
         assert summary["total_violations"] == 0
         assert summary["total_events"] >= 8
