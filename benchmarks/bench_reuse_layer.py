@@ -1,7 +1,7 @@
-"""Solver-state reuse layer: derived contexts, LP templates, shm broadcast.
+"""Solver-state reuse layer: derived contexts and shm broadcast.
 
 Not a figure of the paper — the acceptance bench for the reuse layer built
-on top of its solvers.  Three independent measurements:
+on top of its solvers.  Two independent measurements:
 
 1. **Degraded-context sweep** — a Deltacom single-link failure sweep
    recovered on contexts derived from one parent
@@ -11,10 +11,7 @@ on top of its solvers.  Three independent measurements:
    ``survivability_report`` itself must produce identical records, and the
    derived contexts must compute fewer distance rows than the rebuilt
    ones.  The wall-clock ratio is reported, not asserted.
-2. **FC-FR template sweep** — capacity scenarios solved by patching one
-   frozen LP (:class:`~repro.core.fcfr.FCFRTemplate`) against re-assembling
-   and re-solving from scratch; costs must be bit-identical.
-3. **Broadcast payload** — the per-pool pickle payload of a shared-memory
+2. **Broadcast payload** — the per-pool pickle payload of a shared-memory
    row-store handle must stay an order of magnitude below the O(|V|^2)
    primed row block it replaces.
 
@@ -25,9 +22,7 @@ comparison; parity failures fail the bench, not just the numbers.
 import pickle
 import time
 
-from repro.core import FCFRTemplate, solve_fcfr
 from repro.core.context import SolverContext
-from repro.core.problem import ProblemInstance
 from repro.core.submodular import greedy_rnr_placement
 from repro.experiments import ScenarioConfig, build_scenario, format_sweep
 from repro.graph import LazyRowBackend, deltacom
@@ -136,93 +131,18 @@ def test_degraded_context_sweep(benchmark, report, bench_json):
     )
 
 
-def _rescaled(problem: ProblemInstance, factor: float) -> ProblemInstance:
-    network = problem.network.copy()
-    for (u, v), cap in problem.network.capacities().items():
-        if cap != float("inf"):
-            network.set_link_capacity(u, v, cap * factor)
-    return ProblemInstance(
-        network=network,
-        catalog=problem.catalog,
-        demand=dict(problem.demand),
-        item_sizes=dict(problem.item_sizes) if problem.item_sizes else None,
-        pinned=frozenset(problem.pinned),
-    )
-
-
-def test_fcfr_template_capacity_sweep(benchmark, report, bench_json):
-    scenario = build_scenario(ScenarioConfig(seed=0, num_videos=4))
-    problem = scenario.problem
-    finite = {
-        e: c
-        for e, c in problem.network.capacities().items()
-        if c != float("inf")
-    }
-    factors = [1.0, 0.9, 0.8, 0.7]
-
-    def run():
-        def fresh_sweep():
-            return [solve_fcfr(_rescaled(problem, f)).cost for f in factors]
-
-        def template_sweep():
-            template = FCFRTemplate(problem)
-            return [
-                template.solve(
-                    link_capacities={e: c * f for e, c in finite.items()}
-                ).cost
-                for f in factors
-            ]
-
-        fresh, fresh_seconds = _timed(fresh_sweep)
-        patched, template_seconds = _timed(template_sweep)
-        return fresh, fresh_seconds, patched, template_seconds
-
-    fresh, fresh_seconds, patched, template_seconds = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    speedup = fresh_seconds / template_seconds
-    rows = [
-        {"variant": "fresh assembly per scenario", "seconds": fresh_seconds},
-        {"variant": "frozen template, patched rhs", "seconds": template_seconds},
-    ]
-    report(
-        "reuse_fcfr_template",
-        format_sweep(
-            rows,
-            ["variant", "seconds"],
-            title=(
-                f"FC-FR capacity sweep, {len(factors)} scenarios — "
-                f"speedup {speedup:.2f}x, costs identical: {fresh == patched}"
-            ),
-        ),
-    )
-    bench_json(
-        "reuse_fcfr_template",
-        {
-            "scenarios": len(factors),
-            "fresh_seconds": fresh_seconds,
-            "template_seconds": template_seconds,
-            "speedup": speedup,
-            "costs_identical": fresh == patched,
-            "costs": patched,
-        },
-    )
-    # Patching may only change speed, never the answer.
-    assert fresh == patched
-
-
 def test_broadcast_payload(report, bench_json):
     graph = deltacom().graph
     backend = LazyRowBackend(graph).prime()
     store = backend.row_store()
     with RowsBroadcast(store, backend.nodes, graph_signature(graph)) as broadcast:
         handle_bytes = len(pickle.dumps(broadcast.handle))
-        matrix_bytes = len(pickle.dumps(store))
+        rows_bytes = len(pickle.dumps(store))
     report(
         "reuse_broadcast_payload",
         format_sweep(
             [
-                {"payload": "pickled primed RowStore", "bytes": matrix_bytes},
+                {"payload": "pickled primed RowStore", "bytes": rows_bytes},
                 {"payload": "pickled shm handle", "bytes": handle_bytes},
             ],
             ["payload", "bytes"],
@@ -234,8 +154,8 @@ def test_broadcast_payload(report, bench_json):
         {
             "topology": "deltacom",
             "nodes": len(backend),
-            "matrix_nbytes": int(store.block.nbytes),
-            "pickled_matrix_bytes": matrix_bytes,
+            "rows_nbytes": int(store.block.nbytes),
+            "pickled_rows_bytes": rows_bytes,
             "pickled_handle_bytes": handle_bytes,
         },
     )

@@ -6,7 +6,9 @@ O(|V|²) wall") and are written to one ``BENCH_scale_decomposition.json``:
 1. **Backend tiers** — wall time and tracemalloc peak of priming every
    row of a :class:`LazyRowBackend` (the dense policy) vs. priming exactly
    the rows a solve consults (cache nodes + pinned holders + requesters),
-   on PoP/core/edge hierarchies of growing size.  Gate: at the largest size
+   on PoP/core/edge hierarchies of growing size.  Times come from an
+   untraced pass and peaks from a separate ``tracemalloc`` pass, because
+   tracing slows the row builds severalfold.  Gate: at the largest size
    the lazy build peaks below 10% of the dense peak, and the scope rows
    are bit-identical to the fully primed rows.
 2. **End-to-end decomposed solve** — :func:`repro.core.decomposed_solve`
@@ -94,15 +96,22 @@ def scale_problem(n_total: int) -> ProblemInstance:
     )
 
 
-def _traced(fn, *args):
-    """(value, seconds, tracemalloc peak bytes) of ``fn(*args)``."""
-    tracemalloc.start()
+def _timed(fn, *args):
+    """(value, seconds) of an untraced ``fn(*args)``."""
     start = time.perf_counter()
     value = fn(*args)
-    seconds = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return value, seconds, peak
+    return value, time.perf_counter() - start
+
+
+def _peak(fn, *args) -> int:
+    """tracemalloc peak bytes of ``fn(*args)`` (the value is dropped)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def _prime_all(graph):
@@ -127,14 +136,17 @@ def test_backend_tiers_and_decomposed_solve(benchmark, report, bench_json):
             n = graph.number_of_nodes()
             scope = relevant_sources(problem)
 
-            dense, dense_seconds, dense_peak = _traced(_prime_all, graph)
-            lazy, lazy_seconds, lazy_peak = _traced(_prime_lazy, graph, scope)
+            dense, dense_seconds = _timed(_prime_all, graph)
+            lazy, lazy_seconds = _timed(_prime_lazy, graph, scope)
 
             # bit-parity of every scope row against the fully primed rows
             for v in scope[:50]:
                 i = lazy.index[v]
                 assert np.array_equal(lazy.row(i), dense.row(i)), v
                 parity_checked += 1
+            del dense, lazy
+            dense_peak = _peak(_prime_all, graph)
+            lazy_peak = _peak(_prime_lazy, graph, scope)
             tier_rows.append(
                 {
                     "nodes": n,
@@ -146,7 +158,6 @@ def test_backend_tiers_and_decomposed_solve(benchmark, report, bench_json):
                     "peak_ratio": round(lazy_peak / dense_peak, 4),
                 }
             )
-            del dense, lazy
 
         largest = max(sizes)
         problem = scale_problem(largest)

@@ -8,9 +8,9 @@ rate series and re-runs Algorithm 1 under the predicted rates.
 
 Re-solving is cheap because LP (7)'s constraint structure is independent of
 the request rates — only the z-block objective ``rate * w_max`` carries
-them — so the LP is frozen once into a PR-4 :class:`~repro.flow.lp.LPTemplate`
-and every re-optimization is a single objective patch plus a warm
-re-solve (:class:`Algorithm1Template`).  The post-LP stage (source
+them — so the LP is frozen once into a :class:`~repro.flow.lp.LPTemplate`
+and every re-optimization is a single objective patch plus a re-solve
+(:class:`Algorithm1Template`).  The post-LP stage (source
 concentration, pipage rounding, polish, RNR routing) is shared with the
 one-shot solver via :func:`repro.core.algorithm1.finish_from_lp`.
 """

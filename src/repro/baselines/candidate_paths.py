@@ -26,7 +26,11 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.placement import extract_serving_paths, optimize_placement_lp
+from repro.core.placement import (
+    extract_serving_paths,
+    fractional_placement_lp,
+    optimize_placement_lp,
+)
 from repro.core.problem import Item, ProblemInstance
 from repro.core.solution import Placement, Routing, Solution
 from repro.exceptions import InfeasibleError, InvalidProblemError
@@ -38,8 +42,6 @@ if TYPE_CHECKING:
     from repro.core.context import SolverContext
 
 Node = Hashable
-
-_EPS = 1e-9
 
 
 def origin_server(problem: ProblemInstance) -> Node:
@@ -306,63 +308,16 @@ def _hetero_sp_placement(
     *,
     context: "SolverContext | None" = None,
 ) -> Placement:
-    """[38]'s placement with heterogeneous sizes: LP + naive equal-swap round."""
+    """[38]'s placement with heterogeneous sizes: LP (15) + naive equal-swap round."""
     paths = extract_serving_paths(problem, sp_routing, context=context)
-    cache_nodes = [
-        v
-        for v in problem.network.cache_nodes()
-        if problem.network.cache_capacity(v) > 0
-    ]
-    cache_set = set(cache_nodes)
-    requested_items = sorted({sp.item for sp in paths}, key=repr)
-    lp = LPBuilder(sense="max")
-    for v in cache_nodes:
-        for i in requested_items:
-            if (v, i) not in problem.pinned:
-                lp.add_variable(("x", v, i), lb=0.0, ub=1.0)
-    for idx, sp in enumerate(paths):
-        length = len(sp.path)
-        window_vars: dict = {}
-        window_has_pin = False
-        for kk in range(1, length):
-            node = sp.path[length - kk]
-            if (node, sp.item) in problem.pinned:
-                window_has_pin = True
-            elif node in cache_set and lp.has_variable(("x", node, sp.item)):
-                key = ("x", node, sp.item)
-                window_vars[key] = window_vars.get(key, 0.0) + 1.0
-            link_cost = sp.suffix_cost[length - 1 - kk] - sp.suffix_cost[length - kk]
-            if link_cost <= _EPS or window_has_pin:
-                continue
-            y_key = ("y", idx, kk)
-            lp.add_variable(y_key, lb=0.0, ub=1.0)
-            lp.add_objective_terms({y_key: sp.rate * link_cost})
-            coeffs = {y_key: 1.0}
-            coeffs.update({key: -c for key, c in window_vars.items()})
-            lp.add_le(coeffs, 0.0)
-    for v in cache_nodes:
-        coeffs = {
-            ("x", v, i): problem.size_of(i)
-            for i in requested_items
-            if lp.has_variable(("x", v, i))
-        }
-        if coeffs:
-            lp.add_le(coeffs, problem.network.cache_capacity(v))
-    if lp.num_variables == 0:
-        return Placement()
-    solution = lp.solve()
-    fractional = {
-        key[1:]: value
-        for key, value in solution.values.items()
-        if key[0] == "x" and value > 1e-9
-    }
+    fractional, capacities = fractional_placement_lp(problem, paths)
     weights: dict = {}
     for sp in paths:
         length = len(sp.path)
         for m in range(1, length):
             node = sp.path[m]
             key = (node, sp.item)
-            if key in fractional or (node in cache_set and (node, sp.item) not in problem.pinned):
+            if key in fractional or (node in capacities and key not in problem.pinned):
                 weights[key] = weights.get(key, 0.0) + sp.rate * (
                     sp.suffix_cost[0] - sp.suffix_cost[m]
                 )

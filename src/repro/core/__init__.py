@@ -40,12 +40,7 @@ from repro.core.evaluation import (
     unserved_fraction,
     utilization_profile,
 )
-from repro.core.fcfr import (
-    FCFRResult,
-    FCFRTemplate,
-    fcfr_capacity_sweep,
-    solve_fcfr,
-)
+from repro.core.fcfr import FCFRResult, solve_fcfr
 from repro.core.msufp import (
     MSUFPCommodity,
     MSUFPResult,
@@ -67,7 +62,6 @@ from repro.core.placement import (
 from repro.core.problem import ProblemInstance, Request, pin_full_catalog
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.routing import (
-    MMSFPTemplate,
     greedy_unsplittable_routing,
     mmsfp_routing,
     mmufp_routing,
@@ -143,7 +137,6 @@ __all__ = [
     "optimize_placement_lp",
     "optimize_placement_greedy",
     "mmsfp_routing",
-    "MMSFPTemplate",
     "mmufp_routing",
     "randomized_rounding_routing",
     "greedy_unsplittable_routing",
@@ -151,6 +144,4 @@ __all__ = [
     "AlternatingResult",
     "solve_fcfr",
     "FCFRResult",
-    "FCFRTemplate",
-    "fcfr_capacity_sweep",
 ]

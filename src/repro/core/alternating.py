@@ -6,7 +6,9 @@ origin copies, alternate
 1. content placement given the current routing (LP + pipage for homogeneous
    catalogs, greedy for heterogeneous sizes — Sections 4.3.1 / 5.2.3), and
 2. source selection + routing given the placement (MMSFP for fractional
-   routing, MMUFP heuristics for integral routing — Section 4.3.2),
+   routing, MMUFP heuristics for integral routing — Section 4.3.2; both
+   solve the MMSFP LP that :func:`~repro.core.routing.mmsfp_routing`
+   assembles afresh for each new placement),
 
 retaining a new iterate only when it lowers the routing cost, and stopping
 at convergence.  Proposition 4.8 shows the worst case is unbounded (a bad
@@ -25,7 +27,7 @@ import numpy as np
 from repro.core.evaluation import congestion, routing_cost
 from repro.core.placement import optimize_placement
 from repro.core.problem import ProblemInstance
-from repro.core.routing import MMSFPTemplate, mmsfp_routing, mmufp_routing
+from repro.core.routing import mmsfp_routing, mmufp_routing
 from repro.core.solution import Placement, Routing, Solution
 from repro.core.submodular import greedy_rnr_placement
 from repro.exceptions import InfeasibleError
@@ -53,14 +55,11 @@ def _route(
     mmufp_method: str,
     rng: np.random.Generator | None,
     n_samples: int,
-    mmsfp_template: MMSFPTemplate | None = None,
 ) -> Routing:
     if integral_routing:
         return mmufp_routing(
             problem, placement, method=mmufp_method, rng=rng, n_samples=n_samples
         )
-    if mmsfp_template is not None:
-        return mmsfp_template.solve(placement).routing
     return mmsfp_routing(problem, placement).routing
 
 
@@ -71,7 +70,6 @@ def _initial_solution(
     mmufp_method: str,
     rng: np.random.Generator | None,
     n_samples: int,
-    mmsfp_template: "MMSFPTemplate | None" = None,
 ) -> Solution:
     """Feasible starting point: origin-only routing, else greedy RNR placement.
 
@@ -88,7 +86,6 @@ def _initial_solution(
             mmufp_method=mmufp_method,
             rng=rng,
             n_samples=n_samples,
-            mmsfp_template=mmsfp_template,
         )
     except InfeasibleError:
         placement = greedy_rnr_placement(problem)
@@ -99,7 +96,6 @@ def _initial_solution(
             mmufp_method=mmufp_method,
             rng=rng,
             n_samples=n_samples,
-            mmsfp_template=mmsfp_template,
         )
     return Solution(placement, routing)
 
@@ -114,7 +110,6 @@ def alternating_optimization(
     n_samples: int = 16,
     rng: np.random.Generator | None = None,
     tolerance: float = 1e-9,
-    lp_template: bool = False,
 ) -> AlternatingResult:
     """Run the alternating caching / routing optimization.
 
@@ -129,26 +124,14 @@ def alternating_optimization(
         ``"randomized"`` (LP relaxation + randomized rounding) or ``"greedy"``.
     max_iterations:
         Hard cap; the paper observes convergence within ~10 iterations.
-    lp_template:
-        With fractional routing, assemble the MMSFP LP once as an
-        :class:`~repro.core.routing.MMSFPTemplate` and re-bound it per
-        iteration instead of rebuilding it.  Opt-in: the template's LP has
-        the same optimal cost but more columns (virtual arcs to every
-        candidate holder), so on degenerate instances HiGHS may return a
-        different — equally optimal — flow split than the per-iteration
-        assembly.  Ignored for integral routing.
     """
     rng = rng or np.random.default_rng()
-    template = (
-        MMSFPTemplate(problem) if lp_template and not integral_routing else None
-    )
     best = _initial_solution(
         problem,
         integral_routing=integral_routing,
         mmufp_method=mmufp_method,
         rng=rng,
         n_samples=n_samples,
-        mmsfp_template=template,
     )
     best_cost = routing_cost(problem, best.routing)
     best_congestion = congestion(problem, best.routing)
@@ -175,7 +158,6 @@ def alternating_optimization(
                 mmufp_method=mmufp_method,
                 rng=rng,
                 n_samples=n_samples,
-                mmsfp_template=template,
             )
         except InfeasibleError:
             # The new placement admits no capacity-feasible routing (possible

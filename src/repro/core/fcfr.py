@@ -14,24 +14,23 @@ result is a regular (fractional) :class:`~repro.core.solution.Solution`.
 The LP registers ``x``/``r``/``f`` as contiguous
 :class:`~repro.flow.lp.VariableBlock` columns and emits the constraint
 families (1b)-(1f) as COO batches built from the graph's cached node-arc
-incidence arrays (:func:`~repro.flow.mincost.arc_incidence`).
+incidence arrays (:func:`~repro.flow.mincost.arc_incidence`).  A capacity
+sweep calls :func:`solve_fcfr` once per scenario: assembly is a small share
+of the solve, so a frozen LP with patched capacity rows measured no gain.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement, Routing, Solution
-from repro.exceptions import InfeasibleError, InvalidProblemError
+from repro.exceptions import InfeasibleError
 from repro.flow.decomposition import PathFlow, decompose_single_source_flow
 from repro.flow.lp import LPBuilder
 from repro.flow.mincost import arc_incidence
-
-Node = Hashable
 
 _EPS = 1e-9
 
@@ -45,23 +44,6 @@ class FCFRResult:
 
     solution: Solution
     cost: float
-
-
-@dataclass(frozen=True)
-class _FCFRRowMeta:
-    """Where the capacity rows landed in the materialized ``b_ub`` vector.
-
-    The array assembly appends its ``<=`` batches in a fixed order — (1b)
-    finite link capacities, (1e) ``r <= x``, (1f) cache capacities — so the
-    rhs rows that a capacity sweep patches are two contiguous ranges.
-    """
-
-    #: Edges with finite capacity, in (1b) row order; rows start at 0.
-    link_edges: tuple[tuple[Node, Node], ...]
-    #: First global ``b_ub`` row of the (1f) family.
-    cache_row_start: int
-    #: Cache nodes with a (1f) row, in row order.
-    cache_nodes: tuple[Node, ...]
 
 
 def _eligible_sources(problem: ProblemInstance, cache_nodes, requests) -> dict:
@@ -185,7 +167,6 @@ def _assemble_array(
     cap_cols: list[np.ndarray] = []
     cap_data: list[np.ndarray] = []
     cap_rhs: list[float] = []
-    cap_row_nodes: list[Node] = []
     start = 0
     row_no = 0
     for v in cache_nodes:
@@ -197,7 +178,6 @@ def _assemble_array(
             cap_cols.append(xb.flat(np.arange(start, end, dtype=np.intp)))
             cap_data.append(sizes[start:end])
             cap_rhs.append(network.cache_capacity(v))
-            cap_row_nodes.append(v)
             row_no += 1
         start = end
     if cap_rhs:
@@ -207,18 +187,7 @@ def _assemble_array(
             np.concatenate(cap_data),
             np.asarray(cap_rhs),
         )
-    # Rhs row layout: (1b) rows [0, n_finite), (1e) rows [n_finite,
-    # n_finite + n_free), (1f) rows after that.  Rows with infinite cache
-    # capacity are dropped by add_le_batch, so only finite-cap nodes get one.
-    finite_cache = [
-        v for v, cap in zip(cap_row_nodes, cap_rhs) if np.isfinite(cap)
-    ]
-    meta = _FCFRRowMeta(
-        link_edges=tuple(edges[e] for e in finite),
-        cache_row_start=int(finite.size) + int(free.size),
-        cache_nodes=tuple(finite_cache),
-    )
-    return lp, elig_offsets, meta
+    return lp, elig_offsets
 
 
 def _build_result(
@@ -250,7 +219,7 @@ def _build_result(
 
 
 def _assemble(problem: ProblemInstance):
-    """Assemble (1a)-(1f): the LP, its decode layout, and its row meta."""
+    """Assemble (1a)-(1f): the LP and its decode layout."""
     network = problem.network
     edges = list(network.graph.edges)
     cache_nodes = [v for v in network.cache_nodes() if network.cache_capacity(v) > 0]
@@ -262,15 +231,15 @@ def _assemble(problem: ProblemInstance):
         for i in problem.catalog
         if (v, i) not in problem.pinned
     ]
-    lp, elig_offsets, meta = _assemble_array(
+    lp, elig_offsets = _assemble_array(
         problem, cache_nodes, requests, edges, eligible, x_pairs
     )
-    return lp, (requests, eligible, x_pairs, edges, elig_offsets), meta
+    return lp, (requests, eligible, x_pairs, edges, elig_offsets)
 
 
 def solve_fcfr(problem: ProblemInstance) -> FCFRResult:
     """Solve FC-FR exactly.  Raises :class:`InfeasibleError` when (1) is."""
-    lp, layout, _meta = _assemble(problem)
+    lp, layout = _assemble(problem)
     return _result_from_arrays(problem, layout, lp.solve())
 
 
@@ -293,119 +262,6 @@ def _result_from_arrays(problem, layout, lp_solution) -> FCFRResult:
         problem, requests, eligible, x_pairs, x_arr.tolist(), flow_dicts, r_vals,
         lp_solution.objective,
     )
-
-
-class FCFRTemplate:
-    """One assembled FC-FR LP, re-solved across capacity scenarios.
-
-    A survivability or provisioning sweep solves optimization (1) many times
-    on the *same* topology and demand, varying only link / cache capacities.
-    Those capacities live purely in the ``b_ub`` right-hand side of the
-    materialized LP, so the CSR constraint matrices can be assembled once
-    (the dominant cost at Deltacom scale) and only two contiguous rhs row
-    ranges patched per scenario via :class:`~repro.flow.lp.LPTemplate`.
-
-    Every :meth:`solve` rewrites *all* capacity rows (baseline plus the
-    scenario's overrides), so scenarios never leak into one another and
-    ``solve()`` with no overrides is bit-identical to :func:`solve_fcfr` —
-    the patched arrays equal the fresh assembly's arrays exactly.
-
-    Patch-rule consequences (see :class:`~repro.flow.lp.LPTemplate`): a
-    fresh assembly *drops* rows for infinitely-capacitated links and
-    caches, so overrides must target elements that had finite capacity at
-    assembly time and must stay finite.  Anything else needs a fresh
-    :func:`solve_fcfr` call.
-    """
-
-    def __init__(self, problem: ProblemInstance) -> None:
-        network = problem.network
-        self.problem = problem
-        lp, self._layout, self._meta = _assemble(problem)
-        self._frozen = lp.freeze()
-        meta = self._meta
-        self._base_link = np.fromiter(
-            (network.capacity(u, v) for u, v in meta.link_edges),
-            dtype=np.float64,
-            count=len(meta.link_edges),
-        )
-        self._base_cache = np.fromiter(
-            (network.cache_capacity(v) for v in meta.cache_nodes),
-            dtype=np.float64,
-            count=len(meta.cache_nodes),
-        )
-        self._link_pos = {e: k for k, e in enumerate(meta.link_edges)}
-        self._cache_pos = {v: k for k, v in enumerate(meta.cache_nodes)}
-
-    @staticmethod
-    def _patched(base: np.ndarray, overrides, pos: dict, kind: str) -> np.ndarray:
-        values = base.copy()
-        for element, cap in overrides.items():
-            k = pos.get(element)
-            if k is None:
-                raise InvalidProblemError(
-                    f"{kind} {element!r} has no capacity row in the template "
-                    "(it was infinitely capacitated, absent, or zero-capacity "
-                    "at assembly time); re-assemble with solve_fcfr instead"
-                )
-            cap = float(cap)
-            if not np.isfinite(cap):
-                raise InvalidProblemError(
-                    f"capacity override for {kind} {element!r} must be finite "
-                    "(a fresh assembly would drop the row); "
-                    "re-assemble with solve_fcfr instead"
-                )
-            values[k] = cap
-        return values
-
-    def solve(
-        self,
-        *,
-        link_capacities: dict | None = None,
-        cache_capacities: dict | None = None,
-    ) -> FCFRResult:
-        """Solve one capacity scenario: baseline capacities plus overrides.
-
-        ``link_capacities`` maps ``(u, v)`` edges and ``cache_capacities``
-        maps cache nodes to replacement capacities; unlisted elements keep
-        the problem's baseline.  Raises
-        :class:`~repro.exceptions.InvalidProblemError` for overrides the
-        template cannot express (see the class docstring) and
-        :class:`~repro.exceptions.InfeasibleError` when the scenario admits
-        no fractional solution.
-        """
-        meta = self._meta
-        link = self._patched(
-            self._base_link, link_capacities or {}, self._link_pos, "link"
-        )
-        cache = self._patched(
-            self._base_cache, cache_capacities or {}, self._cache_pos, "cache node"
-        )
-        if link.size:
-            self._frozen.set_b_ub(np.arange(link.size, dtype=np.intp), link)
-        if cache.size:
-            self._frozen.set_b_ub(
-                np.arange(cache.size, dtype=np.intp) + meta.cache_row_start, cache
-            )
-        return _result_from_arrays(self.problem, self._layout, self._frozen.solve())
-
-
-def fcfr_capacity_sweep(problem: ProblemInstance, scenarios) -> list[FCFRResult]:
-    """Solve FC-FR across capacity scenarios, assembling the LP once.
-
-    ``scenarios`` is an iterable of mappings with optional ``"link"`` and
-    ``"cache"`` keys holding the per-scenario capacity overrides accepted by
-    :meth:`FCFRTemplate.solve`.  Returns one :class:`FCFRResult` per
-    scenario, in order — each bit-identical to a from-scratch
-    :func:`solve_fcfr` on the correspondingly re-capacitated problem.
-    """
-    template = FCFRTemplate(problem)
-    return [
-        template.solve(
-            link_capacities=scenario.get("link"),
-            cache_capacities=scenario.get("cache"),
-        )
-        for scenario in scenarios
-    ]
 
 
 def assemble_fcfr_lp(problem: ProblemInstance) -> LPBuilder:

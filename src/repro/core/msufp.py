@@ -8,7 +8,8 @@ turns joint source selection + routing into pure single-source routing
 
 Algorithm 2:
 
-1. solve the splittable relaxation at minimum cost (LP);
+1. solve the splittable relaxation at minimum cost (one LP through
+   :func:`~repro.flow.mincost.min_cost_single_source_flow`);
 2. convert it to path flows and *round demands down* to the grid
    ``lambda_max * 2^(m/K)`` (equation (11)), trimming each commodity's most
    expensive paths to match the rounded demand;
@@ -40,7 +41,6 @@ from repro.flow.decomposition import (
     split_with_removal_quotas,
 )
 from repro.flow.mincost import min_cost_single_source_flow
-from repro.flow.ssp import min_cost_flow_ssp
 from repro.flow.unsplittable import round_to_unsplittable
 from repro.graph.network import CAPACITY, COST
 
@@ -105,18 +105,15 @@ def solve_msufp(
     commodities: list[MSUFPCommodity],
     *,
     K: int = 2,
-    engine: str = "lp",
 ) -> MSUFPResult:
     """Run Algorithm 2.  ``K=2`` reproduces the benchmark of [33].
 
-    ``engine`` selects the splittable-flow solver of line 1: ``"lp"``
-    (scipy HiGHS, the default) or ``"ssp"`` (the combinatorial
-    successive-shortest-paths solver); both are exact.
+    Line 1's splittable flow is solved exactly as an LP (HiGHS);
+    :func:`~repro.flow.ssp.min_cost_flow_ssp` is its independent
+    combinatorial cross-check in the tests.
     """
     if K < 1:
         raise InvalidProblemError("K must be a positive integer")
-    if engine not in ("lp", "ssp"):
-        raise InvalidProblemError("engine must be 'lp' or 'ssp'")
     ids = [c.id for c in commodities]
     if len(set(ids)) != len(ids):
         raise InvalidProblemError("commodity ids must be unique")
@@ -131,12 +128,9 @@ def solve_msufp(
     aggregate: dict[Node, float] = {}
     for c in commodities:
         aggregate[c.sink] = aggregate.get(c.sink, 0.0) + c.demand
-    if engine == "ssp":
-        flow, splittable_cost = min_cost_flow_ssp(graph, source, aggregate)
-    else:
-        # The arc incidence is cached per graph object, so repeated
-        # Algorithm 2 runs on the same (auxiliary) graph skip the rebuild.
-        flow, splittable_cost = min_cost_single_source_flow(graph, source, aggregate)
+    # The arc incidence is cached per graph object, so repeated Algorithm 2
+    # runs on the same (auxiliary) graph skip the rebuild.
+    flow, splittable_cost = min_cost_single_source_flow(graph, source, aggregate)
 
     # Line 3 first: rounded demands (equation (11)) fix each commodity's
     # removal quota, which then steers the per-commodity path split so that

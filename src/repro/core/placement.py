@@ -5,8 +5,9 @@ request — the cost of a placement ``x`` is equation (13): the response to a
 request travels only the path suffix below the nearest on-path replica.  The
 cost *saving* ``F_{r,f}(x)`` (14) is monotone submodular (Lemma 5.3), and:
 
-- homogeneous item sizes: maximize the concave surrogate ``L_{r,f}`` (15) by
-  LP, then pipage-round — a (1 - 1/e)-approximation;
+- homogeneous (unit) item sizes: maximize the concave surrogate ``L_{r,f}``
+  (15) by LP (:func:`fractional_placement_lp`), then pipage-round — a
+  (1 - 1/e)-approximation;
 - heterogeneous sizes: lazy greedy under the p-independence (knapsack)
   constraint — a 1/(1+p)-approximation (Theorem 5.2).
 
@@ -130,18 +131,22 @@ def placement_saving(
 # ----------------------------------------------------------------------
 
 
-def optimize_placement_lp(
-    problem: ProblemInstance,
-    routing: Routing,
-    *,
-    context: "SolverContext | None" = None,
-) -> Placement:
-    """(1-1/e)-approximate placement via the LP surrogate (15) + pipage."""
-    paths = extract_serving_paths(problem, routing, context=context)
+def fractional_placement_lp(
+    problem: ProblemInstance, paths: list[ServingPath]
+) -> tuple[dict[tuple[Node, Item], float], dict[Node, float]]:
+    """Maximize the concave surrogate ``L_{r,f}`` (15) over fixed ``paths``.
+
+    Columns are ``x_vi`` per optimizable (cache node, requested item),
+    cache-node-major, then one ``y`` per positive-cost link of each path's
+    window; the capacity rows come last and weigh each item by
+    :meth:`~repro.core.problem.ProblemInstance.size_of`.  Returns the
+    fractional placement (entries above ``1e-9``) and the capacity of every
+    positive-capacity cache node; the caller picks the rounding.
+    """
     cache_nodes = [
         v for v in problem.network.cache_nodes() if problem.network.cache_capacity(v) > 0
     ]
-    cache_set = set(cache_nodes)
+    capacities = {v: problem.network.cache_capacity(v) for v in cache_nodes}
     requested_items = sorted({sp.item for sp in paths}, key=repr)
 
     lp = LPBuilder(sense="max")
@@ -158,37 +163,30 @@ def optimize_placement_lp(
             node = sp.path[length - k]  # newest node entering the window
             if (node, sp.item) in problem.pinned:
                 window_has_pin = True
-            elif node in cache_set and lp.has_variable(("x", node, sp.item)):
+            elif node in capacities and lp.has_variable(("x", node, sp.item)):
                 key = ("x", node, sp.item)
                 window_vars[key] = window_vars.get(key, 0.0) + 1.0
             link_cost = sp.suffix_cost[length - 1 - k] - sp.suffix_cost[length - k]
-            if link_cost <= _EPS:
-                continue
-            if window_has_pin:
-                continue  # y_k == 1 at no cost; constant in the objective
+            if link_cost <= _EPS or window_has_pin:
+                continue  # a pinned window gives y_k == 1 at no cost
             y_key = ("y", idx, k)
             lp.add_variable(y_key, lb=0.0, ub=1.0)
             lp.add_objective_terms({y_key: sp.rate * link_cost})
-            if window_vars:
-                coeffs = {y_key: 1.0}
-                coeffs.update({key: -c for key, c in window_vars.items()})
-                lp.add_le(coeffs, 0.0)
-            else:
-                lp.add_le({y_key: 1.0}, 0.0)
+            coeffs = {y_key: 1.0}
+            coeffs.update({key: -c for key, c in window_vars.items()})
+            lp.add_le(coeffs, 0.0)
 
-    capacities = {}
     for v in cache_nodes:
         coeffs = {
-            ("x", v, i): 1.0
+            ("x", v, i): problem.size_of(i)
             for i in requested_items
             if lp.has_variable(("x", v, i))
         }
-        capacities[v] = problem.network.cache_capacity(v)
         if coeffs:
             lp.add_le(coeffs, capacities[v])
 
     if lp.num_variables == 0:
-        return Placement()
+        return {}, capacities
     solution = lp.solve()
     fractional = {
         (v, i): solution[("x", v, i)]
@@ -196,6 +194,18 @@ def optimize_placement_lp(
         for i in requested_items
         if lp.has_variable(("x", v, i)) and solution[("x", v, i)] > 1e-9
     }
+    return fractional, capacities
+
+
+def optimize_placement_lp(
+    problem: ProblemInstance,
+    routing: Routing,
+    *,
+    context: "SolverContext | None" = None,
+) -> Placement:
+    """(1-1/e)-approximate placement via the LP surrogate (15) + pipage."""
+    paths = extract_serving_paths(problem, routing, context=context)
+    fractional, capacities = fractional_placement_lp(problem, paths)
 
     # Index paths by (node, item) for derivative evaluation during rounding.
     by_node_item: dict[tuple[Node, Item], list[tuple[ServingPath, int]]] = {}

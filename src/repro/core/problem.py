@@ -101,7 +101,15 @@ class ProblemInstance:
         return self.item_sizes[item]
 
     def is_homogeneous(self) -> bool:
-        return self.item_sizes is None or len(set(self.item_sizes.values())) <= 1
+        """Whether every item has unit size — the model of Section 4.
+
+        Equal non-unit sizes are *not* homogeneous: Algorithm 1 and LP (15)
+        with pipage count items against capacity, which overfills a cache
+        when each item takes more than one unit.
+        """
+        return self.item_sizes is None or all(
+            b == 1.0 for b in self.item_sizes.values()
+        )
 
     def pinned_items_at(self, node: Node) -> set[Item]:
         return {i for (v, i) in self.pinned if v == node}

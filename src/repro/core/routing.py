@@ -6,7 +6,10 @@ source selection and routing to a pure routing problem in the auxiliary
 graph ``G^x`` (the per-item analogue of Lemma 4.5):
 
 - fractional routing: the minimum-cost multiple-source splittable flow
-  problem (MMSFP), solved exactly as an LP with one commodity per item;
+  problem (MMSFP), solved exactly as an LP with one commodity per item.
+  :func:`mmsfp_routing` is the only MMSFP path: every call assembles that LP
+  over the current placement's ``G^x`` through
+  :func:`~repro.flow.mincost.min_cost_multicommodity_flow`;
 - integral routing: MMUFP, NP-hard, attacked by the paper's two heuristics —
   LP relaxation with randomized path rounding, and greedy capacity-aware
   path assignment.
@@ -26,13 +29,7 @@ from repro.core.problem import Item, ProblemInstance
 from repro.core.solution import Placement, Routing
 from repro.exceptions import InfeasibleError
 from repro.flow.decomposition import PathFlow, decompose_single_source_flow
-from repro.flow.lp import LPBuilder
-from repro.flow.mincost import (
-    ArcIncidence,
-    Commodity,
-    _balance_rhs,
-    min_cost_multicommodity_flow,
-)
+from repro.flow.mincost import Commodity, min_cost_multicommodity_flow
 from repro.graph.network import CAPACITY, COST
 from repro.graph.shortest_paths import reconstruct_path, single_source_dijkstra
 
@@ -112,189 +109,6 @@ def mmsfp_routing(
                 for pf in per_sink[s]
             ]
     return FractionalRoutingResult(routing=routing, cost=cost)
-
-
-def build_candidate_auxiliary_graph(
-    problem: ProblemInstance,
-) -> tuple[nx.DiGraph, dict[Item, tuple[str, Item]], dict[Item, list[Node]]]:
-    """Aux graph with virtual arcs to every *possible* holder of each item.
-
-    Unlike :func:`build_item_auxiliary_graph` (arcs only to the current
-    placement's holders), the candidate graph wires each item's virtual
-    source to every node that could ever hold it — positive-capacity cache
-    nodes plus the item's pinned holders.  Its edge set is therefore
-    placement-independent, which is what lets an MMSFP LP built on it be
-    frozen once and re-bounded per placement (:class:`MMSFPTemplate`).
-    """
-    aux = problem.network.graph.copy()
-    cache_nodes = [
-        v
-        for v in problem.network.cache_nodes()
-        if problem.network.cache_capacity(v) > 0
-    ]
-    sources: dict[Item, tuple[str, Item]] = {}
-    candidates: dict[Item, list[Node]] = {}
-    for item in sorted({i for (i, _s) in problem.demand}, key=repr):
-        vs = _item_source(item)
-        aux.add_node(vs)
-        sources[item] = vs
-        cand = sorted(set(cache_nodes) | problem.pinned_holders(item), key=repr)
-        candidates[item] = cand
-        for holder in cand:
-            aux.add_edge(vs, holder, **{COST: 0.0, CAPACITY: math.inf})
-    return aux, sources, candidates
-
-
-def _assemble_candidate_mmsfp(
-    aux: nx.DiGraph,
-    commodities: list[Commodity],
-    inc: ArcIncidence,
-    ub_of_item: dict[Item, np.ndarray] | None,
-) -> LPBuilder:
-    """The candidate-graph MMSFP as an LP (multicommodity array assembly).
-
-    Mirrors :func:`repro.flow.mincost.min_cost_multicommodity_flow`'s array
-    path over ``aux``, except every per-commodity block carries explicit
-    upper bounds (``ub_of_item``; default unbounded) so a frozen copy can
-    gate virtual arcs open/closed per placement.  Built identically whether
-    it is solved fresh or frozen — the parity tests rely on that.
-    """
-    n_edges = len(inc.edges)
-    costs = np.fromiter(
-        (d.get(COST, 1.0) for _, _, d in aux.edges(data=True)),
-        dtype=np.float64,
-        count=n_edges,
-    )
-    caps = np.fromiter(
-        (d.get(CAPACITY, math.inf) for _, _, d in aux.edges(data=True)),
-        dtype=np.float64,
-        count=n_edges,
-    )
-    lp = LPBuilder(sense="min")
-    offsets = np.empty(len(commodities), dtype=np.intp)
-    for k, commodity in enumerate(commodities):
-        ub = (
-            math.inf
-            if ub_of_item is None or commodity.name not in ub_of_item
-            else ub_of_item[commodity.name]
-        )
-        block = lp.add_variable_block(
-            ("f", commodity.name), (n_edges,), lb=0.0, ub=ub, cost=costs
-        )
-        offsets[k] = block.offset
-    finite = np.flatnonzero(np.isfinite(caps))
-    if finite.size:
-        n_comm = len(commodities)
-        e_rep = np.repeat(finite, n_comm)
-        c_rep = np.tile(np.arange(n_comm, dtype=np.intp), finite.size)
-        lp.add_le_batch(
-            np.repeat(np.arange(finite.size, dtype=np.intp), n_comm),
-            offsets[c_rep] + e_rep,
-            np.ones(e_rep.size),
-            caps[finite],
-        )
-    edge_cols = np.arange(n_edges, dtype=np.intp)
-    ones = np.ones(n_edges)
-    for k, commodity in enumerate(commodities):
-        demands = {t: d for t, d in commodity.demands.items() if d > _EPS}
-        lp.add_eq_batch(
-            np.concatenate([inc.tail_idx, inc.head_idx]),
-            np.concatenate([offsets[k] + edge_cols, offsets[k] + edge_cols]),
-            np.concatenate([ones, -ones]),
-            _balance_rhs(inc, commodity.source, demands, sum(demands.values())),
-        )
-    return lp
-
-
-class MMSFPTemplate:
-    """Reusable MMSFP LP over the candidate auxiliary graph.
-
-    Alternating optimization solves an MMSFP with the same topology, demand
-    and costs at every iteration — only the set of replica-holding nodes
-    changes.  This template assembles the LP once over
-    :func:`build_candidate_auxiliary_graph` (virtual arcs to *every*
-    possible holder), freezes it (:meth:`~repro.flow.lp.LPBuilder.freeze`),
-    and per placement merely patches each item's virtual-arc upper bounds:
-    ``inf`` on arcs to current holders, ``0`` elsewhere.  Each solve is
-    bit-identical to a fresh assembly of the same bounded LP
-    (``tests/flow/test_lp_template.py``).
-
-    Note the feasible set equals :func:`mmsfp_routing`'s (closed arcs carry
-    no flow, and a commodity cannot traverse another item's virtual source
-    — it has no incoming arcs), so the *optimal cost* matches; with
-    degenerate optima the returned vertex (flow split) may legitimately
-    differ from the holder-only assembly, which is why
-    ``alternating_optimization`` keeps the template opt-in.
-    """
-
-    def __init__(self, problem: ProblemInstance) -> None:
-        self._problem = problem
-        aux, sources, candidates = build_candidate_auxiliary_graph(problem)
-        self._sources = sources
-        self._candidates = candidates
-        self._inc = ArcIncidence.from_graph(aux)
-        self._commodities: list[Commodity] = []
-        for item, vs in sources.items():
-            demands: dict[Node, float] = {}
-            for (i, s), rate in problem.demand.items():
-                if i == item:
-                    demands[s] = demands.get(s, 0.0) + rate
-            self._commodities.append(Commodity(name=item, source=vs, demands=demands))
-        edge_pos = {e: k for k, e in enumerate(self._inc.edges)}
-        #: Per item: virtual-arc edge positions aligned with candidates[item].
-        self._arc_pos: dict[Item, np.ndarray] = {
-            item: np.fromiter(
-                (edge_pos[(sources[item], h)] for h in cand),
-                dtype=np.intp,
-                count=len(cand),
-            )
-            for item, cand in candidates.items()
-        }
-        self._frozen = _assemble_candidate_mmsfp(
-            aux, self._commodities, self._inc, None
-        ).freeze()
-
-    def _holder_bounds(self, placement: Placement) -> dict[Item, np.ndarray]:
-        """Per-item ub arrays over aux edges: gate virtual arcs by holders."""
-        n_edges = len(self._inc.edges)
-        out: dict[Item, np.ndarray] = {}
-        for item, cand in self._candidates.items():
-            holders = holders_of(self._problem, placement, item)
-            if not holders:
-                raise InfeasibleError(f"no node holds item {item!r}")
-            ub = np.full(n_edges, math.inf)
-            pos = self._arc_pos[item]
-            open_mask = np.fromiter(
-                (h in holders for h in cand), dtype=bool, count=len(cand)
-            )
-            ub[pos[~open_mask]] = 0.0
-            out[item] = ub
-        return out
-
-    def solve(self, placement: Placement) -> FractionalRoutingResult:
-        """Optimal fractional routing under ``placement`` (patched solve)."""
-        for item, ub in self._holder_bounds(placement).items():
-            self._frozen.set_block_bounds(("f", item), ub=ub)
-        solution = self._frozen.solve()
-        problem = self._problem
-        routing = Routing()
-        for commodity in self._commodities:
-            values = solution.block(("f", commodity.name))
-            flow = {
-                self._inc.edges[k]: float(values[k])
-                for k in np.flatnonzero(values > _EPS)
-            }
-            per_sink = decompose_single_source_flow(
-                flow, commodity.source, commodity.demands
-            )
-            for (i, s), rate in problem.demand.items():
-                if i != commodity.name:
-                    continue
-                routing.paths[(i, s)] = [
-                    PathFlow(path=_strip_virtual(pf.path), amount=pf.amount / rate)
-                    for pf in per_sink[s]
-                ]
-        return FractionalRoutingResult(routing=routing, cost=solution.objective)
 
 
 def randomized_rounding_routing(

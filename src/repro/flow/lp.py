@@ -21,14 +21,20 @@ reduces everything to one canonical CSR matrix per constraint sense
 (duplicates summed, explicit zeros dropped, indices sorted), so two builders
 describing the same LP — one keyed, one batched — hand *bit-identical*
 inputs to HiGHS and therefore return bit-identical solutions.
+
+Every LP is solved one way: the fixed HiGHS fallback chain
+(:data:`DEFAULT_SOLVE_METHODS`, then one retry on the row-equilibrated LP),
+reported in a :class:`SolveReport`.  :meth:`LPBuilder.freeze` keeps one
+assembled LP whose block objective can be re-patched between solves — the
+only variation a caller re-solves under (LP (7)'s demand rates).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Hashable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable, Mapping
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -522,21 +528,13 @@ class LPBuilder:
         )
         return MaterializedLP(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
 
-    def _values_from(self, x: np.ndarray) -> tuple[dict[Key, float], dict[Key, np.ndarray]]:
-        values = {key: float(x[idx]) for key, idx in self._index.items()}
-        block_values: dict[Key, np.ndarray] = {}
-        for name, block in self._blocks.items():
-            flat = x[block.offset : block.offset + block.size]
-            block_values[name] = flat.reshape(block.shape).copy()
-            if block.size:
-                index_arrays = np.unravel_index(
-                    np.arange(block.size, dtype=np.intp), block.shape
-                )
-                columns = [a.tolist() for a in index_arrays]
-                flat_list = flat.tolist()
-                for k, multi in enumerate(zip(*columns)):
-                    values[(name, *multi)] = flat_list[k]
-        return values, block_values
+    def _check_solvable(self) -> None:
+        if self._cols == 0:
+            raise SolverError("LP has no variables")
+        if self._infeasible_reason is not None:
+            raise InfeasibleError(
+                f"LP is trivially infeasible: {self._infeasible_reason}"
+            )
 
     @staticmethod
     def _rescaled(lp: MaterializedLP) -> MaterializedLP:
@@ -564,22 +562,14 @@ class LPBuilder:
             c=lp.c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=lp.bounds
         )
 
-    def solve(
-        self,
-        *,
-        methods: Sequence[str] | None = None,
-        time_limit: float | None = None,
-        rescale_retry: bool = True,
-    ) -> LPSolution:
+    def solve(self) -> LPSolution:
         """Solve the LP with a hardened HiGHS fallback chain.
 
-        Methods from ``methods`` (default :data:`DEFAULT_SOLVE_METHODS`:
-        ``highs`` → ``highs-ds`` → ``highs-ipm``) are tried in order, each
-        under the per-attempt ``time_limit`` (seconds; ``None`` = unlimited).
-        An attempt that hits a limit, reports numerical difficulties, or
-        raises inside HiGHS moves on to the next method; infeasible and
-        unbounded verdicts are terminal.  If the whole chain fails and
-        ``rescale_retry`` is on, the chain runs once more on a
+        The methods of :data:`DEFAULT_SOLVE_METHODS` (``highs`` →
+        ``highs-ds`` → ``highs-ipm``) are tried in order.  An attempt that
+        hits a limit, reports numerical difficulties, or raises inside HiGHS
+        moves on to the next method; infeasible and unbounded verdicts are
+        terminal.  If the whole chain fails, it runs once more on a
         row-equilibrated (exactly equivalent) LP.  The returned solution
         carries a :class:`SolveReport` listing every attempt.
 
@@ -594,26 +584,10 @@ class LPBuilder:
             The LP is empty, or every attempt of the fallback chain failed
             (iteration/time limits, numerical difficulties, ...).
         """
-        if self._cols == 0:
-            raise SolverError("LP has no variables")
-        if self._infeasible_reason is not None:
-            raise InfeasibleError(
-                f"LP is trivially infeasible: {self._infeasible_reason}"
-            )
-        x, fun, report = _solve_materialized(
-            self.materialize(),
-            methods=methods,
-            time_limit=time_limit,
-            rescale_retry=rescale_retry,
-        )
+        self._check_solvable()
+        x, fun, report = _solve_materialized(self.materialize())
         sign = 1.0 if self._sense == "min" else -1.0
-        values, block_values = self._values_from(x)
-        return LPSolution(
-            objective=sign * fun,
-            values=values,
-            block_values=block_values,
-            report=report,
-        )
+        return _read_solution(x, sign * fun, report, self._index, self._blocks)
 
     # ------------------------------------------------------------------
     # Templates
@@ -622,21 +596,15 @@ class LPBuilder:
     def freeze(self) -> "LPTemplate":
         """Snapshot this LP as a reusable :class:`LPTemplate`.
 
-        The template owns one materialized copy of the LP; its rhs, variable
-        bounds, and objective can be patched between solves without
-        re-running :meth:`materialize` (the CSR matrices are assembled once
-        and never touched again).  A template solve with untouched arrays is
-        bit-identical to :meth:`solve` on this builder; a patched solve is
-        bit-identical to a fresh assembly producing the same arrays, because
+        The template owns one materialized copy of the LP; its block
+        objectives can be patched between solves without re-running
+        :meth:`materialize`.  An unpatched template solve is bit-identical
+        to :meth:`solve` on this builder; a patched solve is bit-identical
+        to a fresh assembly with the same objective, because
         :meth:`materialize` is deterministic.  Mutating the builder after
         ``freeze()`` does not affect existing templates.
         """
-        if self._cols == 0:
-            raise SolverError("LP has no variables")
-        if self._infeasible_reason is not None:
-            raise InfeasibleError(
-                f"LP is trivially infeasible: {self._infeasible_reason}"
-            )
+        self._check_solvable()
         return LPTemplate(
             lp=self.materialize(),
             sense=self._sense,
@@ -645,28 +613,18 @@ class LPBuilder:
         )
 
 
-def _solve_materialized(
-    lp: MaterializedLP,
-    *,
-    methods: Sequence[str] | None = None,
-    time_limit: float | None = None,
-    rescale_retry: bool = True,
-) -> tuple[np.ndarray, float, SolveReport]:
+def _solve_materialized(lp: MaterializedLP) -> tuple[np.ndarray, float, SolveReport]:
     """Run the hardened HiGHS fallback chain on assembled arrays.
 
     Shared by :meth:`LPBuilder.solve` and :meth:`LPTemplate.solve`; returns
     ``(x, fun, report)`` and raises the same exceptions as
     :meth:`LPBuilder.solve`.
     """
-    methods = tuple(methods) if methods is not None else DEFAULT_SOLVE_METHODS
-    if not methods:
-        raise SolverError("no solve methods given")
-    options = {} if time_limit is None else {"time_limit": float(time_limit)}
     attempts: list[SolveAttempt] = []
     total_start = time.perf_counter()
 
     def attempt_chain(current: MaterializedLP, rescaled: bool):
-        for method in methods:
+        for method in DEFAULT_SOLVE_METHODS:
             start = time.perf_counter()
             try:
                 result = linprog(
@@ -677,7 +635,6 @@ def _solve_materialized(
                     b_eq=current.b_eq,
                     bounds=current.bounds,
                     method=method,
-                    options=dict(options),
                 )
             except Exception as exc:  # a HiGHS crash must not kill the chain
                 attempts.append(
@@ -705,7 +662,7 @@ def _solve_materialized(
 
     result = attempt_chain(lp, rescaled=False)
     rescaled = False
-    if result is None and rescale_retry:
+    if result is None:
         result = attempt_chain(LPBuilder._rescaled(lp), rescaled=True)
         rescaled = result is not None
     report = SolveReport(
@@ -734,26 +691,43 @@ def _solve_materialized(
     return result.x, float(result.fun), report
 
 
+def _read_solution(
+    x: np.ndarray,
+    objective: float,
+    report: SolveReport,
+    index: dict[Key, int],
+    blocks: dict[Key, VariableBlock],
+) -> LPSolution:
+    """Read a solution vector back into keyed and per-block values."""
+    values = {key: float(x[idx]) for key, idx in index.items()}
+    block_values: dict[Key, np.ndarray] = {}
+    for name, block in blocks.items():
+        flat = x[block.offset : block.offset + block.size]
+        block_values[name] = flat.reshape(block.shape).copy()
+        if block.size:
+            index_arrays = np.unravel_index(
+                np.arange(block.size, dtype=np.intp), block.shape
+            )
+            columns = [a.tolist() for a in index_arrays]
+            flat_list = flat.tolist()
+            for k, multi in enumerate(zip(*columns)):
+                values[(name, *multi)] = flat_list[k]
+    return LPSolution(
+        objective=objective, values=values, block_values=block_values, report=report
+    )
+
+
 class LPTemplate:
-    """A frozen LP whose rhs/bounds/objective patch in place between solves.
+    """A frozen LP whose block objectives patch in place between solves.
 
-    Produced by :meth:`LPBuilder.freeze`.  The constraint *structure* (both
-    CSR matrices) is immutable; only
-
-    - inequality/equality right-hand sides (:meth:`set_b_ub` /
-      :meth:`set_b_eq`),
-    - variable bounds (:meth:`set_bounds` / :meth:`set_block_bounds`), and
-    - objective coefficients (:meth:`set_objective` /
-      :meth:`set_block_objective`)
-
-    may change.  Patch rules: a patch must describe the LP a fresh
-    :class:`LPBuilder` assembly *would* have produced — same rows in the
-    same order, same sparsity pattern — so a patched solve stays
-    bit-identical to the from-scratch solve it replaces (``materialize`` is
-    deterministic, and HiGHS sees identical arrays).  Changing which
-    coefficients are zero/nonzero, adding rows, or flipping a bound between
-    finite and infinite in a way a fresh assembly would have *dropped* the
-    row for requires a new builder, not a patch.
+    Produced by :meth:`LPBuilder.freeze`.  The constraints, right-hand sides
+    and variable bounds are fixed; only the objective coefficients of a
+    variable block may change (:meth:`set_block_objective`), which is the
+    one patch a re-solve under new demand rates needs
+    (:class:`~repro.adaptive.periodic.Algorithm1Template`).  A patched solve
+    is bit-identical to a fresh :class:`LPBuilder` assembly with the same
+    objective: :meth:`LPBuilder.materialize` is deterministic, so HiGHS sees
+    identical arrays.
     """
 
     def __init__(
@@ -764,89 +738,12 @@ class LPTemplate:
         index: dict[Key, int],
         blocks: dict[Key, VariableBlock],
     ) -> None:
-        self._sense = sense
+        self._lp = lp
         self._index = index
         self._blocks = blocks
         self._sign = 1.0 if sense == "min" else -1.0
-        # Writable copies of the patchable arrays; CSR structure is shared.
+        # Only the objective is patchable, so only ``c`` gets its own copy.
         self._c = lp.c.copy()
-        self._b_ub = None if lp.b_ub is None else lp.b_ub.copy()
-        self._b_eq = None if lp.b_eq is None else lp.b_eq.copy()
-        self._bounds = lp.bounds.copy()
-        self._a_ub = lp.a_ub
-        self._a_eq = lp.a_eq
-
-    # -- introspection --------------------------------------------------
-
-    @property
-    def num_variables(self) -> int:
-        return self._bounds.shape[0]
-
-    @property
-    def num_ub_rows(self) -> int:
-        return 0 if self._b_ub is None else int(self._b_ub.size)
-
-    @property
-    def num_eq_rows(self) -> int:
-        return 0 if self._b_eq is None else int(self._b_eq.size)
-
-    def block(self, name: Key) -> VariableBlock:
-        return self._blocks[name]
-
-    def column_of(self, key: Key) -> int:
-        return self._index[key]
-
-    # -- patching -------------------------------------------------------
-
-    def set_b_ub(self, rows, values) -> None:
-        """Patch inequality rhs entries (global ``<=`` row indices).
-
-        Rows added via ``add_ge``/``add_ge_batch`` are stored negated, so
-        patch them with the *negated* bound, exactly as a fresh assembly
-        would store it.
-        """
-        if self._b_ub is None:
-            raise InvalidProblemError("template has no inequality rows")
-        values = np.asarray(values, dtype=np.float64)
-        if np.isnan(values).any():
-            raise InvalidProblemError("rhs patch contains NaN")
-        self._b_ub[rows] = values
-
-    def set_b_eq(self, rows, values) -> None:
-        """Patch equality rhs entries (global ``==`` row indices)."""
-        if self._b_eq is None:
-            raise InvalidProblemError("template has no equality rows")
-        values = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise InvalidProblemError("equality rhs patch must be finite")
-        self._b_eq[rows] = values
-
-    def set_bounds(self, key: Key, *, lb: float | None = None, ub: float | None = None) -> None:
-        """Patch one keyed variable's bounds."""
-        idx = self._index[key]
-        if lb is not None:
-            self._bounds[idx, 0] = float(lb)
-        if ub is not None:
-            self._bounds[idx, 1] = float(ub)
-
-    def set_block_bounds(self, name: Key, *, lb=None, ub=None) -> None:
-        """Patch a variable block's bounds (scalars or block-shaped arrays)."""
-        block = self._blocks[name]
-        sl = slice(block.offset, block.offset + block.size)
-        if lb is not None:
-            arr = np.broadcast_to(np.asarray(lb, dtype=np.float64), block.shape)
-            self._bounds[sl, 0] = arr.ravel()
-        if ub is not None:
-            arr = np.broadcast_to(np.asarray(ub, dtype=np.float64), block.shape)
-            self._bounds[sl, 1] = arr.ravel()
-        if np.isnan(self._bounds[sl]).any():
-            raise InvalidProblemError(f"bounds patch for block {name!r} has NaN")
-
-    def set_objective(self, key: Key, cost: float) -> None:
-        """Patch one keyed variable's objective coefficient."""
-        if math.isnan(cost):
-            raise InvalidProblemError(f"objective patch for {key!r} is NaN")
-        self._c[self._index[key]] = self._sign * float(cost)
 
     def set_block_objective(self, name: Key, cost) -> None:
         """Patch a variable block's objective coefficients."""
@@ -856,52 +753,12 @@ class LPTemplate:
             raise InvalidProblemError(f"objective patch for block {name!r} has NaN")
         self._c[block.offset : block.offset + block.size] = self._sign * arr
 
-    # -- solving --------------------------------------------------------
-
     def materialized(self) -> MaterializedLP:
         """Current patched arrays in :class:`MaterializedLP` form."""
-        return MaterializedLP(
-            c=self._c,
-            a_ub=self._a_ub,
-            b_ub=self._b_ub,
-            a_eq=self._a_eq,
-            b_eq=self._b_eq,
-            bounds=self._bounds,
-        )
+        return replace(self._lp, c=self._c)
 
-    def solve(
-        self,
-        *,
-        methods: Sequence[str] | None = None,
-        time_limit: float | None = None,
-        rescale_retry: bool = True,
-    ) -> LPSolution:
+    def solve(self) -> LPSolution:
         """Solve the patched LP (same fallback chain and exceptions as
         :meth:`LPBuilder.solve`)."""
-        x, fun, report = _solve_materialized(
-            self.materialized(),
-            methods=methods,
-            time_limit=time_limit,
-            rescale_retry=rescale_retry,
-        )
-        values: dict[Key, float] = {
-            key: float(x[idx]) for key, idx in self._index.items()
-        }
-        block_values: dict[Key, np.ndarray] = {}
-        for name, block in self._blocks.items():
-            flat = x[block.offset : block.offset + block.size]
-            block_values[name] = flat.reshape(block.shape).copy()
-            if block.size:
-                index_arrays = np.unravel_index(
-                    np.arange(block.size, dtype=np.intp), block.shape
-                )
-                columns = [a.tolist() for a in index_arrays]
-                flat_list = flat.tolist()
-                for k, multi in enumerate(zip(*columns)):
-                    values[(name, *multi)] = flat_list[k]
-        return LPSolution(
-            objective=self._sign * fun,
-            values=values,
-            block_values=block_values,
-            report=report,
-        )
+        x, fun, report = _solve_materialized(self.materialized())
+        return _read_solution(x, self._sign * fun, report, self._index, self._blocks)

@@ -1,7 +1,8 @@
 """Combinatorial min-cost flow: successive shortest paths with potentials.
 
-An alternative engine to the LP of :mod:`repro.flow.mincost` for the
-single-source splittable flows at the heart of Algorithm 2.  The classic
+An LP-independent reference for the single-source splittable flows at the
+heart of Algorithm 2, which solves them with the LP of
+:mod:`repro.flow.mincost`.  The classic
 algorithm maintains Johnson potentials so every augmentation is a plain
 Dijkstra run on reduced costs:
 
@@ -10,10 +11,8 @@ Dijkstra run on reduced costs:
    demand along a shortest path of the residual network;
 3. update potentials with the new distances.
 
-With nonnegative costs this returns an exact optimum.  It solves the
-paper-scale instances noticeably faster than the LP (see
-``benchmarks/bench_ablation_flow_engine.py``) and serves as an independent
-cross-check of the LP solver in the property tests.
+With nonnegative costs this returns an exact optimum, which
+``tests/flow/test_ssp.py`` checks against the LP on random instances.
 """
 
 from __future__ import annotations

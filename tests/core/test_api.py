@@ -1,10 +1,19 @@
 """Tests for the unified solve() front door."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import solve
+from repro.core import (
+    Routing,
+    check_feasibility,
+    max_cache_occupancy,
+    optimize_placement,
+    solve,
+)
 from repro.exceptions import InvalidProblemError
+from repro.flow.decomposition import PathFlow
 
 from tests.core.conftest import make_line_problem
 
@@ -64,6 +73,48 @@ class TestSolveDispatch:
             solve(prob, caching="quantum")
         with pytest.raises(InvalidProblemError):
             solve(prob, routing="quantum")
+
+
+class TestUniformNonUnitSizes:
+    """Equal sizes above 1 must not reach the count-based solvers."""
+
+    def sized_problem(self):
+        prob = make_line_problem(
+            num_nodes=6,
+            catalog_size=4,
+            cache_nodes={2: 2, 3: 2},
+            demand={
+                ("item0", 5): 5.0,
+                ("item1", 5): 2.0,
+                ("item2", 5): 1.0,
+                ("item3", 4): 1.0,
+            },
+        )
+        return replace(prob, item_sizes={i: 2.0 for i in prob.catalog})
+
+    def test_solve_fills_caches_by_size(self):
+        prob = self.sized_problem()
+        result = solve(prob)
+        assert "greedy" in result.method
+        assert result.feasible
+        assert check_feasibility(prob, result.solution).cache_ok
+        assert result.max_cache_occupancy <= 1.0 + 1e-9
+        assert result.cost == pytest.approx(25.0)
+
+    def test_auto_placement_respects_sizes(self):
+        prob = self.sized_problem()
+        routing = Routing()
+        for (item, s) in prob.demand:
+            routing.paths[(item, s)] = [PathFlow(path=tuple(range(s + 1)), amount=1.0)]
+        placement = optimize_placement(prob, routing, method="auto")
+        assert max_cache_occupancy(prob, placement) <= 1.0 + 1e-9
+
+    def test_shortest_path_baseline_respects_sizes(self):
+        from repro.baselines import shortest_path_baseline
+
+        prob = self.sized_problem()
+        solution = shortest_path_baseline(prob)
+        assert max_cache_occupancy(prob, solution.placement) <= 1.0 + 1e-9
 
 
 class TestRegimeOrdering:

@@ -41,14 +41,8 @@ class TestLowerBounds:
         prob = make_line_problem(cache_nodes={3: 1})
         bounds = lower_bounds(prob)
         assert bounds.fcfr is not None
-        assert bounds.algorithm1_lp is not None
         assert bounds.best >= bounds.rnr_relaxation - 1e-9
-
-    def test_capacitated_skips_algorithm1(self):
-        prob = make_line_problem(cache_nodes={3: 1}, link_capacity=50.0)
-        bounds = lower_bounds(prob)
-        assert bounds.algorithm1_lp is None
-        assert bounds.fcfr is not None
+        assert bounds.best == max(bounds.fcfr, bounds.rnr_relaxation)
 
     def test_fcfr_optional(self):
         prob = make_line_problem(cache_nodes={3: 1})
@@ -71,8 +65,6 @@ class TestLowerBounds:
         assert bounds.rnr_relaxation <= optimum + 1e-6
         if bounds.fcfr is not None:
             assert bounds.fcfr <= optimum + 1e-6
-        if bounds.algorithm1_lp is not None:
-            assert bounds.algorithm1_lp <= optimum + 1e-6
         assert bounds.best <= optimum + 1e-6
 
     @settings(max_examples=6, deadline=None)

@@ -238,7 +238,7 @@ def _network_simplex_cost(graph, source, demands) -> float:
 
 
 @pytest.mark.parametrize("seed", MSUFP_SEEDS)
-def test_msufp_routing_lp_parity(seed):
+def test_msufp_splittable_lp_parity(seed):
     graph, demands = _random_flow_graph(seed)
     flow, cost = min_cost_single_source_flow(graph, 0, demands)
     assert cost == pytest.approx(_network_simplex_cost(graph, 0, demands))

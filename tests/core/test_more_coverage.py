@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    MSUFPCommodity,
     Placement,
     Routing,
     extract_serving_paths,
     optimize_placement_lp,
     placement_cost,
-    solve_msufp,
 )
-from repro.exceptions import InvalidProblemError
 from repro.flow.decomposition import PathFlow
 
 from tests.core.conftest import make_line_problem
@@ -66,30 +63,6 @@ class TestPlacementWithFractionalRouting:
         assert placement_cost(prob, paths, Placement()) == pytest.approx(
             (0.5 * 5 + 1.0) * 4
         )
-
-
-class TestMSUFPEngines:
-    def _graph(self):
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_edge("s", "a", cost=1.0, capacity=4.0)
-        g.add_edge("a", "t", cost=1.0, capacity=4.0)
-        g.add_edge("s", "t", cost=5.0, capacity=10.0)
-        return g
-
-    def test_ssp_engine_matches_lp(self):
-        comms = [MSUFPCommodity(f"c{k}", "t", 1.0 + k) for k in range(3)]
-        lp = solve_msufp(self._graph(), "s", comms, K=4, engine="lp")
-        ssp = solve_msufp(self._graph(), "s", comms, K=4, engine="ssp")
-        assert lp.splittable_cost == pytest.approx(ssp.splittable_cost)
-        assert lp.unsplittable_cost == pytest.approx(ssp.unsplittable_cost)
-
-    def test_unknown_engine(self):
-        with pytest.raises(InvalidProblemError):
-            solve_msufp(
-                self._graph(), "s", [MSUFPCommodity("c", "t", 1.0)], engine="abacus"
-            )
 
 
 class TestRandomizedRoundingStatistics:

@@ -18,6 +18,7 @@ from repro.core import (
     placement_cost,
     placement_saving,
 )
+from repro.core.placement import fractional_placement_lp
 from repro.flow.decomposition import PathFlow
 from repro.graph import line_topology
 
@@ -138,6 +139,23 @@ class TestOptimizePlacementLP:
         prob = make_line_problem()
         placement = optimize_placement_lp(prob, origin_routing(prob))
         assert len(placement) == 0
+
+    def test_fractional_lp_capacity_rows_weigh_sizes(self):
+        net = line_topology(4)
+        net.set_cache_capacity(2, 3.0)
+        catalog = ("a", "b", "c")
+        sizes = {"a": 2.0, "b": 1.0, "c": 1.0}
+        demand = {(i, 3): 1.0 for i in catalog}
+        prob = ProblemInstance(
+            net, catalog, demand, item_sizes=sizes,
+            pinned=pin_full_catalog(catalog, [0]),
+        )
+        paths = extract_serving_paths(prob, origin_routing(prob))
+        fractional, capacities = fractional_placement_lp(prob, paths)
+        assert capacities == {2: 3.0}
+        used = sum(sizes[i] * x for (_v, i), x in fractional.items())
+        # The LP fills the cache exactly to its size-weighted capacity.
+        assert used == pytest.approx(3.0)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=200))

@@ -78,12 +78,18 @@ class TestHelpers:
         assert prob.size_of("b") == 5.0
         assert not prob.is_homogeneous()
 
-    def test_uniform_sizes_count_as_homogeneous(self):
+    def test_uniform_non_unit_sizes_are_not_homogeneous(self):
+        # Homogeneous means the unit-size model of Section 4: count-based
+        # solvers would overfill caches with equal sizes above 1.
         net = line_topology(3)
         prob = ProblemInstance(
             net, ("a", "b"), {("a", 1): 1.0}, item_sizes={"a": 3.0, "b": 3.0}
         )
-        assert prob.is_homogeneous()
+        assert not prob.is_homogeneous()
+        unit = ProblemInstance(
+            net, ("a", "b"), {("a", 1): 1.0}, item_sizes={"a": 1.0, "b": 1.0}
+        )
+        assert unit.is_homogeneous()
 
     def test_pinned_lookups(self):
         prob = make_line_problem()

@@ -70,13 +70,6 @@ class TestFallbackChain:
         # Whole chain, then the whole chain again on the rescaled LP.
         assert calls == list(DEFAULT_SOLVE_METHODS) * 2
 
-    def test_rescale_retry_can_be_disabled(self, monkeypatch):
-        fake, calls = flaky_linprog(set(DEFAULT_SOLVE_METHODS))
-        monkeypatch.setattr(lp_module, "linprog", fake)
-        with pytest.raises(SolverError, match="3 attempts"):
-            simple_lp().solve(rescale_retry=False)
-        assert calls == list(DEFAULT_SOLVE_METHODS)
-
     def test_nonterminal_status_moves_to_next_method(self, monkeypatch):
         def fake(c, *args, method="highs", **kwargs):
             if method == "highs":
@@ -114,7 +107,7 @@ class TestRescaleRetry:
         lp = LPBuilder("min")
         lp.add_variable("x", lb=0, cost=1.0)
         lp.add_ge({"x": 1e8}, 3e8)
-        plain = lp.solve(rescale_retry=False).objective
+        plain = lp.solve().objective
         rescaled = lp_module.LPBuilder._rescaled(lp.materialize())
         # Every row's largest coefficient is equilibrated to magnitude 1...
         assert abs(rescaled.a_ub).max() == pytest.approx(1.0)
@@ -145,28 +138,7 @@ class TestTerminalVerdicts:
 
 
 class TestOptions:
-    def test_time_limit_passed_to_every_attempt(self, monkeypatch):
-        seen = []
-
-        def fake(c, *args, method="highs", options=None, **kwargs):
-            seen.append((method, dict(options or {})))
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(lp_module, "linprog", fake)
-        with pytest.raises(SolverError):
-            simple_lp().solve(time_limit=0.25, rescale_retry=False)
-        assert seen == [(m, {"time_limit": 0.25}) for m in DEFAULT_SOLVE_METHODS]
-
-    def test_custom_methods_respected(self, monkeypatch):
-        fake, calls = flaky_linprog(set())
-        monkeypatch.setattr(lp_module, "linprog", fake)
-        sol = simple_lp().solve(methods=["highs-ipm"])
-        assert calls == ["highs-ipm"]
-        assert sol.report.method == "highs-ipm"
-
-    def test_empty_methods_rejected(self):
-        with pytest.raises(SolverError, match="no solve methods"):
-            simple_lp().solve(methods=[])
+    """``solve()`` takes no options: the chain above is the only one."""
 
     def test_default_solve_attaches_report(self):
         sol = simple_lp().solve()

@@ -1,17 +1,19 @@
-"""LPTemplate parity: patched template solves == fresh-assembly solves.
+"""LPTemplate parity: objective-patched solves == fresh-assembly solves.
 
 The freeze/patch contract (see :class:`repro.flow.lp.LPTemplate`) promises
-that a patched template is indistinguishable from re-running the full
-assembly with the new numbers: identical materialized arrays, therefore
-bit-identical HiGHS results.  These tests build 20+ random LP instances,
-freeze one variant, patch it into the other, and compare against a fresh
-:class:`~repro.flow.lp.LPBuilder` — arrays and solutions compared exactly,
-no tolerances.
+that a template whose block objective was patched is indistinguishable from
+re-running the full assembly with the new costs: identical materialized
+arrays, therefore bit-identical HiGHS results.  These tests build 20+
+random LP instances, freeze one variant, patch its objective into the
+other's, and compare against a fresh :class:`~repro.flow.lp.LPBuilder` —
+arrays and solutions compared exactly, no tolerances.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as real_linprog
 
+import repro.flow.lp as lp_module
 from repro.exceptions import InfeasibleError, InvalidProblemError, SolverError
 from repro.flow.lp import LPBuilder
 
@@ -24,8 +26,8 @@ def random_instance(seed: int):
     Variables live in one block with finite [0, ub] bounds; <= rows have
     non-negative coefficients and non-negative rhs (x = 0 stays feasible for
     every draw) plus one == row tying a pair of variables together.
-    Returns ``(structure, params_a, params_b)`` where the params share the
-    sparsity pattern and differ only in rhs / bounds / objective.
+    Returns ``(structure, params_a, params_b)`` where the params share
+    rhs, bounds and sparsity pattern and differ only in the objective.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 9))
@@ -35,13 +37,14 @@ def random_instance(seed: int):
     data = rng.uniform(0.1, 2.0, size=m * n)
     eq_pair = rng.choice(n, size=2, replace=False)
 
+    fixed = {
+        "ub": rng.uniform(1.0, 4.0, size=n),
+        "b_ub": rng.uniform(1.0, 6.0, size=m),
+        "b_eq": float(rng.uniform(0.0, 0.5)),
+    }
+
     def params(r):
-        return {
-            "c": r.uniform(0.5, 3.0, size=n),
-            "ub": r.uniform(1.0, 4.0, size=n),
-            "b_ub": r.uniform(1.0, 6.0, size=m),
-            "b_eq": float(r.uniform(0.0, 0.5)),
-        }
+        return {**fixed, "c": r.uniform(0.5, 3.0, size=n)}
 
     structure = {"n": n, "m": m, "rows": rows, "cols": cols, "data": data,
                  "eq_pair": eq_pair}
@@ -69,11 +72,8 @@ def build(structure, p) -> LPBuilder:
     return lp
 
 
-def patch(template, structure, p) -> None:
+def patch(template, p) -> None:
     template.set_block_objective("x", p["c"])
-    template.set_block_bounds("x", ub=p["ub"])
-    template.set_b_ub(np.arange(structure["m"], dtype=np.intp), p["b_ub"])
-    template.set_b_eq([0], [p["b_eq"]])
 
 
 class TestFreezeParity:
@@ -86,12 +86,13 @@ class TestFreezeParity:
         b = template.solve()
         assert a.objective == b.objective
         assert np.array_equal(a.block("x"), b.block("x"))
+        assert a.values == b.values
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_patched_template_matches_fresh_assembly(self, seed):
         structure, pa, pb = random_instance(seed)
         template = build(structure, pa).freeze()
-        patch(template, structure, pb)
+        patch(template, pb)
         fresh = build(structure, pb)
         # The patched arrays must equal a fresh materialization exactly...
         got = template.materialized()
@@ -115,9 +116,9 @@ class TestFreezeParity:
         builder = build(structure, pa)
         template = builder.freeze()
         original = template.solve()
-        patch(template, structure, pb)
+        patch(template, pb)
         template.solve()
-        patch(template, structure, pa)
+        patch(template, pa)
         again = template.solve()
         assert again.objective == original.objective
         assert np.array_equal(again.block("x"), original.block("x"))
@@ -133,35 +134,6 @@ class TestFreezeParity:
         assert template.solve().objective == before
 
 
-class TestKeyedPatching:
-    def build_keyed(self):
-        lp = LPBuilder(sense="min")
-        lp.add_variable("a", lb=0.0, ub=2.0)
-        lp.add_variable("b", lb=0.0, ub=2.0)
-        lp.add_objective_terms({"a": 1.0, "b": 2.0})
-        lp.add_ge({"a": 1.0, "b": 1.0}, 1.0)
-        return lp
-
-    def test_ge_rows_patch_negated(self):
-        template = self.build_keyed().freeze()
-        # Fresh assembly of a >= 1.5 constraint stores rhs -1.5.
-        template.set_b_ub([0], [-1.5])
-        fresh = self.build_keyed()
-        fresh_rhs = fresh.materialize().b_ub.copy()
-        solved = template.solve()
-        assert solved.values["a"] + solved.values["b"] >= 1.5 - 1e-9
-        assert fresh_rhs[0] == -1.0  # unpatched baseline for contrast
-
-    def test_set_bounds_and_objective_by_key(self):
-        template = self.build_keyed().freeze()
-        template.set_objective("a", 5.0)
-        template.set_bounds("b", ub=0.25)
-        solved = template.solve()
-        # b is now both cheaper and capped; the >= 1 row forces a >= 0.75.
-        assert solved.values["b"] == pytest.approx(0.25)
-        assert solved.values["a"] == pytest.approx(0.75)
-
-
 class TestGuards:
     def test_freeze_empty_lp_raises(self):
         with pytest.raises(SolverError):
@@ -174,46 +146,44 @@ class TestGuards:
         with pytest.raises(InfeasibleError):
             lp.freeze()
 
-    def test_nan_rhs_patch_rejected(self):
-        structure, pa, _ = random_instance(1)
-        template = build(structure, pa).freeze()
-        with pytest.raises(InvalidProblemError):
-            template.set_b_ub([0], [float("nan")])
-
-    def test_nonfinite_eq_patch_rejected(self):
-        structure, pa, _ = random_instance(1)
-        template = build(structure, pa).freeze()
-        with pytest.raises(InvalidProblemError):
-            template.set_b_eq([0], [float("inf")])
-
-    def test_nan_bounds_patch_rejected(self):
-        structure, pa, _ = random_instance(1)
-        template = build(structure, pa).freeze()
-        with pytest.raises(InvalidProblemError):
-            template.set_block_bounds("x", ub=float("nan"))
-
     def test_nan_objective_patch_rejected(self):
         structure, pa, _ = random_instance(1)
         template = build(structure, pa).freeze()
+        cost = pa["c"].copy()
+        cost[0] = float("nan")
         with pytest.raises(InvalidProblemError):
-            template.set_objective(("x", 0), float("nan"))
-
-    def test_patch_without_ub_rows_raises(self):
-        lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, ub=1.0)
-        lp.add_eq({"x": 1.0}, 0.5)
-        template = lp.freeze()
-        with pytest.raises(InvalidProblemError):
-            template.set_b_ub([0], [1.0])
+            template.set_block_objective("x", cost)
 
 
 class TestMaxSense:
     def test_max_objective_patches_with_user_sign(self):
         lp = LPBuilder(sense="max")
-        lp.add_variable("x", lb=0.0, ub=3.0)
-        lp.add_objective_terms({"x": 1.0})
+        lp.add_variable_block("x", (2,), lb=0.0, ub=3.0, cost=[1.0, 0.0])
+        lp.add_le_batch([0, 0], [0, 1], [1.0, 1.0], [3.0])
         template = lp.freeze()
-        template.set_objective("x", 2.0)
+        template.set_block_objective("x", [1.0, 2.0])
         solved = template.solve()
         assert solved.objective == pytest.approx(6.0)
-        assert solved.values["x"] == pytest.approx(3.0)
+        assert solved.values[("x", 1)] == pytest.approx(3.0)
+        assert solved.values[("x", 0)] == pytest.approx(0.0)
+
+
+class TestFallback:
+    def test_template_solve_runs_the_builder_chain(self, monkeypatch):
+        structure, pa, _ = random_instance(3)
+        builder = build(structure, pa)
+        template = builder.freeze()
+        calls = []
+
+        def fake(c, *args, method="highs", **kwargs):
+            calls.append(method)
+            if method == "highs":
+                raise RuntimeError("HiGHS crashed")
+            return real_linprog(c, *args, method=method, **kwargs)
+
+        monkeypatch.setattr(lp_module, "linprog", fake)
+        solved = template.solve()
+        assert calls == ["highs", "highs-ds"]
+        assert solved.report.method == "highs-ds"
+        assert solved.report.num_attempts == 2
+        assert solved.objective == pytest.approx(builder.solve().objective)

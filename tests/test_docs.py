@@ -65,3 +65,33 @@ class TestExperimentsDoc:
                         "Fig. 8", "Fig. 9", "Tables 3-4", "Fig. 11",
                         "Fig. 12", "Fig. 13", "Known deviations"):
             assert keyword in experiments, f"EXPERIMENTS.md missing {keyword}"
+
+
+class TestPythonReferences:
+    """Every backticked ``*.py`` path in the docs names a file that exists."""
+
+    ROOTS = ("src/repro", "benchmarks", "tests", "examples", "perfbench")
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+    def python_files(self) -> set[str]:
+        files = {p.name for p in REPO.glob("*.py")}
+        for root in self.ROOTS:
+            files |= {
+                p.relative_to(REPO).as_posix() for p in (REPO / root).rglob("*.py")
+            }
+        return files
+
+    def test_referenced_python_files_exist(self):
+        files = self.python_files()
+        docs = [REPO / name for name in self.DOCS]
+        docs += sorted((REPO / "docs").glob("*.md"))
+        missing = []
+        for doc in docs:
+            for span in re.findall(r"`([^`\n]+)`", doc.read_text()):
+                # A reference may be relative to any root (``core/fcfr.py``,
+                # ``repro/cli.py``) or a bare file name, so it resolves when
+                # it is a path suffix of some file.
+                for ref in re.findall(r"[\w./-]*\w\.py\b", span):
+                    if not any(f == ref or f.endswith("/" + ref) for f in files):
+                        missing.append(f"{doc.name}: {ref}")
+        assert not missing, f"docs name missing python files: {missing}"
