@@ -1,32 +1,24 @@
-"""Solver-state reuse layer: derived contexts and shm broadcast.
+"""Solver-state reuse layer: contexts derived from one healthy parent.
 
 Not a figure of the paper — the acceptance bench for the reuse layer built
-on top of its solvers.  Two independent measurements:
+on top of its solvers.  A Deltacom single-link failure sweep is recovered
+on contexts derived from one parent
+:class:`~repro.core.context.SolverContext` (rows computed on demand, as
+``survivability_report`` threads them) against a fresh
+``SolverContext.from_problem`` per scenario.  Both sweeps and
+``survivability_report`` itself must produce identical records, and the
+derived contexts must compute fewer distance rows than the rebuilt ones.
+The wall-clock ratio is reported, not asserted.
 
-1. **Degraded-context sweep** — a Deltacom single-link failure sweep
-   recovered on contexts derived from one parent
-   :class:`~repro.core.context.SolverContext` (rows computed on demand, as
-   ``survivability_report`` threads them) against a fresh
-   ``SolverContext.from_problem`` per scenario.  Both sweeps and
-   ``survivability_report`` itself must produce identical records, and the
-   derived contexts must compute fewer distance rows than the rebuilt
-   ones.  The wall-clock ratio is reported, not asserted.
-2. **Broadcast payload** — the per-pool pickle payload of a shared-memory
-   row-store handle must stay an order of magnitude below the O(|V|^2)
-   primed row block it replaces.
-
-Every measurement lands in ``BENCH_reuse_layer.json`` for CI artifact
+The measurement lands in ``BENCH_reuse_layer.json`` for CI artifact
 comparison; parity failures fail the bench, not just the numbers.
 """
 
-import pickle
 import time
 
 from repro.core.context import SolverContext
 from repro.core.submodular import greedy_rnr_placement
 from repro.experiments import ScenarioConfig, build_scenario, format_sweep
-from repro.graph import LazyRowBackend, deltacom
-from repro.graph.shm import RowsBroadcast, graph_signature
 from repro.robustness import (
     apply_failure,
     degraded_context,
@@ -129,35 +121,3 @@ def test_degraded_context_sweep(benchmark, report, bench_json):
         f"derived contexts computed {derived_rows} distance rows, "
         f"rebuilt ones {rebuild_rows}"
     )
-
-
-def test_broadcast_payload(report, bench_json):
-    graph = deltacom().graph
-    backend = LazyRowBackend(graph).prime()
-    store = backend.row_store()
-    with RowsBroadcast(store, backend.nodes, graph_signature(graph)) as broadcast:
-        handle_bytes = len(pickle.dumps(broadcast.handle))
-        rows_bytes = len(pickle.dumps(store))
-    report(
-        "reuse_broadcast_payload",
-        format_sweep(
-            [
-                {"payload": "pickled primed RowStore", "bytes": rows_bytes},
-                {"payload": "pickled shm handle", "bytes": handle_bytes},
-            ],
-            ["payload", "bytes"],
-            title=f"Deltacom (|V|={len(backend)}) per-pool broadcast payload",
-        ),
-    )
-    bench_json(
-        "broadcast_payload",
-        {
-            "topology": "deltacom",
-            "nodes": len(backend),
-            "rows_nbytes": int(store.block.nbytes),
-            "pickled_rows_bytes": rows_bytes,
-            "pickled_handle_bytes": handle_bytes,
-        },
-    )
-    # The O(|V|^2) payload never crosses a pool boundary — only the handle.
-    assert handle_bytes < store.block.nbytes / 10

@@ -46,8 +46,8 @@ def relevant_sources(problem: ProblemInstance) -> list[Node]:
     """Distance rows a solve can consult: cache nodes, pinned holders,
     requesters — in deterministic (repr-sorted) order.
 
-    This is the row scope a :class:`LazyRowBackend` is primed and broadcast
-    with; everything the solvers read (LP (7) coefficients, F_RNR
+    This is the row scope :meth:`SolverContext.prime_rows` fills by
+    default; everything the solvers read (LP (7) coefficients, F_RNR
     baselines, RNR candidate orderings, repair greedies) lives in these
     rows.
     """
@@ -155,21 +155,15 @@ class SolverContext:
         ``backend`` is ``"dense"`` (every row computed up front in one
         batched sweep), ``"lazy"`` (rows computed on first read), or
         ``"auto"`` (dense up to :data:`DENSE_NODE_THRESHOLD` nodes, lazy
-        above).  A broadcast row store matching the topology (see
-        :mod:`repro.graph.shm`) is reused as is, whatever the choice —
-        costless when no broadcast is live.
+        above).
         """
-        from repro.graph.shm import lookup_rows
-
         if backend not in ("auto", "dense", "lazy"):
             raise InvalidProblemError("backend must be 'auto', 'dense' or 'lazy'")
         graph = problem.network.graph
-        store = lookup_rows(graph)
-        rows = LazyRowBackend(graph, store=store)
-        dense = backend == "dense" or (
+        rows = LazyRowBackend(graph)
+        if backend == "dense" or (
             backend == "auto" and graph.number_of_nodes() <= DENSE_NODE_THRESHOLD
-        )
-        if dense and store is None:
+        ):
             rows.prime()
         return cls(problem, backend=rows)
 
@@ -193,9 +187,8 @@ class SolverContext:
 
         Defaults to :func:`relevant_sources` of the problem — the rows any
         solver consults; nodes outside the graph are ignored.  No-op on a
-        primed backend.  Call before exporting a row store
-        (:func:`repro.graph.shm.RowsBroadcast`) or to front-load the
-        Dijkstra cost out of a timed section.
+        primed backend.  Call it to front-load the Dijkstra cost out of a
+        timed section.
         """
         nodes = relevant_sources(self.problem) if sources is None else sources
         self.backend.ensure_rows(

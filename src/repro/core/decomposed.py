@@ -39,6 +39,7 @@ the full topology, so the gap is a true measurement, not a model artifact.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from collections import deque
@@ -73,6 +74,8 @@ __all__ = [
     "restrict_partition",
     "resolve_clusters",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Virtual origin nodes are tagged so composition can filter them out.
 _ORIGIN_TAG = "__ext_origin__"
@@ -398,9 +401,10 @@ def decomposed_solve(
     """Cluster-decomposed Algorithm 1 over an arbitrarily large topology.
 
     Partition, stitch, solve the clusters (in a process pool when
-    ``parallel`` — serial fallback on any pool failure, composition is
-    bit-identical either way because results are consumed in cluster
-    order), union the placements, and route the *full* problem with RNR.
+    ``parallel`` — on any pool failure a logged warning and a serial
+    re-run; composition is bit-identical either way because results are
+    consumed in cluster order), union the placements, and route the *full*
+    problem with RNR.
     The returned :attr:`DecomposedResult.cost` is evaluated exactly on the
     real topology under the composed placement.
 
@@ -431,7 +435,11 @@ def decomposed_solve(
                 for cid, entries, report in pool.map(_solve_cluster, payloads):
                     results[cid] = (entries, report)
             ran_parallel = True
-        except (BrokenProcessPool, OSError, RuntimeError):
+        except (BrokenProcessPool, OSError, RuntimeError) as exc:
+            logger.warning(
+                "cluster pool failed (%s); solving %d clusters serially",
+                exc, len(payloads),
+            )
             results.clear()
     if not results:
         for payload in payloads:
@@ -588,8 +596,6 @@ def resolve_clusters(
     cluster_ids,
     *,
     context: SolverContext | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
     polish: bool = True,
 ) -> tuple[Placement, tuple[ClusterReport, ...]]:
     """Re-solve the named clusters of ``problem`` and stitch into ``placement``.
@@ -611,8 +617,7 @@ def resolve_clusters(
 
     ``context`` supplies the holder distance rows (``rows_of`` over the
     pinned holders); without one, :meth:`SolverContext.from_problem`
-    builds it.  ``parallel`` solves the named clusters in a process pool
-    with the same serial fallback as :func:`decomposed_solve`.
+    builds it.  The named clusters are solved serially, in cluster order.
     """
     graph = problem.network.graph
     part = restrict_partition(partition, graph.nodes)
@@ -629,7 +634,7 @@ def resolve_clusters(
     node_index = context.node_index
 
     preserved: set = set()
-    payloads = []
+    results: dict[int, tuple[dict, ClusterReport]] = {}
     for cid in wanted:
         sub = cluster_subproblem(problem, part, cid, holder_rows, node_index)
         if sub is None:
@@ -639,29 +644,16 @@ def resolve_clusters(
             continue
         reduced, cut_off = _reachable_reduction(sub)
         preserved.update(cut_off)
-        if reduced is not None:
-            payloads.append((cid, reduced, polish))
-
-    results: dict[int, tuple[dict, ClusterReport]] = {}
-    ran = False
-    if parallel and len(payloads) > 1:
+        if reduced is None:
+            continue
         try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                for cid, entries, rep in pool.map(_solve_cluster, payloads):
-                    results[cid] = (entries, rep)
-            ran = True
-        except (BrokenProcessPool, OSError, RuntimeError, InfeasibleError):
-            results.clear()
-    if not ran and not results:
-        for payload in payloads:
-            try:
-                cid, entries, rep = _solve_cluster(payload)
-            except InfeasibleError:
-                # Defense in depth: an unservable corner the reduction did
-                # not anticipate — keep the cluster's surviving entries.
-                preserved.update(part.clusters[payload[0]])
-                continue
-            results[cid] = (entries, rep)
+            _cid, entries, rep = _solve_cluster((cid, reduced, polish))
+        except InfeasibleError:
+            # Defense in depth: an unservable corner the reduction did
+            # not anticipate — keep the cluster's surviving entries.
+            preserved.update(part.clusters[cid])
+            continue
+        results[cid] = (entries, rep)
 
     touched = set(wanted)
     merged: dict[tuple[Node, Item], float] = {
@@ -670,8 +662,7 @@ def resolve_clusters(
         if part.labels.get(key[0]) not in touched or key[0] in preserved
     }
     reports: list[ClusterReport] = []
-    for cid in sorted(results):
-        cluster_entries, rep = results[cid]
+    for cluster_entries, rep in results.values():  # ascending cluster id
         merged.update(cluster_entries)
         reports.append(rep)
     return Placement(merged), tuple(reports)
@@ -694,21 +685,21 @@ def decomposition_gap(
     *,
     n_clusters: int | None = None,
     seed: int = 0,
-    parallel: bool = False,
     polish: bool = True,
 ) -> DecompositionGap:
     """Run the exact and the decomposed solve side by side and report the gap.
 
     Only sensible on mid-size instances where the exact Algorithm 1 is
     still feasible (≤ ~500 nodes); this is the cross-check the scale bench
-    gates.  Both costs are exact RNR routing costs on the full topology.
+    gates.  Both costs are exact RNR routing costs on the full topology;
+    the decomposed solve runs its clusters serially.
     """
     exact = algorithm1(
         problem, polish=polish, context=SolverContext.from_problem(problem)
     )
     exact_cost = routing_cost(problem, exact.solution.routing)
     dec = decomposed_solve(
-        problem, n_clusters=n_clusters, seed=seed, parallel=parallel, polish=polish
+        problem, n_clusters=n_clusters, seed=seed, parallel=False, polish=polish
     )
     if exact_cost > 0:
         gap = (dec.cost - exact_cost) / exact_cost

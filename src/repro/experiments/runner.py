@@ -13,6 +13,8 @@ materialized up front (optionally via ``numpy.random.SeedSequence.spawn``,
 see :class:`MonteCarloConfig`), every run is fully determined by its seed,
 and records are collected in run-major order — so the parallel mode is
 bit-identical to serial execution in everything except wall-clock timings.
+Runs share no solver state: each draws its own link costs, so each builds
+its own distance rows.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,18 +46,7 @@ from repro.core.solution import Solution
 from repro.exceptions import ReproError
 from repro.experiments.config import MonteCarloConfig, ScenarioConfig
 from repro.experiments.scenarios import EdgeCachingScenario, build_scenario
-from repro.graph.shm import (
-    RowsBroadcast,
-    SharedRowsHandle,
-    attach_and_register_rows,
-    graph_signature,
-    register_rows,
-    unregister_rows,
-)
 from repro.serving import ServingConfig, compile_tables, replay
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
 
 Algorithm = Callable[[EdgeCachingScenario], Solution]
 
@@ -193,7 +183,6 @@ def _evaluate_run(
     task: tuple[
         ScenarioConfig,
         Sequence[tuple[str, Algorithm]],
-        Callable[[ScenarioConfig], EdgeCachingScenario],
         ServingConfig | None,
     ],
 ) -> list[RunRecord]:
@@ -203,8 +192,8 @@ def _evaluate_run(
     is built inside the worker so only the (small) config crosses the
     process boundary.
     """
-    run_config, named_algorithms, builder, serving_replay = task
-    scenario = builder(run_config)
+    run_config, named_algorithms, serving_replay = task
+    scenario = build_scenario(run_config)
     return [
         evaluate_algorithm(name, algorithm, scenario, serving_replay)
         for name, algorithm in named_algorithms
@@ -215,7 +204,7 @@ def _timeout_records(
     task, reason: str, *, seconds: float
 ) -> list[RunRecord]:
     """Failure records for every algorithm of a run that could not complete."""
-    run_config, named_algorithms, _builder, _serving = task
+    run_config, named_algorithms, _serving = task
     return [
         RunRecord(
             algorithm=name,
@@ -275,12 +264,10 @@ def run_monte_carlo(
     algorithms: Mapping[str, Algorithm],
     monte_carlo: MonteCarloConfig,
     *,
-    scenario_builder: Callable[[ScenarioConfig], EdgeCachingScenario] | None = None,
     parallel: bool = False,
     max_workers: int | None = None,
     run_timeout: float | None = None,
     checkpoint: str | Path | None = None,
-    broadcast_context: "SolverContext | None" = None,
     serving_replay: ServingConfig | None = None,
 ) -> list[RunRecord]:
     """Repeat every algorithm over seeded scenario instances.
@@ -294,10 +281,10 @@ def run_monte_carlo(
 
     Hardening:
 
-    - Algorithms and the scenario builder must be picklable (module-level
-      callables); if submitting them fails, or a run's *result* cannot be
-      pickled back, the affected runs degrade to serial execution with a
-      logged warning instead of raising.
+    - Algorithms must be picklable (module-level callables); if submitting
+      them fails, or a run's *result* cannot be pickled back, the affected
+      runs degrade to serial execution with a logged warning instead of
+      raising.
     - A crashed worker (``BrokenProcessPool``) likewise only degrades the
       runs that were still in flight: they are re-executed serially, in
       order, so the campaign still completes with the same records.
@@ -310,33 +297,13 @@ def run_monte_carlo(
       same campaign with the same checkpoint path skips completed runs and
       returns records identical (except measured ``seconds``) to an
       uninterrupted campaign.
-    - ``broadcast_context`` shares a healthy-instance
-      :class:`~repro.core.context.SolverContext`'s distance rows with
-      every run: the context's materialized rows — every row of a primed
-      context, the solver row scope of a lazy one (O(scope · |V|), never
-      O(|V|²)) — are exported once into shared memory
-      (:class:`~repro.graph.shm.RowsBroadcast`).  Each pool worker
-      maps the segment in its initializer, and
-      ``SolverContext.from_problem`` reuses it for any scenario whose
-      topology fingerprint matches (see :mod:`repro.graph.shm`).  The
-      per-task pickle payload stays O(1) in the payload size.  Serial
-      execution (and the serial-retry fallbacks) register the state
-      in-process, so serial and parallel runs stay bit-identical.  The
-      segment is always unlinked before returning, including the
-      broken-pool and timeout paths.
     - ``serving_replay`` replays every solved routing through the streaming
       serving engine (:mod:`repro.serving`) against the true demand and
       attaches the summary to each record's ``extra["serving"]``.  Replay
       failures mark only that summary, never the run.
     """
-    builder = scenario_builder or build_scenario
     tasks = [
-        (
-            replace(config, seed=seed),
-            tuple(algorithms.items()),
-            builder,
-            serving_replay,
-        )
+        (replace(config, seed=seed), tuple(algorithms.items()), serving_replay)
         for seed in monte_carlo_seeds(monte_carlo)
     ]
     completed: dict[int, list[RunRecord]] = {}
@@ -365,19 +332,6 @@ def run_monte_carlo(
             )
             checkpoint_file.flush()
 
-    broadcast: RowsBroadcast | None = None
-    signature: str | None = None
-    if broadcast_context is not None:
-        signature = graph_signature(broadcast_context.problem.network.graph)
-        # Priming fills the solver scope (cache + pinned + requester rows)
-        # so every run finds the rows it reads; a primed context already
-        # holds them all.
-        broadcast_context.prime_rows()
-        store = broadcast_context.backend.row_store()
-        broadcast = RowsBroadcast(store, broadcast_context.backend.nodes, signature)
-        # In-process registration covers serial mode and serial retries.
-        register_rows(signature, store)
-
     pending = [i for i in range(len(tasks)) if i not in completed]
     try:
         serial_retry: list[int] = []
@@ -385,7 +339,6 @@ def run_monte_carlo(
             serial_retry = _run_parallel(
                 tasks, pending, finish_run,
                 max_workers=max_workers, run_timeout=run_timeout,
-                broadcast_handle=None if broadcast is None else broadcast.handle,
             )
         else:
             serial_retry = pending
@@ -394,9 +347,6 @@ def run_monte_carlo(
     finally:
         if checkpoint_file is not None:
             checkpoint_file.close()
-        if broadcast is not None:
-            unregister_rows(signature)
-            broadcast.close()
     return [record for index in range(len(tasks)) for record in completed[index]]
 
 
@@ -407,19 +357,11 @@ def _run_parallel(
     *,
     max_workers: int | None,
     run_timeout: float | None,
-    broadcast_handle: SharedRowsHandle | None = None,
 ) -> list[int]:
     """Run ``pending`` task indices in a process pool; return indices that
     must be retried serially (worker crash / unpicklable payloads)."""
     serial_retry: list[int] = []
-    if broadcast_handle is not None:
-        pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=attach_and_register_rows,
-            initargs=(broadcast_handle,),
-        )
-    else:
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+    pool = ProcessPoolExecutor(max_workers=max_workers)
     abandoned = False
     try:
         futures = {i: pool.submit(_evaluate_run, tasks[i]) for i in pending}

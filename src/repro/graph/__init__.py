@@ -1,6 +1,6 @@
 """Graph substrate: cache-network model, shortest paths, and topologies."""
 
-from repro.graph.backends import LazyRowBackend, RowStore
+from repro.graph.backends import LazyRowBackend
 from repro.graph.distance_matrix import dense_bytes_ceiling, estimate_dense_bytes
 from repro.graph.network import CacheNetwork
 from repro.graph.shortest_paths import (
@@ -26,7 +26,6 @@ from repro.graph.topologies import (
 __all__ = [
     "CacheNetwork",
     "LazyRowBackend",
-    "RowStore",
     "dense_bytes_ceiling",
     "estimate_dense_bytes",
     "single_source_dijkstra",

@@ -25,11 +25,6 @@ A row holds the same bytes whichever sweep produced it (asserted in
 ``tests/graph/test_backends.py``), so the two policies are interchangeable
 on every operation.
 
-Materialized rows can be exported once into shared memory
-(:meth:`LazyRowBackend.row_store` + :class:`repro.graph.shm.RowsBroadcast`)
-and attached zero-copy by pool workers, which fall back to local
-computation only for rows outside the store.
-
 ``w_max`` (the paper's bound on pairwise costs) is streamed through the
 full Dijkstra sweep in bounded-memory chunks without retaining the rows —
 max is order-independent, so the value does not depend on which rows were
@@ -40,7 +35,7 @@ already memoized.  The sweep runs only when ``w_max`` is actually read
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 
 import networkx as nx
 import numpy as np
@@ -56,10 +51,7 @@ from repro.graph.network import COST
 
 Node = Hashable
 
-__all__ = [
-    "LazyRowBackend",
-    "RowStore",
-]
+__all__ = ["LazyRowBackend"]
 
 #: Rows per chunk of the streamed ``w_max`` sweep (memory = chunk * |V| * 8).
 _WMAX_CHUNK = 256
@@ -71,69 +63,23 @@ def _finite_max(rows: np.ndarray) -> float:
     return float(finite.max()) if finite.size else 0.0
 
 
-class RowStore:
-    """Materialized distance rows as one shm-shareable block.
-
-    ``row_ids[k]`` is the source index of ``block[k]``.  The block is what
-    :class:`~repro.graph.shm.RowsBroadcast` exports and what workers attach
-    read-only; a :class:`LazyRowBackend` built on an attached store serves
-    those rows zero-copy.
-    """
-
-    def __init__(self, row_ids: np.ndarray, block: np.ndarray) -> None:
-        self.row_ids = np.asarray(row_ids, dtype=np.intp)
-        self.block = block
-        if self.block.ndim != 2 or len(self.row_ids) != self.block.shape[0]:
-            raise ValueError("row_ids must index the block's rows")
-
-    def __len__(self) -> int:
-        return len(self.row_ids)
-
-
 class LazyRowBackend:
     """Distance rows computed in batched sweeps and memoized.
 
-    Parameters
-    ----------
-    graph:
-        The network graph; the CSR adjacency is built once (O(|V| + |E|)).
-    nodes:
-        Row/column order (defaults to graph insertion order, as everywhere
-        in the repo).
-    store:
-        Optional preloaded :class:`RowStore` (typically attached from a
-        shared-memory broadcast); its rows are served as read-only views
-        without any computation or copying.
-
-    A fresh backend holds no rows; :meth:`prime` computes all of them at
-    once, and any read computes the missing ones.
+    Rows and columns follow the graph's node insertion order, as everywhere
+    in the repo; the CSR adjacency over the ``cost`` link attribute is built
+    once (O(|V| + |E|)).  A fresh backend holds no rows; :meth:`prime`
+    computes all of them at once, and any read computes the missing ones.
     """
 
-    def __init__(
-        self,
-        graph: nx.DiGraph,
-        *,
-        weight: str = COST,
-        nodes: Sequence[Node] | None = None,
-        store: RowStore | None = None,
-    ) -> None:
-        self.nodes: tuple[Node, ...] = tuple(graph.nodes if nodes is None else nodes)
+    def __init__(self, graph: nx.DiGraph) -> None:
+        self.nodes: tuple[Node, ...] = tuple(graph.nodes)
         self.index: dict[Node, int] = {v: k for k, v in enumerate(self.nodes)}
-        self._weight = weight
         #: CSR adjacency every row is computed from (shared with the
         #: context's predecessor-path oracle).
-        self.csgraph = _sparse_adjacency(graph, self.nodes, self.index, weight)
+        self.csgraph = _sparse_adjacency(graph, self.nodes, self.index, COST)
         self._rows: dict[int, np.ndarray] = {}
         self._w_max: float | None = None
-        if store is not None:
-            n = len(self.nodes)
-            if store.block.shape[1] != n:
-                raise ValueError(
-                    f"row store has {store.block.shape[1]} columns, graph has "
-                    f"{n} nodes"
-                )
-            for k, i in enumerate(store.row_ids):
-                self._rows[int(i)] = store.block[k]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -250,25 +196,7 @@ class LazyRowBackend:
         workloads measured (recovery reads only cache, pinned and holder
         rows) that test cost more than the Dijkstra it saved.
         """
-        return LazyRowBackend(degraded_graph, weight=self._weight)
-
-    # ------------------------------------------------------------------
-    # Shared-memory export
-    # ------------------------------------------------------------------
-
-    def row_store(self) -> RowStore:
-        """Snapshot of every materialized row as one contiguous block.
-
-        The block is a fresh read-only copy (safe to hand to
-        :class:`~repro.graph.shm.RowsBroadcast`, which copies it into the
-        segment); row order follows ascending source index for determinism.
-        """
-        ids = sorted(self._rows)
-        block = np.empty((len(ids), len(self.nodes)), dtype=np.float64)
-        for k, i in enumerate(ids):
-            block[k] = self._rows[i]
-        block.setflags(write=False)
-        return RowStore(np.asarray(ids, dtype=np.intp), block)
+        return LazyRowBackend(degraded_graph)
 
     def __repr__(self) -> str:
         return (

@@ -239,8 +239,6 @@ def cluster_local_recover(
     partition,
     *,
     context: SolverContext | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
     polish: bool = True,
 ) -> RecoveryResult:
     """Recover by re-solving only the clusters a failure touched.
@@ -281,8 +279,6 @@ def cluster_local_recover(
             survivor,
             sorted(touched),
             context=context,
-            parallel=parallel,
-            max_workers=max_workers,
             polish=polish,
         )
         repaired = sorted(

@@ -307,6 +307,20 @@ def build_report(
     )
 
 
+def _check_request_budget(tables: RoutingTables, config: ServingConfig) -> None:
+    """Refuse a replay whose expected arrivals exceed ``config.max_requests``.
+
+    Checked once over the whole stream: a shard only sees its thinned
+    share, so per-shard checks let an oversized replay through.
+    """
+    expected = tables.total_rate * config.horizon
+    if expected > config.max_requests:
+        raise InvalidProblemError(
+            f"replay would generate ~{expected:.0f} arrivals"
+            f" > max_requests={config.max_requests}"
+        )
+
+
 def replay(
     tables: RoutingTables,
     config: ServingConfig | None = None,
@@ -318,12 +332,7 @@ def replay(
     event simulator's guard.
     """
     config = config or ServingConfig()
-    expected = tables.total_rate * config.horizon
-    if expected > config.max_requests:
-        raise InvalidProblemError(
-            f"replay would generate ~{expected:.0f} arrivals"
-            f" > max_requests={config.max_requests}"
-        )
+    _check_request_budget(tables, config)
     start = time.perf_counter()
     total = _empty_accumulator(tables)
     for seed_seq in shard_seed_sequences(config):

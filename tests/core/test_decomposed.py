@@ -1,5 +1,6 @@
 """Cluster-decomposed solving: partition, stitching, composition, gap."""
 
+import logging
 import math
 
 import networkx as nx
@@ -181,6 +182,27 @@ class TestDecomposedSolve:
         b = decomposed_solve(problem, n_clusters=3, seed=0, parallel=True)
         assert a.cost == b.cost
         assert dict(a.solution.placement.items()) == dict(b.solution.placement.items())
+
+    def test_pool_failure_warns_and_solves_serially(self, monkeypatch, caplog):
+        import repro.core.decomposed as decomposed
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no process pool on this host")
+
+        monkeypatch.setattr(decomposed, "ProcessPoolExecutor", NoPool)
+        problem = make_problem(tinet(), seed=3)
+        with caplog.at_level(logging.WARNING, logger="repro.core.decomposed"):
+            fell_back = decomposed_solve(problem, n_clusters=3, seed=0, parallel=True)
+        serial = decomposed_solve(problem, n_clusters=3, seed=0, parallel=False)
+        assert not fell_back.ran_parallel
+        assert fell_back.cost == serial.cost
+        assert dict(fell_back.solution.placement.items()) == dict(
+            serial.solution.placement.items()
+        )
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "no process pool on this host" in warnings[0].getMessage()
 
     def test_gap_within_documented_bound(self):
         problem = make_problem(deltacom(), n_items=6, n_requesters=10)

@@ -1,4 +1,4 @@
-"""The row backend: primed/lazy bit-parity, laziness, stores, memory guard."""
+"""The row backend: primed/lazy bit-parity, laziness, memory guard."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from repro.exceptions import ResourceError
 from repro.graph import (
     LazyRowBackend,
-    RowStore,
     abovenet,
     abvt,
     deltacom,
@@ -90,30 +89,6 @@ class TestLaziness:
         row = lazy.row(0)
         with pytest.raises((ValueError, RuntimeError)):
             row[0] = 99.0
-
-
-class TestRowStore:
-    def test_round_trip_through_store(self):
-        net = tinet()
-        lazy = LazyRowBackend(net.graph)
-        lazy.ensure_rows([1, 8, 30])
-        store = lazy.row_store()
-        assert len(store) == 3
-        reloaded = LazyRowBackend(net.graph, store=store)
-        assert reloaded.materialized == 3
-        for i in (1, 8, 30):
-            assert np.array_equal(reloaded.row(i), lazy.row(i))
-        # rows outside the store still compute on demand
-        assert np.array_equal(reloaded.row(4), lazy.row(4))
-
-    def test_store_shape_validated(self):
-        with pytest.raises(ValueError):
-            RowStore(np.asarray([0, 1]), np.zeros((3, 5)))
-        with pytest.raises(ValueError):
-            LazyRowBackend(
-                abvt().graph,
-                store=RowStore(np.asarray([0]), np.zeros((1, 4))),
-            )
 
 
 class TestMemoryGuard:

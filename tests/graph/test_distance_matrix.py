@@ -27,8 +27,8 @@ def diamond() -> nx.DiGraph:
     return g
 
 
-def primed(graph, **kwargs) -> LazyRowBackend:
-    return LazyRowBackend(graph, **kwargs).prime()
+def primed(graph) -> LazyRowBackend:
+    return LazyRowBackend(graph).prime()
 
 
 def dist(backend: LazyRowBackend, u, v) -> float:
@@ -150,8 +150,11 @@ class TestAccessors:
         assert primed(lone).w_max() == 1.0
 
     def test_explicit_node_order_is_respected(self):
-        g = diamond()
+        # Rows and columns follow the graph's node insertion order.
         order = ("t", "b", "a", "s")
-        rows = primed(g, nodes=order)
+        g = nx.DiGraph()
+        g.add_nodes_from(order)
+        g.add_edges_from(diamond().edges(data=True))
+        rows = primed(g)
         assert rows.nodes == order
         assert all_rows(rows)[rows.index["s"], rows.index["t"]] == 2.0
