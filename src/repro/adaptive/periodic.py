@@ -62,8 +62,7 @@ class Algorithm1Template:
             _constant,
         ) = _prepare(problem, context)
         lp = _assemble_lp7_array(
-            problem, self._cache_nodes, self._x_pairs, self._request_rows,
-            self._w_max,
+            problem, self._x_pairs, self._request_rows, self._w_max
         )
         self._template = lp.freeze()
         self._row_keys: list[Request] = [key for key, *_ in self._request_rows]

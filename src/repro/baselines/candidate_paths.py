@@ -26,7 +26,10 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.placement import (
+    cache_capacity_rows,
     extract_serving_paths,
     fractional_placement_lp,
     optimize_placement_lp,
@@ -162,7 +165,12 @@ def naive_equal_swap_round(
 def _restricted_placement_lp(
     problem: ProblemInstance, model: CandidatePathModel
 ) -> Placement:
-    """[3]'s MinCost-SR: Algorithm-1-style LP + pipage over candidate paths."""
+    """[3]'s MinCost-SR: Algorithm-1-style LP + pipage over candidate paths.
+
+    Columns are an ``x`` block over the optimizable (cache node, requested
+    item) pairs, cache-node-major, then one ``(n, 2)`` block holding the
+    ``(r, z)`` pair of each (request, candidate source) entry, request-major.
+    """
     cache_nodes = [
         v
         for v in problem.network.cache_nodes()
@@ -170,15 +178,18 @@ def _restricted_placement_lp(
     ]
     cache_set = set(cache_nodes)
     requested_items = sorted({i for (i, _s) in problem.demand}, key=repr)
-    w_max = max(model.w_max(), 1.0)
+    # Algorithm 1's rule: 1.0 only when every serving cost is 0, so the
+    # placement does not depend on the cost unit.
+    w_max = model.w_max() or 1.0
+    x_pairs = [
+        (v, i) for v in cache_nodes for i in requested_items if (v, i) not in problem.pinned
+    ]
+    x_index = {pair: k for k, pair in enumerate(x_pairs)}
 
-    lp = LPBuilder(sense="max")
-    for v in cache_nodes:
-        for i in requested_items:
-            if (v, i) not in problem.pinned:
-                lp.add_variable(("x", v, i), lb=0.0, ub=1.0)
-    eligible: dict = {}
-    for (item, s), rate in problem.demand.items():
+    # One entry per (request, candidate source): (v, item, rate, serving cost).
+    entries: list[tuple[Node, Item, float, float]] = []
+    req_of: list[int] = []
+    for k, ((item, s), rate) in enumerate(problem.demand.items()):
         sources = [
             v
             for v in model.eligible_sources(s)
@@ -186,46 +197,57 @@ def _restricted_placement_lp(
         ]
         if not sources:
             raise InfeasibleError(f"request {(item, s)!r} has no candidate source")
-        eligible[(item, s)] = sources
         for v in sources:
-            r_key = ("r", v, item, s)
-            z_key = ("z", v, item, s)
-            lp.add_variable(r_key, lb=0.0, ub=1.0)
-            lp.add_variable(z_key, lb=0.0, ub=1.0)
-            lp.add_objective_terms({z_key: rate * w_max})
-            coef = (w_max - model.serving[(v, s)][0]) / w_max
-            if (v, item) in problem.pinned:
-                lp.add_le({z_key: 1.0, r_key: 1.0}, 1.0 + coef)
-            else:
-                lp.add_le({z_key: 1.0, r_key: 1.0, ("x", v, item): -coef}, 1.0)
-        lp.add_eq({("r", v, item, s): 1.0 for v in sources}, 1.0)
-    for v in cache_nodes:
-        coeffs = {
-            ("x", v, i): problem.size_of(i)
-            for i in requested_items
-            if lp.has_variable(("x", v, i))
-        }
-        if coeffs:
-            lp.add_le(coeffs, problem.network.cache_capacity(v))
+            entries.append((v, item, rate, model.serving[(v, s)][0]))
+            req_of.append(k)
+    n = len(entries)
+    rates = np.asarray([rate for _v, _i, rate, _c in entries], dtype=np.float64)
+    coefs = np.asarray(
+        [(w_max - cost) / w_max for _v, _i, _r, cost in entries], dtype=np.float64
+    )
+    x_col = np.asarray(
+        [-1 if (v, i) in problem.pinned else x_index[(v, i)] for v, i, _r, _c in entries],
+        dtype=np.intp,
+    )
+
+    lp = LPBuilder(sense="max")
+    xb = lp.add_variable_block("x", len(x_pairs), lb=0.0, ub=1.0)
+    rz = lp.add_variable_block(
+        "rz", (n, 2), lb=0.0, ub=1.0,
+        cost=np.column_stack([np.zeros(n), rates * w_max]),
+    )
+    # Per-entry rows: z + r (- coef * x) <= 1, or <= 1 + coef at a pinned copy.
+    rows = np.arange(n, dtype=np.intp)
+    r_cols = rz.flat(rows, 0)
+    free = np.flatnonzero(x_col >= 0)
+    lp.add_le_batch(
+        np.concatenate([rows, rows, free]),
+        np.concatenate([rz.flat(rows, 1), r_cols, xb.flat(x_col[free])]),
+        np.concatenate([np.ones(n), np.ones(n), -coefs[free]]),
+        np.where(x_col < 0, 1.0 + coefs, 1.0),
+    )
+    # Per-request full service: sum_v r = 1.
+    lp.add_eq_batch(req_of, r_cols, np.ones(n), np.ones(len(problem.demand)))
+    cap_rows, cap_cols, cap_data, cap_rhs = cache_capacity_rows(
+        problem, x_pairs, [problem.size_of(i) for _v, i in x_pairs]
+    )
+    lp.add_le_batch(cap_rows, xb.flat(cap_cols), cap_data, cap_rhs)
     if lp.num_variables == 0:
         return Placement()
     solution = lp.solve()
     fractional = {
-        (v, i): solution[("x", v, i)]
-        for v in cache_nodes
-        for i in requested_items
-        if lp.has_variable(("x", v, i)) and solution[("x", v, i)] > 1e-9
+        pair: value
+        for pair, value in zip(x_pairs, solution.block("x").tolist())
+        if value > 1e-9
     }
     weights: dict = {}
-    for (item, s), rate in problem.demand.items():
-        for v in eligible[(item, s)]:
-            r_value = solution[("r", v, item, s)]
-            if r_value <= 0:
-                continue
-            key = (v, item)
-            weights[key] = weights.get(key, 0.0) + rate * r_value * (
-                w_max - model.serving[(v, s)][0]
-            )
+    for (v, item, rate, cost), r_value in zip(
+        entries, solution.block("rz")[:, 0].tolist()
+    ):
+        if r_value <= 0:
+            continue
+        key = (v, item)
+        weights[key] = weights.get(key, 0.0) + rate * r_value * (w_max - cost)
     # The benchmarks always round by equal-fraction swaps (their published
     # scheme); for homogeneous sizes this is exactly Lemma 4.3's rounding.
     return Placement(naive_equal_swap_round(fractional, weights))

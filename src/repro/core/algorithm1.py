@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.context import SolverContext
 from repro.core.pipage import pipage_round
+from repro.core.placement import cache_capacity_rows
 from repro.core.problem import Item, Node, ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement, Solution
@@ -59,7 +60,7 @@ class Algorithm1Result:
     fractional_placement: dict[tuple[Node, Item], float]
 
 
-def _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max):
+def _assemble_lp7_array(problem, x_pairs, request_rows, w_max):
     """Vectorized COO assembly of LP (7) (column order: all x, all r, all z)."""
     x_index = {pair: k for k, pair in enumerate(x_pairs)}
     req_of: list[int] = []
@@ -104,30 +105,9 @@ def _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max):
     lp.add_eq_batch(
         req_of, r_cols, np.ones(n_elig), np.ones(len(request_rows))
     )
-    # Cache capacities (x_pairs is cache-node-major: contiguous slices).
-    cap_rows: list[np.ndarray] = []
-    cap_cols: list[np.ndarray] = []
-    cap_rhs: list[float] = []
-    start = 0
-    row_no = 0
-    for v in cache_nodes:
-        end = start
-        while end < len(x_pairs) and x_pairs[end][0] == v:
-            end += 1
-        if end > start:
-            cap_rows.append(np.full(end - start, row_no, dtype=np.intp))
-            cap_cols.append(xb.flat(np.arange(start, end, dtype=np.intp)))
-            cap_rhs.append(problem.network.cache_capacity(v))
-            row_no += 1
-        start = end
-    if cap_rhs:
-        cols = np.concatenate(cap_cols)
-        lp.add_le_batch(
-            np.concatenate(cap_rows),
-            cols,
-            np.ones(cols.size),
-            np.asarray(cap_rhs),
-        )
+    # Cache capacities: one count row per cache node.
+    rows, cols, data, rhs = cache_capacity_rows(problem, x_pairs, np.ones(len(x_pairs)))
+    lp.add_le_batch(rows, xb.flat(cols), data, rhs)
     return lp
 
 
@@ -138,8 +118,8 @@ def assemble_lp7(
 ) -> LPBuilder:
     """Assemble (without solving) LP (7) — benchmarking/testing hook."""
     context = context or SolverContext.from_problem(problem, backend="lazy")
-    cache_nodes, w_max, x_pairs, request_rows, _c = _prepare(problem, context)
-    return _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max)
+    _nodes, w_max, x_pairs, request_rows, _c = _prepare(problem, context)
+    return _assemble_lp7_array(problem, x_pairs, request_rows, w_max)
 
 
 def _prepare(problem: ProblemInstance, context: SolverContext):
@@ -205,7 +185,7 @@ def algorithm1(
     """
     context = context or SolverContext.from_problem(problem, backend="lazy")
     cache_nodes, w_max, x_pairs, request_rows, constant = _prepare(problem, context)
-    lp = _assemble_lp7_array(problem, cache_nodes, x_pairs, request_rows, w_max)
+    lp = _assemble_lp7_array(problem, x_pairs, request_rows, w_max)
 
     logger.debug(
         "Algorithm 1 LP: %d variables, %d constraints", lp.num_variables,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.placement import cache_capacity_rows
 from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement, Routing, Solution
 from repro.exceptions import InfeasibleError
@@ -58,7 +59,6 @@ def _eligible_sources(problem: ProblemInstance, cache_nodes, requests) -> dict:
 
 def _assemble_array(
     problem: ProblemInstance,
-    cache_nodes,
     requests,
     edges,
     eligible,
@@ -158,35 +158,11 @@ def _assemble_array(
             np.concatenate([np.ones(free.size), -np.ones(free.size)]),
             np.zeros(free.size),
         )
-    # (1f) cache capacities (x_pairs is cache-node-major, so slices are
-    # contiguous per node).
-    sizes = np.fromiter(
-        (problem.size_of(i) for _v, i in x_pairs), dtype=np.float64, count=len(x_pairs)
+    # (1f) cache capacities.
+    rows, cols, data, rhs = cache_capacity_rows(
+        problem, x_pairs, [problem.size_of(i) for _v, i in x_pairs]
     )
-    cap_rows: list[np.ndarray] = []
-    cap_cols: list[np.ndarray] = []
-    cap_data: list[np.ndarray] = []
-    cap_rhs: list[float] = []
-    start = 0
-    row_no = 0
-    for v in cache_nodes:
-        end = start
-        while end < len(x_pairs) and x_pairs[end][0] == v:
-            end += 1
-        if end > start:
-            cap_rows.append(np.full(end - start, row_no, dtype=np.intp))
-            cap_cols.append(xb.flat(np.arange(start, end, dtype=np.intp)))
-            cap_data.append(sizes[start:end])
-            cap_rhs.append(network.cache_capacity(v))
-            row_no += 1
-        start = end
-    if cap_rhs:
-        lp.add_le_batch(
-            np.concatenate(cap_rows),
-            np.concatenate(cap_cols),
-            np.concatenate(cap_data),
-            np.asarray(cap_rhs),
-        )
+    lp.add_le_batch(rows, xb.flat(cols), data, rhs)
     return lp, elig_offsets
 
 
@@ -231,9 +207,7 @@ def _assemble(problem: ProblemInstance):
         for i in problem.catalog
         if (v, i) not in problem.pinned
     ]
-    lp, elig_offsets = _assemble_array(
-        problem, cache_nodes, requests, edges, eligible, x_pairs
-    )
+    lp, elig_offsets = _assemble_array(problem, requests, edges, eligible, x_pairs)
     return lp, (requests, eligible, x_pairs, edges, elig_offsets)
 
 

@@ -26,6 +26,8 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.pipage import pipage_round
 from repro.core.problem import Item, ProblemInstance
 from repro.core.solution import Placement, Routing
@@ -131,68 +133,94 @@ def placement_saving(
 # ----------------------------------------------------------------------
 
 
+def cache_capacity_rows(
+    problem: ProblemInstance, x_pairs: list[tuple[Node, Item]], weights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """COO rows ``sum_i weight_vi * x_vi <= c_v`` over an ``x`` block.
+
+    One row per cache node, in first-appearance order of the node-major
+    ``x_pairs``; ``cols`` index ``x_pairs`` (block-local, map them with
+    :meth:`~repro.flow.lp.VariableBlock.flat`) and ``weights`` is parallel
+    to ``x_pairs``.  Returns ``(rows, cols, data, rhs)``.
+    """
+    row_of: dict[Node, int] = {}
+    for v, _i in x_pairs:
+        row_of.setdefault(v, len(row_of))
+    rows = np.fromiter(
+        (row_of[v] for v, _i in x_pairs), dtype=np.intp, count=len(x_pairs)
+    )
+    rhs = np.asarray(
+        [problem.network.cache_capacity(v) for v in row_of], dtype=np.float64
+    )
+    cols = np.arange(len(x_pairs), dtype=np.intp)
+    return rows, cols, np.asarray(weights, dtype=np.float64), rhs
+
+
 def fractional_placement_lp(
     problem: ProblemInstance, paths: list[ServingPath]
 ) -> tuple[dict[tuple[Node, Item], float], dict[Node, float]]:
     """Maximize the concave surrogate ``L_{r,f}`` (15) over fixed ``paths``.
 
-    Columns are ``x_vi`` per optimizable (cache node, requested item),
-    cache-node-major, then one ``y`` per positive-cost link of each path's
-    window; the capacity rows come last and weigh each item by
-    :meth:`~repro.core.problem.ProblemInstance.size_of`.  Returns the
-    fractional placement (entries above ``1e-9``) and the capacity of every
-    positive-capacity cache node; the caller picks the rounding.
+    Columns are an ``x`` block over the optimizable (cache node, requested
+    item) pairs, cache-node-major, then a ``y`` block with one column per
+    positive-cost link of each path's window, in path order; a window that
+    holds a pinned copy gets no ``y`` (it is 1 at no cost).  Rows are
+    ``y - sum(window x) <= 0`` in ``y`` order, then the capacity rows, which
+    weigh each item by :meth:`~repro.core.problem.ProblemInstance.size_of`.
+    Returns the fractional placement (entries above ``1e-9``) and the
+    capacity of every positive-capacity cache node; the caller picks the
+    rounding.
     """
     cache_nodes = [
         v for v in problem.network.cache_nodes() if problem.network.cache_capacity(v) > 0
     ]
     capacities = {v: problem.network.cache_capacity(v) for v in cache_nodes}
     requested_items = sorted({sp.item for sp in paths}, key=repr)
+    x_pairs = [
+        (v, i) for v in cache_nodes for i in requested_items if (v, i) not in problem.pinned
+    ]
+    x_index = {pair: k for k, pair in enumerate(x_pairs)}
 
-    lp = LPBuilder(sense="max")
-    for v in cache_nodes:
-        for i in requested_items:
-            if (v, i) not in problem.pinned:
-                lp.add_variable(("x", v, i), lb=0.0, ub=1.0)
-
-    for idx, sp in enumerate(paths):
+    y_cost: list[float] = []
+    # Window entries of the y rows: (y row, x column), one per window node.
+    win_rows: list[int] = []
+    win_cols: list[int] = []
+    for sp in paths:
         length = len(sp.path)
-        window_vars: dict = {}
-        window_has_pin = False
+        window: list[int] = []
         for k in range(1, length):
             node = sp.path[length - k]  # newest node entering the window
             if (node, sp.item) in problem.pinned:
-                window_has_pin = True
-            elif node in capacities and lp.has_variable(("x", node, sp.item)):
-                key = ("x", node, sp.item)
-                window_vars[key] = window_vars.get(key, 0.0) + 1.0
+                break  # this and every wider window is served at no cost
+            col = x_index.get((node, sp.item))
+            if col is not None:
+                window.append(col)
             link_cost = sp.suffix_cost[length - 1 - k] - sp.suffix_cost[length - k]
-            if link_cost <= _EPS or window_has_pin:
-                continue  # a pinned window gives y_k == 1 at no cost
-            y_key = ("y", idx, k)
-            lp.add_variable(y_key, lb=0.0, ub=1.0)
-            lp.add_objective_terms({y_key: sp.rate * link_cost})
-            coeffs = {y_key: 1.0}
-            coeffs.update({key: -c for key, c in window_vars.items()})
-            lp.add_le(coeffs, 0.0)
+            if link_cost <= _EPS:
+                continue
+            win_rows.extend([len(y_cost)] * len(window))
+            win_cols.extend(window)
+            y_cost.append(sp.rate * link_cost)
 
-    for v in cache_nodes:
-        coeffs = {
-            ("x", v, i): problem.size_of(i)
-            for i in requested_items
-            if lp.has_variable(("x", v, i))
-        }
-        if coeffs:
-            lp.add_le(coeffs, capacities[v])
+    lp = LPBuilder(sense="max")
+    xb = lp.add_variable_block("x", len(x_pairs), lb=0.0, ub=1.0)
+    yb = lp.add_variable_block("y", len(y_cost), lb=0.0, ub=1.0, cost=y_cost)
+    lp.add_le_batch(
+        np.concatenate([np.arange(yb.size), np.asarray(win_rows, dtype=np.intp)]),
+        np.concatenate([yb.indices(), xb.flat(np.asarray(win_cols, dtype=np.intp))]),
+        np.concatenate([np.ones(yb.size), -np.ones(len(win_rows))]),
+        np.zeros(yb.size),
+    )
+    rows, cols, data, rhs = cache_capacity_rows(
+        problem, x_pairs, [problem.size_of(i) for _v, i in x_pairs]
+    )
+    lp.add_le_batch(rows, xb.flat(cols), data, rhs)
 
     if lp.num_variables == 0:
         return {}, capacities
-    solution = lp.solve()
+    x_values = lp.solve().block("x").tolist()
     fractional = {
-        (v, i): solution[("x", v, i)]
-        for v in cache_nodes
-        for i in requested_items
-        if lp.has_variable(("x", v, i)) and solution[("x", v, i)] > 1e-9
+        pair: value for pair, value in zip(x_pairs, x_values) if value > 1e-9
     }
     return fractional, capacities
 

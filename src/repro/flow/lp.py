@@ -1,39 +1,32 @@
 """Sparse linear-program builder on top of ``scipy.optimize.linprog`` (HiGHS).
 
-Every LP in the paper — the auxiliary LP (7) of Algorithm 1, the splittable
-min-cost flows inside Algorithm 2, the placement LP (15), and the MMSFP
-routing LPs — is assembled through :class:`LPBuilder`.  Two assembly styles
-coexist:
-
-- the **keyed API** (:meth:`LPBuilder.add_variable`, :meth:`LPBuilder.add_le`,
-  ...): variables are registered under hashable keys (e.g. ``("x", v, i)``)
-  so the calling code reads like the paper's math instead of juggling raw
-  column indices;
-- the **array API** (:meth:`LPBuilder.add_variable_block`,
-  :meth:`LPBuilder.add_le_batch`, ...): whole variable blocks and constraint
-  families are registered at once from numpy arrays / COO triplets, which is
-  what the Deltacom-scale FC-FR, LP (7) and MSUFP assemblies use.  Block
-  variables resolve to keys ``(name, *multi_index)`` on readback, so
-  :class:`LPSolution` looks the same either way.
-
-Both styles can be mixed freely in one builder; :meth:`LPBuilder.materialize`
-reduces everything to one canonical CSR matrix per constraint sense
-(duplicates summed, explicit zeros dropped, indices sorted), so two builders
-describing the same LP — one keyed, one batched — hand *bit-identical*
-inputs to HiGHS and therefore return bit-identical solutions.
+Every LP in the paper — the auxiliary LP (7) of Algorithm 1, FC-FR's LP (1),
+the placement LP (15), [3]'s candidate-path LP, and the splittable min-cost
+flows inside Algorithm 2 — is assembled through :class:`LPBuilder` one way:
+whole variable blocks (:meth:`LPBuilder.add_variable_block`) addressed by
+:meth:`VariableBlock.flat`, and constraint families as COO batches
+(:meth:`LPBuilder.add_le_batch`, :meth:`LPBuilder.add_ge_batch`,
+:meth:`LPBuilder.add_eq_batch`).  :meth:`LPBuilder.materialize` concatenates
+the batches into one canonical CSR matrix per constraint sense (duplicates
+summed, explicit zeros dropped, indices sorted), so two assemblies of the
+same LP hand *bit-identical* inputs to HiGHS and therefore return
+bit-identical solutions.  A solution reads back one array per block
+(:meth:`LPSolution.block`).
 
 Every LP is solved one way: the fixed HiGHS fallback chain
 (:data:`DEFAULT_SOLVE_METHODS`, then one retry on the row-equilibrated LP),
-reported in a :class:`SolveReport`.  :meth:`LPBuilder.freeze` keeps one
-assembled LP whose block objective can be re-patched between solves — the
-only variation a caller re-solves under (LP (7)'s demand rates).
+reported in a :class:`SolveReport`; each failed attempt logs one warning.
+:meth:`LPBuilder.freeze` keeps one assembled LP whose block objective can be
+re-patched between solves — the only variation a caller re-solves under
+(LP (7)'s demand rates).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +40,8 @@ from repro.exceptions import (
     UnboundedError,
 )
 
+logger = logging.getLogger(__name__)
+
 Key = Hashable
 
 
@@ -55,8 +50,8 @@ class VariableBlock:
     """A contiguous block of LP columns registered under one name.
 
     ``flat(*multi_index)`` maps (scalar or array) multi-indices to global
-    column indices; on readback the block's variables appear in
-    :attr:`LPSolution.values` under keys ``(name, *multi_index)``.
+    column indices; on readback the block's values come back as one array
+    shaped like the block (:meth:`LPSolution.block`).
     """
 
     name: Key
@@ -140,10 +135,9 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal solution of an LP: objective value and per-key variable values."""
+    """Optimal solution of an LP: objective value and per-block values."""
 
     objective: float
-    values: dict[Key, float]
     #: Per-block value arrays (reshaped to the block's shape); keyed by name.
     block_values: dict[Key, np.ndarray] = field(
         default_factory=dict, compare=False, repr=False
@@ -152,12 +146,6 @@ class LPSolution:
     report: SolveReport | None = field(
         default=None, compare=False, repr=False
     )
-
-    def __getitem__(self, key: Key) -> float:
-        return self.values[key]
-
-    def get(self, key: Key, default: float = 0.0) -> float:
-        return self.values.get(key, default)
 
     def block(self, name: Key) -> np.ndarray:
         """Values of block ``name`` as an array shaped like the block."""
@@ -189,16 +177,12 @@ class LPBuilder:
             raise ValueError("sense must be 'min' or 'max'")
         self._sense = sense
         self._cols = 0
-        self._index: dict[Key, int] = {}
         self._blocks: dict[Key, VariableBlock] = {}
         self._lb: list[float] = []
         self._ub: list[float] = []
-        self._objective: dict[int, float] = {}
         #: Per-block objective contributions as (offset, flat cost array).
         self._objective_blocks: list[tuple[int, np.ndarray]] = []
-        # Constraint storage: keyed rows as index->coef dicts, batches as COO.
-        self._ub_rows: list[tuple[dict[int, float], float]] = []
-        self._eq_rows: list[tuple[dict[int, float], float]] = []
+        # Constraint storage: validated COO batches, one list per sense.
         self._ub_batches: list[_Batch] = []
         self._eq_batches: list[_Batch] = []
         #: First reason this LP became trivially infeasible (e.g. a ``>= inf``
@@ -215,36 +199,7 @@ class LPBuilder:
 
     @property
     def num_constraints(self) -> int:
-        return (
-            len(self._ub_rows)
-            + len(self._eq_rows)
-            + sum(b.rhs.size for b in self._ub_batches)
-            + sum(b.rhs.size for b in self._eq_batches)
-        )
-
-    def add_variable(
-        self, key: Key, *, lb: float = 0.0, ub: float = math.inf, cost: float = 0.0
-    ) -> Key:
-        """Register variable ``key`` with bounds and objective coefficient."""
-        if key in self._index:
-            raise ValueError(f"variable {key!r} already defined")
-        if math.isnan(lb) or math.isnan(ub):
-            raise InvalidProblemError(f"variable {key!r} has NaN bounds")
-        if math.isnan(cost):
-            raise InvalidProblemError(f"variable {key!r} has NaN cost")
-        idx = self._cols
-        self._index[key] = idx
-        self._cols += 1
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        if cost:
-            self._objective[idx] = float(cost)
-        return key
-
-    def add_variables(
-        self, keys: Iterable[Key], *, lb: float = 0.0, ub: float = math.inf
-    ) -> list[Key]:
-        return [self.add_variable(k, lb=lb, ub=ub) for k in keys]
+        return sum(b.rhs.size for b in self._ub_batches + self._eq_batches)
 
     def add_variable_block(
         self,
@@ -258,9 +213,9 @@ class LPBuilder:
         """Register a contiguous numpy-indexed block of variables.
 
         ``lb``/``ub``/``cost`` may be scalars or arrays broadcastable to
-        ``shape``.  The block's variables appear in the solution under keys
-        ``(name, *multi_index)``; callers must not register keyed variables
-        with colliding keys.
+        ``shape``; the block's columns are addressed by
+        :meth:`VariableBlock.flat` and its values read back with
+        :meth:`LPSolution.block`.
         """
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
@@ -291,87 +246,13 @@ class LPBuilder:
     def block(self, name: Key) -> VariableBlock:
         return self._blocks[name]
 
-    def has_variable(self, key: Key) -> bool:
-        return key in self._index
-
-    def set_objective_coefficient(self, key: Key, coefficient: float) -> None:
-        self._objective[self._index[key]] = float(coefficient)
-
-    def add_objective_terms(self, terms: Mapping[Key, float]) -> None:
-        for key, coef in terms.items():
-            idx = self._index[key]
-            self._objective[idx] = self._objective.get(idx, 0.0) + float(coef)
-
     # ------------------------------------------------------------------
-    # Constraints (keyed API)
+    # Constraints
     # ------------------------------------------------------------------
-
-    def _row(self, coefficients: Mapping[Key, float]) -> dict[int, float]:
-        row: dict[int, float] = {}
-        for key, coef in coefficients.items():
-            if not coef:
-                continue
-            if not math.isfinite(coef):
-                raise InvalidProblemError(
-                    f"non-finite coefficient {coef!r} for variable {key!r}"
-                )
-            idx = self._index[key]
-            row[idx] = row.get(idx, 0.0) + float(coef)
-        return row
 
     def _mark_infeasible(self, reason: str) -> None:
         if self._infeasible_reason is None:
             self._infeasible_reason = reason
-
-    def add_le(self, coefficients: Mapping[Key, float], rhs: float) -> None:
-        """Add ``sum(coef * var) <= rhs``.
-
-        A ``+inf`` rhs is vacuous and skipped; a ``-inf`` rhs makes the whole
-        LP trivially infeasible (reported by :meth:`solve` instead of feeding
-        HiGHS an infinite bound); a NaN rhs raises
-        :class:`~repro.exceptions.InvalidProblemError`.
-        """
-        rhs = float(rhs)
-        if math.isnan(rhs):
-            raise InvalidProblemError("constraint rhs is NaN in add_le")
-        if math.isinf(rhs):
-            if rhs > 0:
-                return
-            self._mark_infeasible("a <= -inf constraint can never hold")
-            return
-        self._ub_rows.append((self._row(coefficients), rhs))
-
-    def add_ge(self, coefficients: Mapping[Key, float], rhs: float) -> None:
-        """Add ``sum(coef * var) >= rhs`` (stored as the negated <= row).
-
-        A ``-inf`` rhs is vacuous and skipped; a ``+inf`` rhs makes the LP
-        trivially infeasible; a NaN rhs raises
-        :class:`~repro.exceptions.InvalidProblemError`.
-        """
-        rhs = float(rhs)
-        if math.isnan(rhs):
-            raise InvalidProblemError("constraint rhs is NaN in add_ge")
-        if math.isinf(rhs):
-            if rhs < 0:
-                return
-            self._mark_infeasible("a >= +inf constraint can never hold")
-            return
-        row = {i: -c for i, c in self._row(coefficients).items()}
-        self._ub_rows.append((row, -rhs))
-
-    def add_eq(self, coefficients: Mapping[Key, float], rhs: float) -> None:
-        """Add ``sum(coef * var) == rhs`` (finite rhs required)."""
-        rhs = float(rhs)
-        if math.isnan(rhs):
-            raise InvalidProblemError("constraint rhs is NaN in add_eq")
-        if math.isinf(rhs):
-            self._mark_infeasible("an == +/-inf constraint can never hold")
-            return
-        self._eq_rows.append((self._row(coefficients), rhs))
-
-    # ------------------------------------------------------------------
-    # Constraints (array API)
-    # ------------------------------------------------------------------
 
     def _validated_batch(self, row_idx, col_idx, data, rhs, kind: str) -> _Batch | None:
         row = np.asarray(row_idx, dtype=np.intp).ravel()
@@ -462,67 +343,41 @@ class LPBuilder:
     # ------------------------------------------------------------------
 
     def _combine(
-        self,
-        rows: list[tuple[dict[int, float], float]],
-        batches: list[_Batch],
+        self, batches: list[_Batch]
     ) -> tuple[sparse.csr_matrix | None, np.ndarray | None]:
-        n_rows = len(rows) + sum(b.rhs.size for b in batches)
-        if n_rows == 0:
+        if not batches:
             return None, None
         row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        data_parts: list[np.ndarray] = []
-        rhs_parts: list[np.ndarray] = []
-        if rows:
-            data, row_idx, col_idx, rhs = [], [], [], []
-            for r, (row, b) in enumerate(rows):
-                rhs.append(b)
-                for idx, coef in row.items():
-                    row_idx.append(r)
-                    col_idx.append(idx)
-                    data.append(coef)
-            row_parts.append(np.asarray(row_idx, dtype=np.intp))
-            col_parts.append(np.asarray(col_idx, dtype=np.intp))
-            data_parts.append(np.asarray(data, dtype=np.float64))
-            rhs_parts.append(np.asarray(rhs, dtype=np.float64))
-        offset = len(rows)
+        offset = 0
         for b in batches:
             row_parts.append(b.row + offset)
-            col_parts.append(b.col)
-            data_parts.append(b.data)
-            rhs_parts.append(b.rhs)
             offset += b.rhs.size
         mat = sparse.csr_matrix(
             (
-                np.concatenate(data_parts) if data_parts else np.empty(0),
-                (
-                    np.concatenate(row_parts) if row_parts else np.empty(0, np.intp),
-                    np.concatenate(col_parts) if col_parts else np.empty(0, np.intp),
-                ),
+                np.concatenate([b.data for b in batches]),
+                (np.concatenate(row_parts), np.concatenate([b.col for b in batches])),
             ),
-            shape=(n_rows, self._cols),
+            shape=(offset, self._cols),
         )
         # Canonical form: duplicates summed (done by the COO->CSR conversion),
-        # explicit zeros dropped, indices sorted — so keyed and batched
-        # assemblies of the same LP produce bit-identical matrices.
+        # explicit zeros dropped, indices sorted — so any two assemblies of
+        # the same LP produce bit-identical matrices.
         mat.sum_duplicates()
         mat.eliminate_zeros()
         mat.sort_indices()
-        return mat, np.concatenate(rhs_parts)
+        return mat, np.concatenate([b.rhs for b in batches])
 
     def materialize(self) -> MaterializedLP:
         """Assemble the canonical arrays that :meth:`solve` hands to HiGHS."""
         n = self._cols
         sign = 1.0 if self._sense == "min" else -1.0
         c = np.zeros(n)
-        for idx, coef in self._objective.items():
-            c[idx] = coef
         for offset, cost_arr in self._objective_blocks:
             c[offset : offset + cost_arr.size] += cost_arr
         if sign != 1.0:
             c = sign * c
-        a_ub, b_ub = self._combine(self._ub_rows, self._ub_batches)
-        a_eq, b_eq = self._combine(self._eq_rows, self._eq_batches)
+        a_ub, b_ub = self._combine(self._ub_batches)
+        a_eq, b_eq = self._combine(self._eq_batches)
         bounds = np.column_stack(
             [np.asarray(self._lb, dtype=np.float64), np.asarray(self._ub, dtype=np.float64)]
         )
@@ -587,7 +442,7 @@ class LPBuilder:
         self._check_solvable()
         x, fun, report = _solve_materialized(self.materialize())
         sign = 1.0 if self._sense == "min" else -1.0
-        return _read_solution(x, sign * fun, report, self._index, self._blocks)
+        return _read_solution(x, sign * fun, report, self._blocks)
 
     # ------------------------------------------------------------------
     # Templates
@@ -608,7 +463,6 @@ class LPBuilder:
         return LPTemplate(
             lp=self.materialize(),
             sense=self._sense,
-            index=dict(self._index),
             blocks=dict(self._blocks),
         )
 
@@ -636,28 +490,24 @@ def _solve_materialized(lp: MaterializedLP) -> tuple[np.ndarray, float, SolveRep
                     bounds=current.bounds,
                     method=method,
                 )
+                status, message = int(result.status), str(result.message)
             except Exception as exc:  # a HiGHS crash must not kill the chain
-                attempts.append(
-                    SolveAttempt(
-                        method=method,
-                        status=-1,
-                        message=f"{type(exc).__name__}: {exc}",
-                        seconds=time.perf_counter() - start,
-                        rescaled=rescaled,
-                    )
-                )
-                continue
+                result, status, message = None, -1, f"{type(exc).__name__}: {exc}"
             attempts.append(
                 SolveAttempt(
                     method=method,
-                    status=int(result.status),
-                    message=str(result.message),
+                    status=status,
+                    message=message,
                     seconds=time.perf_counter() - start,
                     rescaled=rescaled,
                 )
             )
-            if result.status in _TERMINAL_STATUSES:
+            if status in _TERMINAL_STATUSES:
                 return result
+            logger.warning(
+                "LP attempt failed: method=%s rescaled=%s status=%d (%s)",
+                method, rescaled, status, message,
+            )
         return None
 
     result = attempt_chain(lp, rescaled=False)
@@ -695,26 +545,14 @@ def _read_solution(
     x: np.ndarray,
     objective: float,
     report: SolveReport,
-    index: dict[Key, int],
     blocks: dict[Key, VariableBlock],
 ) -> LPSolution:
-    """Read a solution vector back into keyed and per-block values."""
-    values = {key: float(x[idx]) for key, idx in index.items()}
-    block_values: dict[Key, np.ndarray] = {}
-    for name, block in blocks.items():
-        flat = x[block.offset : block.offset + block.size]
-        block_values[name] = flat.reshape(block.shape).copy()
-        if block.size:
-            index_arrays = np.unravel_index(
-                np.arange(block.size, dtype=np.intp), block.shape
-            )
-            columns = [a.tolist() for a in index_arrays]
-            flat_list = flat.tolist()
-            for k, multi in enumerate(zip(*columns)):
-                values[(name, *multi)] = flat_list[k]
-    return LPSolution(
-        objective=objective, values=values, block_values=block_values, report=report
-    )
+    """Read a solution vector back into one value array per block."""
+    block_values = {
+        name: x[b.offset : b.offset + b.size].reshape(b.shape).copy()
+        for name, b in blocks.items()
+    }
+    return LPSolution(objective=objective, block_values=block_values, report=report)
 
 
 class LPTemplate:
@@ -735,11 +573,9 @@ class LPTemplate:
         *,
         lp: MaterializedLP,
         sense: str,
-        index: dict[Key, int],
         blocks: dict[Key, VariableBlock],
     ) -> None:
         self._lp = lp
-        self._index = index
         self._blocks = blocks
         self._sign = 1.0 if sense == "min" else -1.0
         # Only the objective is patchable, so only ``c`` gets its own copy.
@@ -761,4 +597,4 @@ class LPTemplate:
         """Solve the patched LP (same fallback chain and exceptions as
         :meth:`LPBuilder.solve`)."""
         x, fun, report = _solve_materialized(self.materialized())
-        return _read_solution(x, self._sign * fun, report, self._index, self._blocks)
+        return _read_solution(x, self._sign * fun, report, self._blocks)

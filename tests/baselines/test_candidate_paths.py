@@ -165,3 +165,18 @@ class TestBaselinesOnAbovenet:
         assert routing_cost(prob, sp.routing) == pytest.approx(
             routing_cost(prob, k1.routing)
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_candidate_k1_placement_does_not_depend_on_cost_unit(self, seed):
+        """[3]'s w_max falls back to 1.0 only when every serving cost is 0,
+        so scaling every link cost scales the cost and keeps the placement."""
+        prob = abovenet_problem(seed)
+        scaled = abovenet_problem(seed)
+        for u, v in scaled.network.edges:
+            scaled.network.graph.edges[u, v]["cost"] *= 1e-3
+        sol = candidate_path_baseline(prob, k=1)
+        sol_scaled = candidate_path_baseline(scaled, k=1)
+        assert dict(sol_scaled.placement.items()) == dict(sol.placement.items())
+        assert routing_cost(scaled, sol_scaled.routing) * 1e3 == pytest.approx(
+            routing_cost(prob, sol.routing), rel=1e-9
+        )

@@ -1,4 +1,4 @@
-"""Tests for the sparse LP builder (keyed API, array API, edge cases)."""
+"""Tests for the sparse LP builder (variable blocks, COO batches, edge cases)."""
 
 import math
 
@@ -12,52 +12,44 @@ from repro.exceptions import (
     UnboundedError,
 )
 from repro.flow import LPBuilder
+from tests.flow.keyed_lp import KeyedLP, assert_same_materialized
 
 
 class TestLPBuilder:
     def test_simple_minimization(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", lb=0, cost=1.0)
-        lp.add_variable("y", lb=0, cost=2.0)
-        lp.add_ge({"x": 1.0, "y": 1.0}, 4.0)
+        v = lp.add_variable_block("v", 2, cost=[1.0, 2.0])
+        lp.add_ge_batch([0, 0], v.indices(), [1.0, 1.0], [4.0])
         sol = lp.solve()
         assert sol.objective == pytest.approx(4.0)
-        assert sol["x"] == pytest.approx(4.0)
-        assert sol["y"] == pytest.approx(0.0)
+        np.testing.assert_allclose(sol.block("v"), [4.0, 0.0], atol=1e-9)
 
     def test_simple_maximization(self):
         lp = LPBuilder("max")
-        lp.add_variable("x", lb=0, ub=3, cost=5.0)
+        lp.add_variable_block("x", 1, ub=3.0, cost=5.0)
         sol = lp.solve()
         assert sol.objective == pytest.approx(15.0)
 
     def test_equality_constraint(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", cost=1.0)
-        lp.add_variable("y", cost=1.0)
-        lp.add_eq({"x": 1.0, "y": 2.0}, 6.0)
-        sol = lp.solve()
-        assert sol["x"] + 2 * sol["y"] == pytest.approx(6.0)
-        assert sol.objective == pytest.approx(3.0)  # all mass on y
+        v = lp.add_variable_block("v", 2, cost=1.0)
+        lp.add_eq_batch([0, 0], v.indices(), [1.0, 2.0], [6.0])
+        x, y = lp.solve().block("v")
+        assert x + 2 * y == pytest.approx(6.0)
+        assert x + y == pytest.approx(3.0)  # all mass on y
 
     def test_le_constraint_binds(self):
         lp = LPBuilder("max")
-        lp.add_variable("x", cost=1.0)
-        lp.add_le({"x": 2.0}, 10.0)
-        assert lp.solve()["x"] == pytest.approx(5.0)
+        x = lp.add_variable_block("x", 1, cost=1.0)
+        lp.add_le_batch([0], x.indices(), [2.0], [10.0])
+        assert lp.solve().block("x")[0] == pytest.approx(5.0)
 
     def test_infinite_rhs_skipped(self):
         lp = LPBuilder("max")
-        lp.add_variable("x", ub=1.0, cost=1.0)
-        lp.add_le({"x": 1.0}, math.inf)
+        x = lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
+        lp.add_le_batch([0], x.indices(), [1.0], [math.inf])
         assert lp.num_constraints == 0
         assert lp.solve().objective == pytest.approx(1.0)
-
-    def test_duplicate_variable_rejected(self):
-        lp = LPBuilder()
-        lp.add_variable("x")
-        with pytest.raises(ValueError):
-            lp.add_variable("x")
 
     def test_unknown_sense_rejected(self):
         with pytest.raises(ValueError):
@@ -65,8 +57,8 @@ class TestLPBuilder:
 
     def test_infeasible_raises(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", lb=0, ub=1, cost=1.0)
-        lp.add_ge({"x": 1.0}, 5.0)
+        x = lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
+        lp.add_ge_batch([0], x.indices(), [1.0], [5.0])
         with pytest.raises(InfeasibleError):
             lp.solve()
 
@@ -76,128 +68,82 @@ class TestLPBuilder:
 
     def test_unbounded_raises_solver_error(self):
         lp = LPBuilder("max")
-        lp.add_variable("x", cost=1.0)
+        lp.add_variable_block("x", 1, cost=1.0)
         with pytest.raises(SolverError):
             lp.solve()
 
-    def test_add_objective_terms_accumulates(self):
-        lp = LPBuilder("max")
-        lp.add_variable("x", ub=2.0)
-        lp.add_objective_terms({"x": 1.0})
-        lp.add_objective_terms({"x": 1.5})
-        assert lp.solve().objective == pytest.approx(5.0)
-
     def test_tuple_keys(self):
+        # Block names are any hashable, e.g. ("f", commodity) in mincost.
         lp = LPBuilder("min")
-        lp.add_variable(("f", "a", "b"), lb=1.0, cost=2.0)
+        lp.add_variable_block(("f", "a", "b"), 1, lb=1.0, cost=2.0)
         sol = lp.solve()
-        assert sol[("f", "a", "b")] == pytest.approx(1.0)
-
-    def test_solution_get_default(self):
-        lp = LPBuilder("min")
-        lp.add_variable("x", lb=0.5, cost=1.0)
-        sol = lp.solve()
-        assert sol.get("missing", 7.0) == 7.0
-
-    def test_coefficients_on_same_key_accumulate_in_row(self):
-        lp = LPBuilder("max")
-        lp.add_variable("x", cost=1.0)
-        # x + x <= 4  ->  x <= 2
-        lp._ub_rows.append((lp._row({"x": 1.0}), 4.0))
-        lp.add_le({"x": 2.0}, 4.0)
-        assert lp.solve()["x"] == pytest.approx(2.0)
-
-
-class _DuplicateKeyMapping(dict):
-    """A Mapping whose items() yields the same key twice (for _row tests)."""
-
-    def items(self):
-        for key, coef in super().items():
-            yield key, coef
-            yield key, coef
+        assert sol.block(("f", "a", "b"))[0] == pytest.approx(1.0)
 
 
 class TestLPBuilderEdgeCases:
-    def test_duplicate_keys_aggregate_in_row(self):
-        lp = LPBuilder("max")
-        lp.add_variable("x", cost=1.0)
-        # items() yields ("x", 1.0) twice -> the row must read 2x <= 4.
-        lp.add_le(_DuplicateKeyMapping({"x": 1.0}), 4.0)
-        assert lp.solve()["x"] == pytest.approx(2.0)
-
     def test_empty_objective_solves_to_zero(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", lb=0.0, ub=1.0)
-        lp.add_ge({"x": 1.0}, 0.5)
+        x = lp.add_variable_block("x", 1, ub=1.0)
+        lp.add_ge_batch([0], x.indices(), [1.0], [0.5])
         sol = lp.solve()
         assert sol.objective == 0.0
-        assert 0.5 - 1e-9 <= sol["x"] <= 1.0 + 1e-9
-
-    def test_zero_cost_not_stored_nonzero_is(self):
-        lp = LPBuilder("min")
-        lp.add_variable("x", ub=1.0, cost=0.0)
-        lp.add_variable("y", ub=1.0, cost=2.0)
-        assert lp._objective == {1: 2.0}
-        # A zero cost can still be set explicitly afterwards.
-        lp.set_objective_coefficient("x", -1.0)
-        sol = lp.solve()
-        assert sol.objective == pytest.approx(-1.0)
-        assert sol["x"] == pytest.approx(1.0)
+        assert 0.5 - 1e-9 <= sol.block("x")[0] <= 1.0 + 1e-9
 
     def test_max_sense_sign_round_trip(self):
         lp = LPBuilder("max")
-        lp.add_variable("x", ub=4.0, cost=2.5)
-        lp.add_variable("y", ub=1.0, cost=-1.0)
+        lp.add_variable_block("v", 2, ub=[4.0, 1.0], cost=[2.5, -1.0])
         sol = lp.solve()
         # Internally negated twice: the reported optimum is the max itself.
         assert sol.objective == pytest.approx(10.0)
-        assert sol["y"] == pytest.approx(0.0)
+        assert sol.block("v")[1] == pytest.approx(0.0)
 
     def test_nan_rhs_raises_invalid_problem(self):
-        for method in ("add_le", "add_ge", "add_eq"):
+        for method in ("add_le_batch", "add_ge_batch", "add_eq_batch"):
             lp = LPBuilder("min")
-            lp.add_variable("x")
-            with pytest.raises(InvalidProblemError):
-                getattr(lp, method)({"x": 1.0}, float("nan"))
+            x = lp.add_variable_block("x", 1)
+            with pytest.raises(InvalidProblemError, match="NaN"):
+                getattr(lp, method)([0], x.indices(), [1.0], [float("nan")])
 
     def test_nan_coefficient_raises_invalid_problem(self):
         lp = LPBuilder("min")
-        lp.add_variable("x")
-        with pytest.raises(InvalidProblemError):
-            lp.add_le({"x": float("nan")}, 1.0)
+        x = lp.add_variable_block("x", 1)
+        with pytest.raises(InvalidProblemError, match="non-finite"):
+            lp.add_le_batch([0], x.indices(), [float("nan")], [1.0])
 
     def test_ge_infinite_rhs_is_infeasible_not_silent(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", ub=1.0, cost=1.0)
-        lp.add_ge({"x": 1.0}, math.inf)
+        x = lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
+        lp.add_ge_batch([0], x.indices(), [1.0], [math.inf])
         with pytest.raises(InfeasibleError, match="trivially infeasible"):
             lp.solve()
 
     def test_le_minus_infinite_rhs_is_infeasible(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", ub=1.0, cost=1.0)
-        lp.add_le({"x": 1.0}, -math.inf)
+        x = lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
+        lp.add_le_batch([0], x.indices(), [1.0], [-math.inf])
         with pytest.raises(InfeasibleError, match="trivially infeasible"):
             lp.solve()
 
     def test_eq_infinite_rhs_is_infeasible(self):
-        lp = LPBuilder("min")
-        lp.add_variable("x", ub=1.0, cost=1.0)
-        lp.add_eq({"x": 1.0}, math.inf)
-        with pytest.raises(InfeasibleError, match="trivially infeasible"):
-            lp.solve()
+        for rhs in (math.inf, -math.inf):
+            lp = LPBuilder("min")
+            x = lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
+            lp.add_eq_batch([0], x.indices(), [1.0], [rhs])
+            with pytest.raises(InfeasibleError, match="trivially infeasible"):
+                lp.solve()
 
     def test_ge_minus_infinite_rhs_skipped(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", ub=1.0, cost=1.0)
-        lp.add_ge({"x": 1.0}, -math.inf)
+        x = lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
+        lp.add_ge_batch([0], x.indices(), [1.0], [-math.inf])
         assert lp.num_constraints == 0
         assert lp.solve().objective == pytest.approx(0.0)
 
     def test_nan_bounds_raise(self):
-        lp = LPBuilder("min")
-        with pytest.raises(InvalidProblemError):
-            lp.add_variable("x", lb=float("nan"))
+        for bound in ("lb", "ub"):
+            lp = LPBuilder("min")
+            with pytest.raises(InvalidProblemError, match="NaN bounds"):
+                lp.add_variable_block("x", 2, **{bound: [0.0, float("nan")]})
 
 
 class _FakeResult:
@@ -213,7 +159,7 @@ class TestSolveStatuses:
 
     def _builder(self):
         lp = LPBuilder("min")
-        lp.add_variable("x", ub=1.0, cost=1.0)
+        lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
         return lp
 
     def test_status_1_iteration_limit_is_solver_error(self, monkeypatch):
@@ -248,7 +194,7 @@ class TestSolveStatuses:
         # Callers that caught SolverError before keep working.
         assert issubclass(UnboundedError, SolverError)
         lp = LPBuilder("max")
-        lp.add_variable("x", cost=1.0)
+        lp.add_variable_block("x", 1, cost=1.0)
         with pytest.raises(UnboundedError, match="unbounded"):
             lp.solve()
 
@@ -256,31 +202,30 @@ class TestSolveStatuses:
 class TestArrayAPI:
     def test_batch_vs_dict_hand_checked(self):
         # min x + 2y  s.t.  x + y >= 4, x <= 3  ->  x=3, y=1, objective 5.
-        keyed = LPBuilder("min")
+        keyed = KeyedLP("min")
         keyed.add_variable(("v", 0), cost=1.0)
         keyed.add_variable(("v", 1), cost=2.0)
         keyed.add_ge({("v", 0): 1.0, ("v", 1): 1.0}, 4.0)
         keyed.add_le({("v", 0): 1.0}, 3.0)
-        ks = keyed.solve()
+        objective, values = keyed.solve()
 
         batched = LPBuilder("min")
         block = batched.add_variable_block("v", 2, cost=[1.0, 2.0])
         batched.add_ge_batch([0, 0], block.flat([0, 1]), [1.0, 1.0], [4.0])
         batched.add_le_batch([0], [block.flat(0)], [1.0], [3.0])
+        assert_same_materialized(keyed, batched)
         bs = batched.solve()
 
-        assert bs.objective == ks.objective == pytest.approx(5.0)
-        assert bs.values == ks.values
-        assert bs[("v", 0)] == pytest.approx(3.0)
-        assert bs[("v", 1)] == pytest.approx(1.0)
+        assert bs.objective == objective == pytest.approx(5.0)
+        assert bs.block("v").tolist() == [values[("v", 0)], values[("v", 1)]]
+        np.testing.assert_allclose(bs.block("v"), [3.0, 1.0])
 
     def test_block_keys_resolve_to_multi_index(self):
         lp = LPBuilder("min")
         lp.add_variable_block("x", (2, 3), lb=1.0, cost=1.0)
         sol = lp.solve()
-        assert set(sol.values) == {("x", i, j) for i in range(2) for j in range(3)}
-        assert sol[("x", 1, 2)] == pytest.approx(1.0)
         assert sol.block("x").shape == (2, 3)
+        assert sol.block("x")[1, 2] == pytest.approx(1.0)
         np.testing.assert_allclose(sol.block("x"), 1.0)
 
     def test_block_bounds_and_cost_broadcast(self):
@@ -291,7 +236,7 @@ class TestArrayAPI:
 
     def test_flat_vectorized_and_scalar(self):
         lp = LPBuilder("min")
-        lp.add_variable("pad")  # offset the block
+        lp.add_variable_block("pad", 1)  # offset the block
         block = lp.add_variable_block("x", (2, 4))
         assert block.flat(1, 3) == 1 + 1 * 4 + 3
         np.testing.assert_array_equal(
@@ -331,7 +276,7 @@ class TestArrayAPI:
         )
         assert lp.num_constraints == 1
         sol = lp.solve()
-        assert sol[("x", 1)] == pytest.approx(2.0)
+        assert sol.block("x")[1] == pytest.approx(2.0)
         assert sol.objective == pytest.approx(5.0)
 
     def test_le_batch_minus_inf_marks_infeasible(self):
@@ -360,18 +305,7 @@ class TestArrayAPI:
         block = lp.add_variable_block("x", 1, cost=1.0)
         # x + x <= 4  ->  x <= 2.
         lp.add_le_batch([0, 0], block.flat([0, 0]), [1.0, 1.0], [4.0])
-        assert lp.solve()[("x", 0)] == pytest.approx(2.0)
-
-    def test_mixed_keyed_and_block_variables(self):
-        lp = LPBuilder("min")
-        lp.add_variable("y", cost=1.0)
-        block = lp.add_variable_block("x", 2, cost=1.0)
-        # y + x0 + x1 >= 3 with all costs 1: any split is optimal at 3.
-        lp.add_ge_batch(
-            [0, 0, 0], [0, block.flat(0), block.flat(1)], [1.0, 1.0, 1.0], [3.0]
-        )
-        sol = lp.solve()
-        assert sol.objective == pytest.approx(3.0)
+        assert lp.solve().block("x")[0] == pytest.approx(2.0)
 
     def test_nan_block_cost_raises(self):
         lp = LPBuilder("min")
@@ -383,23 +317,3 @@ class TestArrayAPI:
         lp.add_variable_block("x", 2, ub=1.0)
         lp.add_le_batch([], [], [], [])
         assert lp.num_constraints == 0
-
-    def test_materialize_canonical_between_apis(self):
-        keyed = LPBuilder("min")
-        keyed.add_variable(("x", 0), ub=2.0, cost=1.0)
-        keyed.add_variable(("x", 1), ub=2.0, cost=3.0)
-        keyed.add_le({("x", 0): 1.0, ("x", 1): 2.0}, 4.0)
-        keyed.add_eq({("x", 0): 1.0, ("x", 1): -1.0}, 0.5)
-
-        batched = LPBuilder("min")
-        block = batched.add_variable_block("x", 2, ub=2.0, cost=[1.0, 3.0])
-        batched.add_le_batch([0, 0], block.flat([0, 1]), [1.0, 2.0], [4.0])
-        batched.add_eq_batch([0, 0], block.flat([0, 1]), [1.0, -1.0], [0.5])
-
-        mk, mb = keyed.materialize(), batched.materialize()
-        assert np.array_equal(mk.c, mb.c)
-        assert np.array_equal(mk.bounds, mb.bounds)
-        assert (mk.a_ub != mb.a_ub).nnz == 0
-        assert np.array_equal(mk.b_ub, mb.b_ub)
-        assert (mk.a_eq != mb.a_eq).nnz == 0
-        assert np.array_equal(mk.b_eq, mb.b_eq)

@@ -1,17 +1,18 @@
-"""Property test: keyed and batched LP assembly produce identical solutions.
+"""Property test: a batched LP equals its keyed reference bit for bit.
 
 Random bounded LPs are generated feasible-by-construction (the rhs is set
-from a random interior point), then assembled twice — once through the keyed
-``add_variable``/``add_le``/``add_eq`` API and once through
-``add_variable_block``/``add_le_batch``/``add_eq_batch`` — and solved.  Both
-materialize bit-identical canonical matrices, so HiGHS must return
-bit-identical ``LPSolution.values``.
+from a random interior point), then assembled twice — once as dict rows on
+the test-local :class:`~tests.flow.keyed_lp.KeyedLP` reference and once
+through ``add_variable_block``/``add_le_batch``/``add_eq_batch`` — and
+solved.  Both materialize bit-identical canonical matrices, so HiGHS must
+return a bit-identical optimum.
 """
 
 import numpy as np
 import pytest
 
 from repro.flow import LPBuilder
+from tests.flow.keyed_lp import KeyedLP, assert_same_materialized
 
 N_INSTANCES = 24
 
@@ -34,8 +35,8 @@ def _random_lp(rng: np.random.Generator):
     return n, ub, cost, le_rows, eq_rows
 
 
-def _build_keyed(sense, n, ub, cost, le_rows, eq_rows) -> LPBuilder:
-    lp = LPBuilder(sense)
+def _build_keyed(sense, n, ub, cost, le_rows, eq_rows) -> KeyedLP:
+    lp = KeyedLP(sense)
     for j in range(n):
         lp.add_variable(("v", j), lb=0.0, ub=float(ub[j]), cost=float(cost[j]))
     for coefs, rhs in le_rows:
@@ -71,20 +72,9 @@ def test_keyed_and_batched_solutions_identical(seed):
     keyed = _build_keyed(sense, n, ub, cost, le_rows, eq_rows)
     batched = _build_batched(sense, n, ub, cost, le_rows, eq_rows)
 
-    mk, mb = keyed.materialize(), batched.materialize()
-    assert np.array_equal(mk.c, mb.c)
-    assert np.array_equal(mk.bounds, mb.bounds)
-    if mk.a_ub is not None:
-        assert (mk.a_ub != mb.a_ub).nnz == 0
-        assert np.array_equal(mk.b_ub, mb.b_ub)
-    else:
-        assert mb.a_ub is None
-    if mk.a_eq is not None:
-        assert (mk.a_eq != mb.a_eq).nnz == 0
-        assert np.array_equal(mk.b_eq, mb.b_eq)
-    else:
-        assert mb.a_eq is None
+    assert_same_materialized(keyed, batched)
 
-    ks, bs = keyed.solve(), batched.solve()
-    assert ks.objective == bs.objective
-    assert ks.values == bs.values
+    objective, values = keyed.solve()
+    solution = batched.solve()
+    assert solution.objective == objective
+    assert np.array_equal(solution.block("v"), [values[("v", j)] for j in range(n)])

@@ -5,6 +5,7 @@ crashes, and the chain must absorb it, succeed with the next method, and
 record both attempts in the attached :class:`SolveReport`.
 """
 
+import logging
 import types
 
 import pytest
@@ -16,10 +17,10 @@ from repro.flow import DEFAULT_SOLVE_METHODS, LPBuilder
 
 
 def simple_lp():
+    """min x + 2y  s.t.  x + y >= 4 (optimum 4)."""
     lp = LPBuilder("min")
-    lp.add_variable("x", lb=0, cost=1.0)
-    lp.add_variable("y", lb=0, cost=2.0)
-    lp.add_ge({"x": 1.0, "y": 1.0}, 4.0)
+    v = lp.add_variable_block("v", 2, cost=[1.0, 2.0])
+    lp.add_ge_batch([0, 0], v.indices(), [1.0, 1.0], [4.0])
     return lp
 
 
@@ -105,8 +106,8 @@ class TestRescaleRetry:
     def test_rescaling_preserves_the_optimum(self):
         # A badly row-scaled LP: same optimum before and after equilibration.
         lp = LPBuilder("min")
-        lp.add_variable("x", lb=0, cost=1.0)
-        lp.add_ge({"x": 1e8}, 3e8)
+        x = lp.add_variable_block("x", 1, cost=1.0)
+        lp.add_ge_batch([0], x.indices(), [1e8], [3e8])
         plain = lp.solve().objective
         rescaled = lp_module.LPBuilder._rescaled(lp.materialize())
         # Every row's largest coefficient is equilibrated to magnitude 1...
@@ -121,8 +122,8 @@ class TestTerminalVerdicts:
         fake, calls = flaky_linprog(set())
         monkeypatch.setattr(lp_module, "linprog", fake)
         lp = LPBuilder("min")
-        lp.add_variable("x", lb=0, ub=1, cost=1.0)
-        lp.add_ge({"x": 1.0}, 5.0)
+        x = lp.add_variable_block("x", 1, ub=1.0, cost=1.0)
+        lp.add_ge_batch([0], x.indices(), [1.0], [5.0])
         with pytest.raises(InfeasibleError):
             lp.solve()
         assert calls == ["highs"]
@@ -131,7 +132,7 @@ class TestTerminalVerdicts:
         fake, calls = flaky_linprog(set())
         monkeypatch.setattr(lp_module, "linprog", fake)
         lp = LPBuilder("max")
-        lp.add_variable("x", lb=0, cost=1.0)
+        lp.add_variable_block("x", 1, cost=1.0)
         with pytest.raises(UnboundedError):
             lp.solve()
         assert calls == ["highs"]
@@ -146,3 +147,24 @@ class TestOptions:
         assert sol.report.succeeded
         assert sol.report.method == "highs"
         assert sol.report.seconds >= 0.0
+
+
+class TestLogging:
+    """Each failed attempt logs one warning; a clean solve logs nothing."""
+
+    def test_failed_attempt_logs_one_warning(self, monkeypatch, caplog):
+        fake, _calls = flaky_linprog({"highs"})
+        monkeypatch.setattr(lp_module, "linprog", fake)
+        with caplog.at_level(logging.WARNING, logger="repro.flow.lp"):
+            simple_lp().solve()
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "method=highs " in message
+        assert "rescaled=False" in message
+        assert "HiGHS crashed" in message
+
+    def test_clean_solve_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.flow.lp"):
+            simple_lp().solve()
+        assert not caplog.records

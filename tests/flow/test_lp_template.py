@@ -86,7 +86,6 @@ class TestFreezeParity:
         b = template.solve()
         assert a.objective == b.objective
         assert np.array_equal(a.block("x"), b.block("x"))
-        assert a.values == b.values
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_patched_template_matches_fresh_assembly(self, seed):
@@ -129,8 +128,7 @@ class TestFreezeParity:
         template = builder.freeze()
         before = template.solve().objective
         # Mutate the builder after freeze: the template must not notice.
-        builder.add_variable("extra", lb=1.0, ub=1.0)
-        builder.add_objective_terms({"extra": 100.0})
+        builder.add_variable_block("extra", 1, lb=1.0, ub=1.0, cost=100.0)
         assert template.solve().objective == before
 
 
@@ -141,8 +139,8 @@ class TestGuards:
 
     def test_freeze_trivially_infeasible_raises(self):
         lp = LPBuilder()
-        lp.add_variable("x", lb=0.0, ub=1.0)
-        lp.add_le({"x": 1.0}, float("-inf"))  # can never hold
+        x = lp.add_variable_block("x", 1, ub=1.0)
+        lp.add_le_batch([0], x.indices(), [1.0], [float("-inf")])  # can never hold
         with pytest.raises(InfeasibleError):
             lp.freeze()
 
@@ -164,8 +162,7 @@ class TestMaxSense:
         template.set_block_objective("x", [1.0, 2.0])
         solved = template.solve()
         assert solved.objective == pytest.approx(6.0)
-        assert solved.values[("x", 1)] == pytest.approx(3.0)
-        assert solved.values[("x", 0)] == pytest.approx(0.0)
+        np.testing.assert_allclose(solved.block("x"), [0.0, 3.0], atol=1e-9)
 
 
 class TestFallback:
