@@ -1,11 +1,14 @@
 """Tests for MMSFP / MMUFP routing under a fixed placement (Section 4.3.2)."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.core import (
     Placement,
     Solution,
+    alternating_optimization,
     check_feasibility,
     congestion,
     greedy_unsplittable_routing,
@@ -141,3 +144,33 @@ class TestMMUFP:
         assert {k: [(p.path, p.amount) for p in v] for k, v in r1.paths.items()} == {
             k: [(p.path, p.amount) for p in v] for k, v in r2.paths.items()
         }
+
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    def test_rejects_fewer_than_one_sample(self, n_samples):
+        prob = make_line_problem(cache_nodes={3: 1}, link_capacity=10.0)
+        placement = Placement({(3, prob.catalog[0]): 1.0})
+        with pytest.raises(ValueError, match="n_samples"):
+            randomized_rounding_routing(prob, placement, n_samples=n_samples)
+        with pytest.raises(ValueError, match="n_samples"):
+            mmufp_routing(prob, placement, method="best", n_samples=n_samples)
+        with pytest.raises(ValueError, match="n_samples"):
+            alternating_optimization(prob, n_samples=n_samples)
+
+    def test_logs_the_rounding_gap(self, caplog):
+        """One DEBUG record: sizes, the winning draw's score, the LP bound."""
+        prob = make_line_problem(cache_nodes={3: 1}, link_capacity=10.0)
+        placement = Placement({(3, prob.catalog[0]): 1.0})
+        caplog.set_level(logging.DEBUG, logger="repro.core.routing")
+        routing = randomized_rounding_routing(
+            prob, placement, rng=np.random.default_rng(1), n_samples=8
+        )
+        (record,) = [r for r in caplog.records if r.name == "repro.core.routing"]
+        assert record.levelno == logging.DEBUG
+        assert record.args == (
+            len(prob.demand),
+            8,
+            congestion(prob, routing),
+            routing_cost(prob, routing),
+            mmsfp_routing(prob, placement).cost,
+        )
+        assert "MMSFP" in record.getMessage()
