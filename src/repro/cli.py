@@ -7,7 +7,7 @@ python -m repro scenario --level chunk --algorithms alternating,sp,ksp10
 python -m repro scenario --topology tinet --edge-nodes 5 --runs 2
 python -m repro online --hours 6 --algorithm alternating
 python -m repro simulate --scale 1e-4 --horizon 2.0
-python -m repro serve --algorithm sp --requests 1e6 --shards 4 --parallel
+python -m repro serve --algorithm sp --requests 1e6 --shards 4
 python -m repro predict --video dNCWe_6HAM8 --hours 8
 python -m repro adaptive --topology deltacom --requests 2e5 --policies lce,static_alg1
 python -m repro robustness --topology gadget
@@ -68,10 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=float, default=1e6,
                        help="expected number of requests to replay")
     serve.add_argument("--shards", type=int, default=1,
-                       help="independent stream shards (results depend on the "
-                            "count, not on how they execute)")
-    serve.add_argument("--parallel", action="store_true",
-                       help="run shards in a process pool over shared tables")
+                       help="independent stream shards, replayed in shard order "
+                            "(results depend on the count)")
 
     sweep = sub.add_parser("sweep", help="sweep one scenario knob (figure-style)")
     _add_scenario_args(sweep)
@@ -340,7 +338,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         compile_tables,
         horizon_for_requests,
         replay,
-        replay_parallel,
     )
 
     config = _scenario_config(args)
@@ -353,11 +350,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serving = ServingConfig(
         horizon=horizon, seed=args.seed, n_shards=args.shards
     )
-    runner = replay_parallel if args.parallel else replay
-    report = runner(tables, serving)
-    mode = "parallel" if args.parallel else "serial"
+    report = replay(tables, serving)
     print(f"replayed {report.generated:,} requests over horizon {horizon:.4g} "
-          f"({report.n_shards} shard(s), {mode})")
+          f"({report.n_shards} shard(s))")
     print(f"served: {report.served:,} ({report.served_fraction:.2%}), "
           f"unrouted types: {report.unrouted_types}")
     print(f"delivered cost rate: {report.delivered_cost / horizon:,.0f} "
@@ -425,7 +420,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    from repro.experiments import ScenarioConfig, build_scenario
+    from repro.experiments import build_scenario
     from repro.robustness import (
         sample_failures,
         single_link_failures,
@@ -441,19 +436,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         origin = "vs"
         title = "gadget"
     else:
-        cache = args.cache
-        if cache is None:
-            cache = 12.0 if args.level == "chunk" else 2.0
-        config = ScenarioConfig(
-            topology=args.topology,
-            level=args.level,
-            num_videos=args.videos,
-            cache_capacity=cache,
-            link_capacity_fraction=args.link_fraction or None,
-            num_edge_nodes=args.edge_nodes,
-            seed=args.seed,
-        )
-        scenario = build_scenario(config)
+        scenario = build_scenario(_scenario_config(args))
         problem = scenario.problem
         placement = _resolve_algorithm(args.algorithm)(scenario).placement
         origin = scenario.origin
@@ -508,7 +491,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
                 context=context,
             )
             report = streamed.analytic
-            print(report.format())
+            print(streamed.format())
             print(
                 f"serve: {streamed.generated} requests over "
                 f"{len(streamed.segments)} segments in "

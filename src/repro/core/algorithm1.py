@@ -38,7 +38,7 @@ from repro.core.problem import Item, Node, ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement, Solution
 from repro.core.submodular import local_search_swap
-from repro.exceptions import InfeasibleError
+from repro.exceptions import InfeasibleError, InvalidProblemError
 from repro.flow.lp import LPBuilder
 
 logger = logging.getLogger(__name__)
@@ -124,6 +124,13 @@ def assemble_lp7(
 
 def _prepare(problem: ProblemInstance, context: SolverContext):
     """w_max, optimizable x pairs, and per-request eligible-source rows."""
+    if not problem.is_homogeneous():
+        # LP (7) and pipage count items, not sizes, against c_v: an item
+        # larger than one unit overfills the cache.
+        raise InvalidProblemError(
+            "Algorithm 1 needs unit item sizes; use greedy_rnr_placement "
+            "for heterogeneous sizes"
+        )
     distance = context.distance
     cache_nodes = [
         v for v in problem.network.cache_nodes() if problem.network.cache_capacity(v) > 0
@@ -171,7 +178,10 @@ def algorithm1(
 
     Link capacities are ignored by design — the paper's premise is the
     lightly-loaded regime.  Raises :class:`InfeasibleError` when some request
-    has no eligible source at all (no pinned holder or cache node reaches it).
+    has no eligible source at all (no pinned holder or cache node reaches it),
+    and :class:`InvalidProblemError` when item sizes are not all 1 (Section
+    4's model; :func:`~repro.core.submodular.greedy_rnr_placement` handles
+    sizes).
 
     ``polish=True`` follows pipage rounding with a 1-swap local search on the
     true objective (:func:`~repro.core.submodular.local_search_swap`).  The

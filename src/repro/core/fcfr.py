@@ -214,10 +214,10 @@ def _assemble(problem: ProblemInstance):
 def solve_fcfr(problem: ProblemInstance) -> FCFRResult:
     """Solve FC-FR exactly.  Raises :class:`InfeasibleError` when (1) is."""
     lp, layout = _assemble(problem)
-    return _result_from_arrays(problem, layout, lp.solve())
+    return _decode_solution(problem, layout, lp.solve())
 
 
-def _result_from_arrays(problem, layout, lp_solution) -> FCFRResult:
+def _decode_solution(problem, layout, lp_solution) -> FCFRResult:
     """Decode an assembled LP's solution into an :class:`FCFRResult`."""
     requests, eligible, x_pairs, edges, elig_offsets = layout
     x_arr = lp_solution.block("x")

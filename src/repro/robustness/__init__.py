@@ -35,7 +35,6 @@ from repro.robustness.chaos import (
 )
 from repro.robustness.controller import (
     RecoveryPolicy,
-    StreamingSummary,
     TimelineController,
     TimelineReport,
     replay_timeline,
@@ -105,7 +104,6 @@ __all__ = [
     "TimelineReport",
     "replay_timeline",
     "StreamSegment",
-    "StreamingSummary",
     "StreamingTimelineReport",
     "replay_timeline_streaming",
     "ChaosConfig",

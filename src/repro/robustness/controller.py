@@ -57,8 +57,6 @@ from repro.robustness.faults import (
 from repro.robustness.recovery import cluster_local_recover, recover
 from repro.robustness.report import (
     SurvivabilityRecord,
-    _from_json_float,
-    _json_float,
     survivability_record,
 )
 from repro.robustness.timeline import FailureEvent, FailureTimeline, RepairEvent
@@ -122,78 +120,6 @@ class TimelineAction:
     served_rate: float
 
 
-@dataclass(frozen=True)
-class StreamingSummary:
-    """Request-level aggregates of a segmented streaming replay.
-
-    Attached to :class:`TimelineReport` by
-    :func:`~repro.robustness.streaming.replay_timeline_streaming`; the
-    analytic integrals stay exact, this carries what the sampled request
-    stream actually did on top of them.
-    """
-
-    #: Number of replay segments (boundaries = events ∪ actions ∪ workload).
-    segments: int
-    #: Arrivals generated / served / dropped over the whole horizon.
-    generated: int
-    served: int
-    dropped: int
-    #: Demand thinning factor the stream ran under.
-    rate_scale: float
-    #: Sum of path costs over served requests (at ``rate_scale``).
-    delivered_cost: float
-    #: ``delivered_cost / rate_scale`` — the estimator of ``cost_integral``.
-    streamed_cost_integral: float
-    #: Per-segment arrival counts, in segment (time) order.
-    segment_generated: tuple[int, ...] = ()
-    segment_served: tuple[int, ...] = ()
-
-    @property
-    def segment_dropped(self) -> tuple[int, ...]:
-        return tuple(
-            g - s for g, s in zip(self.segment_generated, self.segment_served)
-        )
-
-    @property
-    def served_fraction(self) -> float:
-        """Served share of generated arrivals; NaN when nothing arrived."""
-        if self.generated == 0:
-            return float("nan")
-        return self.served / self.generated
-
-    def to_json_dict(self) -> dict:
-        return {
-            "segments": self.segments,
-            "generated": self.generated,
-            "served": self.served,
-            "dropped": self.dropped,
-            "rate_scale": _json_float(self.rate_scale),
-            "delivered_cost": _json_float(self.delivered_cost),
-            "streamed_cost_integral": _json_float(self.streamed_cost_integral),
-            "segment_generated": list(self.segment_generated),
-            "segment_served": list(self.segment_served),
-            "segment_dropped": list(self.segment_dropped),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StreamingSummary":
-        return cls(
-            segments=int(data["segments"]),
-            generated=int(data["generated"]),
-            served=int(data["served"]),
-            dropped=int(data["dropped"]),
-            rate_scale=_from_json_float(data["rate_scale"]),
-            delivered_cost=_from_json_float(data["delivered_cost"]),
-            streamed_cost_integral=_from_json_float(
-                data["streamed_cost_integral"]
-            ),
-            segment_generated=tuple(
-                int(x) for x in data["segment_generated"]
-            ),
-            segment_served=tuple(int(x) for x in data["segment_served"]),
-        )
-
-
 @dataclass
 class TimelineReport:
     """Time-weighted outcome of replaying one timeline against a placement.
@@ -226,9 +152,6 @@ class TimelineReport:
     repaired_entries: int
     actions: list[TimelineAction] = field(default_factory=list)
     wall_seconds: float = field(default=0.0, compare=False)
-    #: Request-level aggregates when a streaming replay produced this report
-    #: (excluded from equality: the analytic integrals are seed-independent).
-    streaming: StreamingSummary | None = field(default=None, compare=False)
 
     @property
     def recovery_latencies(self) -> list[float]:
@@ -260,11 +183,6 @@ class TimelineReport:
             "repaired_entries": self.repaired_entries,
             "mean_recovery_latency": self.mean_recovery_latency,
             "wall_seconds": self.wall_seconds,
-            "streaming": (
-                self.streaming.to_json_dict()
-                if self.streaming is not None
-                else None
-            ),
         }
 
     def format(self, *, title: str = "timeline") -> str:
@@ -293,15 +211,6 @@ class TimelineReport:
             f"cost inflation integral {self.cost_inflation_integral:.4g} | "
             f"mean recovery latency {self.mean_recovery_latency:.4g}"
         )
-        if self.streaming is not None:
-            s = self.streaming
-            summary += (
-                f"\nstreamed {s.generated} requests over {s.segments} segments"
-                f" ({s.served} served, {s.dropped} dropped,"
-                f" rate scale {s.rate_scale:g}) | "
-                f"streamed cost integral {s.streamed_cost_integral:.6g}"
-                f" vs analytic {self.cost_integral:.6g}"
-            )
         return f"{table}\n{summary}"
 
 

@@ -50,7 +50,6 @@ from repro.core.solution import Placement, Routing
 from repro.exceptions import InvalidProblemError
 from repro.robustness.controller import (
     RecoveryPolicy,
-    StreamingSummary,
     TimelineController,
     TimelineReport,
 )
@@ -323,21 +322,16 @@ class StreamingTimelineReport:
             return float("nan")
         return self.generated / self.elapsed_seconds
 
-    def summary(self) -> StreamingSummary:
-        return StreamingSummary(
-            segments=len(self.segments),
-            generated=self.generated,
-            served=self.served,
-            dropped=self.dropped,
-            rate_scale=self.rate_scale,
-            delivered_cost=self.delivered_cost,
-            streamed_cost_integral=self.streamed_cost_integral,
-            segment_generated=tuple(s.generated for s in self.segments),
-            segment_served=tuple(s.served for s in self.segments),
-        )
-
     def format(self, *, title: str = "timeline") -> str:
-        return self.analytic.format(title=title)
+        """The analytic report, then one line on the streamed requests."""
+        return (
+            f"{self.analytic.format(title=title)}\n"
+            f"streamed {self.generated} requests over {len(self.segments)} segments"
+            f" ({self.served} served, {self.dropped} dropped,"
+            f" rate scale {self.rate_scale:g}) | "
+            f"streamed cost integral {self.streamed_cost_integral:.6g}"
+            f" vs analytic {self.analytic.cost_integral:.6g}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -370,8 +364,8 @@ def replay_timeline_streaming(
     :class:`~repro.workload.nonstationary.WorkloadRegime`; ``reactive``
     an optional ``{name: ReactiveStrategyEngine}`` mapping fed the same
     stream with dead-node handling.  The returned report's ``analytic``
-    field carries the ordinary :class:`TimelineReport` with its
-    ``streaming`` summary attached.
+    field carries the ordinary :class:`TimelineReport`, equal to what
+    :func:`~repro.robustness.controller.replay_timeline` returns.
     """
     config = config or ServingConfig(horizon=timeline.horizon)
     if abs(config.horizon - timeline.horizon) > 1e-12 * max(
@@ -410,8 +404,8 @@ def replay_timeline_streaming(
         )
 
     # Shard-major, segment-minor: each shard owns one spawned stream and
-    # walks the segments in time order — run_shard's exact discipline,
-    # with the horizon split at the boundaries.
+    # walks the segments in time order — serving.engine.replay's shard
+    # discipline, with the horizon split at the boundaries.
     accs = [_empty_accumulator(s.tables) for s in segments]
     type_chunks: list[list[np.ndarray]] | None = (
         [[] for _ in segments] if reactive else None
@@ -476,7 +470,7 @@ def replay_timeline_streaming(
             reactive_costs[name] = total_cost
             reactive_edge_hits[name] = total_hits
 
-    report = StreamingTimelineReport(
+    return StreamingTimelineReport(
         analytic=analytic,
         segments=segments,
         rate_scale=rate_scale,
@@ -494,5 +488,3 @@ def replay_timeline_streaming(
         reactive_costs=reactive_costs,
         reactive_edge_hits=reactive_edge_hits,
     )
-    analytic.streaming = report.summary()
-    return report

@@ -5,7 +5,9 @@ a time; this package replays the same request process as bulk numpy arrays
 — millions of requests per second — and is the substrate for online
 adaptive baselines and non-stationary workload suites.  ``simulate()``
 remains the oracle: the parity suite pins this engine's aggregates against
-it on small instances.
+it on small instances.  ``ServingConfig.n_shards`` splits the stream into
+independently seeded shards, which :func:`replay` runs in-process, in
+shard order.
 
 Quick start::
 
@@ -26,7 +28,6 @@ from repro.serving.engine import (
     replay,
     serve_batch,
 )
-from repro.serving.sharding import replay_parallel
 from repro.serving.tables import RoutingTables, compile_tables
 
 __all__ = [
@@ -40,16 +41,12 @@ __all__ = [
     "generate_requests",
     "horizon_for_requests",
     "replay",
-    "replay_parallel",
     "replay_solution",
     "serve_batch",
 ]
 
 
-def replay_solution(problem, routing, config=None, *, allow_unrouted=False,
-                    parallel=False, max_workers=None):
+def replay_solution(problem, routing, config=None, *, allow_unrouted=False):
     """Compile ``routing`` over ``problem`` and replay it in one call."""
     tables = compile_tables(problem, routing, allow_unrouted=allow_unrouted)
-    if parallel:
-        return replay_parallel(tables, config, max_workers=max_workers)
     return replay(tables, config)

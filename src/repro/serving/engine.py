@@ -18,9 +18,10 @@ that remains the event simulator's job on small instances.
 
 Sharding (``ServingConfig.n_shards > 1``) thins each type's Poisson process
 into ``n`` independent processes of rate ``lambda / n`` with per-shard
-``SeedSequence.spawn`` streams; shard accumulators merge in shard-index
-order, so the serial path here is bit-identical to the process-pool path in
-:mod:`repro.serving.sharding`.
+``SeedSequence.spawn`` streams.  Shards run in-process in shard order and
+their accumulators merge in that order, so a replay is fixed by its seed and
+shard count; the segmented timeline replay in
+:mod:`repro.robustness.streaming` consumes the same streams.
 """
 
 from __future__ import annotations
@@ -50,18 +51,21 @@ class ServingConfig:
 
     horizon: float = 1.0
     seed: int = 0
-    #: Number of stream shards.  Results depend on the shard count (each
-    #: shard has its own spawned stream) but not on whether shards run
-    #: serially or in a process pool.
+    #: Number of stream shards.  Each shard has its own spawned stream, so
+    #: results depend on the shard count.
     n_shards: int = 1
     #: Guard against runaway instances: expected arrivals above this raise.
     max_requests: int = 50_000_000
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise InvalidProblemError("horizon must be positive")
-        if self.n_shards < 1:
-            raise InvalidProblemError("n_shards must be >= 1")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise InvalidProblemError(
+                f"horizon must be finite and positive, got {self.horizon!r}"
+            )
+        if not isinstance(self.n_shards, (int, np.integer)) or self.n_shards < 1:
+            raise InvalidProblemError(
+                f"n_shards must be an integer >= 1, got {self.n_shards!r}"
+            )
 
 
 @dataclass
@@ -147,7 +151,6 @@ def generate_requests(
     rng: np.random.Generator,
     *,
     rate_scale: float = 1.0,
-    max_requests: int | None = None,
 ) -> RequestBatch:
     """Draw one shard's arrivals in bulk.
 
@@ -156,8 +159,8 @@ def generate_requests(
     process per type, matching the event simulator's exponential
     inter-arrival construction in distribution.
     """
-    if horizon <= 0:
-        raise InvalidProblemError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise InvalidProblemError(f"horizon must be finite and positive, got {horizon!r}")
     if not math.isfinite(rate_scale) or rate_scale < 0:
         raise InvalidProblemError(f"rate_scale must be finite and >= 0, got {rate_scale!r}")
     total_rate = tables.total_rate
@@ -171,13 +174,6 @@ def generate_requests(
         # consumed, so downstream segments keep their streams aligned.
         return RequestBatch(
             timestamps=np.zeros(0), type_ids=np.zeros(0, dtype=np.int64)
-        )
-    expected = total_rate * horizon * rate_scale
-    if max_requests is not None and expected > max_requests:
-        raise InvalidProblemError(
-            f"replay would generate ~{expected:.0f} arrivals"
-            f" > max_requests={max_requests}; lower the horizon or scale"
-            " the instance down"
         )
     counts = rng.poisson(tables.rates * (horizon * rate_scale))
     total = int(counts.sum())
@@ -243,27 +239,11 @@ def shard_seed_sequences(config: ServingConfig) -> list[np.random.SeedSequence]:
     """Per-shard independent streams, materialized up front.
 
     Mirrors the Monte Carlo runner's discipline: the full list is derived
-    from the base seed before any work happens, so serial and pooled
-    execution consume exactly the same streams in the same order.
+    from the base seed before any work happens, so :func:`replay` and the
+    segmented timeline replay consume exactly the same streams in the same
+    order.
     """
     return np.random.SeedSequence(config.seed).spawn(config.n_shards)
-
-
-def run_shard(
-    tables: RoutingTables,
-    config: ServingConfig,
-    seed_seq: np.random.SeedSequence,
-) -> ShardAccumulator:
-    """Generate and serve one shard (rate thinned by ``1 / n_shards``)."""
-    rng = np.random.default_rng(seed_seq)
-    batch = generate_requests(
-        tables,
-        config.horizon,
-        rng,
-        rate_scale=1.0 / config.n_shards,
-        max_requests=config.max_requests,
-    )
-    return serve_batch(tables, batch, rng)
 
 
 def _empty_accumulator(tables: RoutingTables) -> ShardAccumulator:
@@ -276,69 +256,55 @@ def _empty_accumulator(tables: RoutingTables) -> ShardAccumulator:
     )
 
 
-def build_report(
+def replay(
     tables: RoutingTables,
-    config: ServingConfig,
-    total: ShardAccumulator,
-    *,
-    elapsed_seconds: float,
+    config: ServingConfig | None = None,
 ) -> ServingReport:
-    """Assemble the user-facing report from merged shard accumulators."""
-    generated = int(total.generated.sum())
-    served = int(total.served.sum())
-    empirical = {
-        edge: float(vol) / config.horizon
-        for edge, vol in zip(tables.edges, total.edge_volume)
-        if vol > 0.0
-    }
-    return ServingReport(
-        generated=generated,
-        served=served,
-        unserved=generated - served,
-        delivered_cost=total.delivered_cost,
-        empirical_loads=empirical,
-        analytic_loads=tables.expected_loads(),
-        unrouted_types=tables.unrouted_types,
-        horizon=config.horizon,
-        n_shards=config.n_shards,
-        elapsed_seconds=elapsed_seconds,
-        per_type_generated=total.generated,
-        per_type_served=total.served,
-    )
+    """Streaming replay; shards run in-process, in shard order.
 
-
-def _check_request_budget(tables: RoutingTables, config: ServingConfig) -> None:
-    """Refuse a replay whose expected arrivals exceed ``config.max_requests``.
-
-    Checked once over the whole stream: a shard only sees its thinned
-    share, so per-shard checks let an oversized replay through.
+    Each shard generates its arrivals at rate ``1 / n_shards`` of the
+    tables' rates and serves them from its own spawned stream.  The
+    expected request volume is validated against ``config.max_requests``
+    once, over the whole stream, before any generation happens, mirroring
+    the event simulator's guard.
     """
+    config = config or ServingConfig()
     expected = tables.total_rate * config.horizon
     if expected > config.max_requests:
         raise InvalidProblemError(
             f"replay would generate ~{expected:.0f} arrivals"
             f" > max_requests={config.max_requests}"
         )
-
-
-def replay(
-    tables: RoutingTables,
-    config: ServingConfig | None = None,
-) -> ServingReport:
-    """Serial streaming replay (shards run in-process, in shard order).
-
-    The expected request volume is validated against
-    ``config.max_requests`` before any generation happens, mirroring the
-    event simulator's guard.
-    """
-    config = config or ServingConfig()
-    _check_request_budget(tables, config)
     start = time.perf_counter()
     total = _empty_accumulator(tables)
     for seed_seq in shard_seed_sequences(config):
-        total.merge(run_shard(tables, config, seed_seq))
+        rng = np.random.default_rng(seed_seq)
+        batch = generate_requests(
+            tables, config.horizon, rng, rate_scale=1.0 / config.n_shards
+        )
+        total.merge(serve_batch(tables, batch, rng))
     elapsed = time.perf_counter() - start
-    return build_report(tables, config, total, elapsed_seconds=elapsed)
+
+    generated = int(total.generated.sum())
+    served = int(total.served.sum())
+    return ServingReport(
+        generated=generated,
+        served=served,
+        unserved=generated - served,
+        delivered_cost=total.delivered_cost,
+        empirical_loads={
+            edge: float(vol) / config.horizon
+            for edge, vol in zip(tables.edges, total.edge_volume)
+            if vol > 0.0
+        },
+        analytic_loads=tables.expected_loads(),
+        unrouted_types=tables.unrouted_types,
+        horizon=config.horizon,
+        n_shards=config.n_shards,
+        elapsed_seconds=elapsed,
+        per_type_generated=total.generated,
+        per_type_served=total.served,
+    )
 
 
 def horizon_for_requests(tables: RoutingTables, n_requests: float) -> float:

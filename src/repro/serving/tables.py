@@ -159,54 +159,6 @@ class RoutingTables:
         """Label -> id map over ``nodes`` (for failure masking)."""
         return {v: k for k, v in enumerate(self.nodes)}
 
-    # ------------------------------------------------------------------
-    # Shared-memory transport (see repro.serving.sharding)
-    # ------------------------------------------------------------------
-
-    _ARRAY_FIELDS = (
-        "rates",
-        "served_prob",
-        "item_sizes",
-        "slot_ptr",
-        "type_req",
-        "type_item",
-        "slot_prob",
-        "slot_path",
-        "slot_alias",
-        "path_cost",
-        "path_type",
-        "path_amount",
-        "path_src",
-        "path_edge_ptr",
-        "path_edges",
-        "edge_src",
-        "edge_dst",
-    )
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """The numeric payload, as named arrays (for ``BundleBroadcast``)."""
-        return {name: getattr(self, name) for name in self._ARRAY_FIELDS}
-
-    def labels(self) -> tuple:
-        """The small picklable remainder (labels + the unrouted count)."""
-        return (self.types, self.edges, self.nodes, self.items, self.unrouted_types)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        labels: tuple,
-        arrays: dict[str, np.ndarray],
-    ) -> "RoutingTables":
-        types, edges, nodes, items, unrouted = labels
-        return cls(
-            types=types,
-            edges=edges,
-            nodes=nodes,
-            items=items,
-            unrouted_types=unrouted,
-            **{name: arrays[name] for name in cls._ARRAY_FIELDS},
-        )
-
 
 def compile_tables(
     problem: ProblemInstance,

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adaptive import Algorithm1Template
 from repro.core import (
     ProblemInstance,
     SolverContext,
     algorithm1,
     check_feasibility,
+    pin_full_catalog,
     route_to_nearest_replica,
     routing_cost,
 )
-from repro.exceptions import InfeasibleError
-from repro.graph import all_pairs_least_costs
+from repro.core.algorithm1 import assemble_lp7
+from repro.exceptions import InfeasibleError, InvalidProblemError
+from repro.graph import all_pairs_least_costs, line_topology
 
 from tests.core.conftest import (
     brute_force_rnr_optimum,
@@ -107,6 +110,33 @@ class TestAlgorithm1:
         assert routing_cost(prob, rebuilt) == pytest.approx(
             routing_cost(prob, result.solution.routing)
         )
+
+
+class TestItemSizes:
+    """LP (7) counts items against c_v, so sizes other than 1 are refused."""
+
+    @staticmethod
+    def sized_problem() -> ProblemInstance:
+        # Line o-a-b, a caches 2 units; i1 and i2 take 2 units each, so
+        # counting items would place both at a (4 units).
+        net = line_topology(3)
+        net.set_cache_capacity(1, 2)
+        catalog = ("i1", "i2", "i3")
+        return ProblemInstance(
+            network=net,
+            catalog=catalog,
+            demand={("i1", 2): 5.0, ("i2", 2): 4.0, ("i3", 2): 3.0},
+            pinned=pin_full_catalog(catalog, [0]),
+            item_sizes={"i1": 2.0, "i2": 2.0, "i3": 1.0},
+        )
+
+    @pytest.mark.parametrize(
+        "entry", [algorithm1, assemble_lp7, Algorithm1Template],
+        ids=["algorithm1", "assemble_lp7", "template"],
+    )
+    def test_non_unit_sizes_raise(self, entry):
+        with pytest.raises(InvalidProblemError, match="greedy_rnr_placement"):
+            entry(self.sized_problem())
 
 
 class TestWmax:

@@ -1,5 +1,6 @@
 """Tests for the vectorized request generator and replay engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,12 +29,14 @@ def tables():
 
 class TestConfig:
     def test_invalid_horizon_rejected(self):
-        with pytest.raises(InvalidProblemError):
-            ServingConfig(horizon=0.0)
+        for horizon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidProblemError, match="horizon"):
+                ServingConfig(horizon=horizon)
 
     def test_invalid_shards_rejected(self):
-        with pytest.raises(InvalidProblemError):
-            ServingConfig(n_shards=0)
+        for n_shards in (0, -2, 2.5, 1.0):
+            with pytest.raises(InvalidProblemError, match="n_shards"):
+                ServingConfig(n_shards=n_shards)
 
 
 class TestGenerate:
@@ -62,10 +65,10 @@ class TestGenerate:
         for t, item, node in zip(batch.type_ids, items, nodes):
             assert tables.types[t] == (item, node)
 
-    def test_max_requests_guard(self, tables):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidProblemError, match="max_requests"):
-            generate_requests(tables, 1e9, rng, max_requests=1000)
+    def test_invalid_horizon_rejected(self, tables):
+        for horizon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidProblemError, match="horizon"):
+                generate_requests(tables, horizon, np.random.default_rng(0))
 
 
 class TestReplay:
@@ -140,13 +143,42 @@ class TestReplay:
         assert report.served == report.generated
 
 
+class TestShards:
+    def test_seed_changes_stream(self, tables):
+        a = replay(tables, ServingConfig(horizon=50.0, seed=0, n_shards=2))
+        b = replay(tables, ServingConfig(horizon=50.0, seed=1, n_shards=2))
+        assert a.generated != b.generated or a.delivered_cost != b.delivered_cost
+
+    def test_sharded_totals_statistically_consistent(self, tables):
+        """Thinned shards still realize the full demand rate overall."""
+        horizon = 300.0
+        expected = tables.total_rate * horizon
+        for n_shards in (1, 4):
+            report = replay(
+                tables, ServingConfig(horizon=horizon, seed=2, n_shards=n_shards)
+            )
+            assert abs(report.generated - expected) < 6 * np.sqrt(expected)
+            assert report.served == report.generated
+
+    def test_request_budget_counts_the_whole_stream(self, tables):
+        # ~2,000 expected arrivals against a budget of 1,000: each of the
+        # four shards expects only ~500, so the guard must see the whole
+        # stream.
+        config = ServingConfig(
+            horizon=2000.0 / tables.total_rate, seed=7, n_shards=4,
+            max_requests=1000,
+        )
+        with pytest.raises(InvalidProblemError, match="max_requests"):
+            replay(tables, config)
+
+
 class TestHorizonForRequests:
     def test_scales_inverse_to_rate(self, tables):
         h = horizon_for_requests(tables, 1_000.0)
         assert h * tables.total_rate == pytest.approx(1_000.0)
 
     def test_rejects_zero_rate(self, tables):
-        zeroed = type(tables).from_arrays(tables.labels(), tables.as_arrays())
+        zeroed = dataclasses.replace(tables, rates=tables.rates.copy())
         zeroed.rates[:] = 0.0
         with pytest.raises(InvalidProblemError, match="rate"):
             horizon_for_requests(zeroed, 1_000.0)
@@ -156,7 +188,7 @@ class TestDegenerateRates:
     """PR 8 satellite: zero/degenerate total_rate never divides by zero."""
 
     def _zeroed(self, tables):
-        z = type(tables).from_arrays(tables.labels(), tables.as_arrays())
+        z = dataclasses.replace(tables, rates=tables.rates.copy())
         z.rates[:] = 0.0
         return z
 
@@ -187,13 +219,13 @@ class TestDegenerateRates:
         assert acc.delivered_cost == 0.0
 
     def test_nonfinite_rate_raises(self, tables):
-        bad = type(tables).from_arrays(tables.labels(), tables.as_arrays())
+        bad = dataclasses.replace(tables, rates=tables.rates.copy())
         bad.rates[0] = float("inf")
         with pytest.raises(InvalidProblemError, match="degenerate"):
             generate_requests(bad, 1.0, np.random.default_rng(0))
 
     def test_negative_rate_raises(self, tables):
-        bad = type(tables).from_arrays(tables.labels(), tables.as_arrays())
+        bad = dataclasses.replace(tables, rates=tables.rates.copy())
         bad.rates[0] = -1.0
         with pytest.raises(InvalidProblemError, match="degenerate"):
             generate_requests(bad, 1.0, np.random.default_rng(0))

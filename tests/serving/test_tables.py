@@ -154,15 +154,3 @@ class TestCompile:
             for pf in routing.paths[request]:
                 want = path_cost(prob.network, pf.path)
                 assert any(abs(c - want) < 1e-9 for c in costs)
-
-
-class TestArrayRoundTrip:
-    def test_from_arrays_reconstructs_tables(self):
-        prob = make_line_problem(link_capacity=5.0)
-        tables = compile_tables(prob, origin_routing(prob))
-        rebuilt = type(tables).from_arrays(tables.labels(), tables.as_arrays())
-        assert rebuilt.types == tables.types
-        assert rebuilt.edges == tables.edges
-        assert rebuilt.unrouted_types == tables.unrouted_types
-        for name in tables._ARRAY_FIELDS:
-            assert np.array_equal(getattr(rebuilt, name), getattr(tables, name))

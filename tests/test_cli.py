@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -151,6 +153,24 @@ class TestRobustness:
         assert "events over horizon 30" in out
         assert "availability" in out
         assert "re-optimizations" in out
+
+    def test_timeline_serve_on_gadget(self, capsys):
+        code = main(
+            [
+                "robustness",
+                "--topology", "gadget",
+                "--timeline",
+                "--serve",
+                "--serve-requests", "20000",
+                "--shards", "2",
+                "--horizon", "25",
+                "--seed", "1",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^streamed \d+ requests over \d+ segments \(", out, re.M)
+        assert "cost integral: streamed " in out
 
     def test_random_failures_need_no_extra_flags(self, capsys):
         code = main(

@@ -34,6 +34,9 @@ def test_module_imports(module_name):
         "repro.baselines",
         "repro.experiments",
         "repro.simulation",
+        "repro.serving",
+        "repro.robustness",
+        "repro.adaptive",
     ],
 )
 def test_all_names_resolve(package):
