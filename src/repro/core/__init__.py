@@ -13,6 +13,7 @@ from repro.core.femtocaching import (
 from repro.core.alternating import AlternatingResult, alternating_optimization
 from repro.core.context import RequesterBlock, SolverContext, relevant_sources
 from repro.core.decomposed import (
+    ClusterIndex,
     ClusterPartition,
     ClusterReport,
     DecomposedResult,
@@ -105,6 +106,7 @@ __all__ = [
     "SolverContext",
     "RequesterBlock",
     "relevant_sources",
+    "ClusterIndex",
     "ClusterPartition",
     "ClusterReport",
     "DecomposedResult",

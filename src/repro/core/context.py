@@ -15,7 +15,8 @@ requester lists with their rates, and the bound ``w_max``.  A
   deterministic;
 - precomputed per-request baseline serving costs over pinned holders;
 - an edge-cost dict for O(1) link-cost lookups (serving-path suffix sums);
-- a lazy :class:`PredecessorPathCache` for actual path reconstruction.
+- a lazy :class:`PredecessorPathCache` that backtracks actual paths
+  through the backend's memoized shortest-path trees.
 
 The context is the only distance source of the solvers.  Their public
 entry points take it as an optional argument; called without one, they
@@ -74,21 +75,21 @@ class RequesterBlock:
 
 
 class PredecessorPathCache:
-    """Path reconstruction from per-source scipy predecessor trees.
+    """Path reconstruction from the backend's memoized shortest-path trees.
 
     RNR only needs actual node paths for holders that serve flow, and a
     failure sweep asks for paths out of many sources on many degraded
-    graphs.  This oracle runs one
-    ``scipy.sparse.csgraph.dijkstra(..., return_predecessors=True)`` per
-    serving source (memoized) and backtracks the predecessor array.
+    graphs.  Every :class:`~repro.graph.backends.LazyRowBackend` sweep keeps
+    each row's predecessor array beside the row, so this oracle only
+    backtracks :meth:`~repro.graph.backends.LazyRowBackend.predecessors`:
+    a source whose row a solver has read costs no further Dijkstra, and
+    one that has none gets its row and tree from one sweep.  Paths
+    therefore follow exactly the trees the rows measure.
     """
 
-    def __init__(self, csgraph, nodes: tuple[Node, ...]) -> None:
-        self._nodes = nodes
-        # The distance rows' own CSR adjacency (shared, not rebuilt), so
-        # paths follow the same shortest-path trees the rows measure.
-        self._csgraph = csgraph
-        self._pred: dict[int, np.ndarray] = {}
+    def __init__(self, backend: LazyRowBackend) -> None:
+        self._backend = backend
+        self._nodes = backend.nodes
         self._paths: dict[tuple[int, int], tuple[Node, ...]] = {}
 
     def path_by_index(self, source: int, target: int) -> tuple[Node, ...]:
@@ -96,17 +97,7 @@ class PredecessorPathCache:
         cached = self._paths.get((source, target))
         if cached is not None:
             return cached
-        pred = self._pred.get(source)
-        if pred is None:
-            from scipy.sparse.csgraph import dijkstra
-
-            _, pred = dijkstra(
-                self._csgraph,
-                directed=True,
-                indices=source,
-                return_predecessors=True,
-            )
-            self._pred[source] = pred
+        pred = self._backend.predecessors(source)
         hops = [target]
         j = target
         while j != source:
@@ -297,9 +288,9 @@ class SolverContext:
 
     @property
     def path_oracle(self) -> PredecessorPathCache:
-        """Lazy scipy predecessor-tree path oracle over the backend's CSR."""
+        """Lazy path oracle over the backend's predecessor trees."""
         if self._path_oracle is None:
-            self._path_oracle = PredecessorPathCache(self.backend.csgraph, self.nodes)
+            self._path_oracle = PredecessorPathCache(self.backend)
         return self._path_oracle
 
     def link_cost(self, u: Node, v: Node) -> float:

@@ -17,8 +17,10 @@ of the caching literature:
    directed links onto each boundary node, priced at the **true**
    full-graph least cost from the external holder to that boundary
    (computed from O(#origins) lazy distance rows, never the full matrix).
-   A cluster-level super-topology is also exposed for diagnostics
-   (:func:`super_topology`).
+   Each solve first groups links, boundary nodes and demand by cluster in
+   one pass (:class:`ClusterIndex`), so stitching a cluster never rescans
+   the whole graph.  A cluster-level super-topology is also exposed for
+   diagnostics (:func:`super_topology`).
 3. **Solve** each cluster's sub-instance with the exact Algorithm 1 —
    small dense contexts, the LP (7) machinery unchanged — in parallel
    across a process pool (:func:`decomposed_solve`), then **compose**: the
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -60,6 +63,7 @@ from repro.exceptions import InfeasibleError, InvalidProblemError
 from repro.graph.network import CAPACITY, COST, CacheNetwork
 
 __all__ = [
+    "ClusterIndex",
     "ClusterPartition",
     "ClusterReport",
     "DecomposedResult",
@@ -83,6 +87,13 @@ _ORIGIN_TAG = "__ext_origin__"
 
 def _origin_node(item: Item) -> tuple[str, Item]:
     return (_ORIGIN_TAG, item)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``; a bool or a non-integer is refused, not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise InvalidProblemError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _undirected_neighbors(graph: nx.DiGraph) -> dict[Node, list[Node]]:
@@ -141,36 +152,37 @@ def partition_graph(
     n = len(nodes)
     if n == 0:
         raise InvalidProblemError("cannot partition an empty network")
-    k = default_cluster_count(n) if n_clusters is None else int(n_clusters)
+    k = default_cluster_count(n) if n_clusters is None else _integer(
+        n_clusters, "n_clusters"
+    )
     if not 1 <= k <= n:
         raise InvalidProblemError(f"n_clusters must be in [1, {n}]")
     nbrs = _undirected_neighbors(graph)
     rng = np.random.default_rng(seed)
 
+    # Seeds and hop distances live at repr-order positions, so the largest
+    # ``(hop, repr)`` key is the last position among the farthest nodes.
     ordered = sorted(nodes, key=repr)
-    seeds: list[Node] = [ordered[int(rng.integers(n))]]
-    hop = {seeds[0]: 0}
-    frontier = deque([seeds[0]])
-    while frontier:  # BFS hop distances from the current seed set
-        u = frontier.popleft()
-        for w in nbrs[u]:
-            if w not in hop:
-                hop[w] = hop[u] + 1
-                frontier.append(w)
-    while len(seeds) < k:
-        best = max(
-            (v for v in ordered if v not in seeds),
-            key=lambda v: (hop.get(v, math.inf), repr(v)),
-        )
-        seeds.append(best)
-        frontier = deque([best])
-        hop[best] = 0
-        while frontier:
+    pos = {v: p for p, v in enumerate(ordered)}
+    adj = [[pos[w] for w in nbrs[v]] for v in ordered]
+    hop = [math.inf] * n
+    picked = [int(rng.integers(n))]
+    while True:
+        hop[picked[-1]] = 0
+        frontier = deque(picked[-1:])
+        while frontier:  # BFS hop distances from the current seed set
             u = frontier.popleft()
-            for w in nbrs[u]:
-                if hop.get(w, math.inf) > hop[u] + 1:
-                    hop[w] = hop[u] + 1
+            nxt = hop[u] + 1
+            for w in adj[u]:
+                if hop[w] > nxt:
+                    hop[w] = nxt
                     frontier.append(w)
+        if len(picked) == k:
+            break
+        # Seeds sit at hop 0 and every other node farther, so this never
+        # re-picks a seed while one is left to pick.
+        picked.append(n - 1 - int(np.argmax(np.asarray(hop)[::-1])))
+    seeds = [ordered[p] for p in picked]
 
     labels: dict[Node, int] = {}
     frontiers: list[deque[Node]] = []
@@ -238,18 +250,51 @@ def super_topology(network: CacheNetwork, partition: ClusterPartition) -> CacheN
     return CacheNetwork(quotient, caps)
 
 
-def _boundary_nodes(
-    graph: nx.DiGraph, partition: ClusterPartition, cid: int
-) -> list[Node]:
-    """Cluster members with at least one link crossing the cluster edge."""
-    out = set()
-    for u, v in graph.edges:
-        cu, cv = partition.labels[u], partition.labels[v]
-        if cu == cid and cv != cid:
-            out.add(u)
-        elif cv == cid and cu != cid:
-            out.add(v)
-    return sorted(out, key=repr)
+@dataclass(frozen=True)
+class ClusterIndex:
+    """One instance's per-cluster links, boundaries and demand.
+
+    Built in one pass over the instance's own graph and demand
+    (:meth:`build`), so :func:`cluster_subproblem` reads a cluster's slice
+    instead of scanning every link and request once per cluster.  An index
+    describes exactly one ``(problem, partition)`` pair: a degraded
+    instance's removed links and scaled capacities come from its own graph,
+    so an index is never reused across graphs.
+    """
+
+    #: Intra-cluster links ``(u, v, data)``, in graph edge order; ``data``
+    #: is the graph's own attribute dict.
+    edges: tuple[tuple[tuple[Node, Node, dict], ...], ...]
+    #: Members with at least one link crossing the cluster edge, repr-sorted.
+    boundary: tuple[tuple[Node, ...], ...]
+    #: Requests ``{(item, requester): rate}``, in ``problem.demand`` order.
+    demand: tuple[dict[tuple[Item, Node], float], ...]
+
+    @classmethod
+    def build(
+        cls, problem: ProblemInstance, partition: ClusterPartition
+    ) -> "ClusterIndex":
+        labels = partition.labels
+        k = partition.n_clusters
+        edges: list[list] = [[] for _ in range(k)]
+        boundary: list[set] = [set() for _ in range(k)]
+        for u, v, data in problem.network.graph.edges(data=True):
+            cu, cv = labels[u], labels[v]
+            if cu == cv:
+                edges[cu].append((u, v, data))
+            else:
+                boundary[cu].add(u)
+                boundary[cv].add(v)
+        demand: list[dict] = [{} for _ in range(k)]
+        for (i, s), r in problem.demand.items():
+            cid = labels.get(s)
+            if cid is not None:
+                demand[cid][(i, s)] = r
+        return cls(
+            edges=tuple(tuple(e) for e in edges),
+            boundary=tuple(tuple(sorted(b, key=repr)) for b in boundary),
+            demand=tuple(demand),
+        )
 
 
 def cluster_subproblem(
@@ -258,6 +303,7 @@ def cluster_subproblem(
     cid: int,
     holder_rows: dict[Node, np.ndarray],
     node_index: dict[Node, int],
+    index: ClusterIndex,
 ) -> ProblemInstance | None:
     """The sub-instance of one cluster, stitched at its boundary.
 
@@ -265,36 +311,36 @@ def cluster_subproblem(
     full-graph distance row (``holder_rows[h][node_index[b]]`` is the true
     least cost ``h -> b``); external holders of an item become one virtual
     origin node pinned with the item and wired onto every boundary node at
-    that true cost.  Returns ``None`` when the cluster hosts no demand.
+    that true cost.  ``index`` is the :class:`ClusterIndex` of ``problem``
+    under ``partition``, built once by the caller for all its clusters.
+    Returns ``None`` when the cluster hosts no demand.
     """
-    members = partition.clusters[cid]
-    member_set = set(members)
-    demand = {
-        (i, s): r for (i, s), r in problem.demand.items() if s in member_set
-    }
+    demand = dict(index.demand[cid])
     if not demand:
         return None
     items = sorted({i for (i, _s) in demand}, key=repr)
     item_set = set(items)
+    members = partition.clusters[cid]
+    member_set = set(members)
 
-    graph = problem.network.graph
     sub = nx.DiGraph()
     sub.add_nodes_from(members)
-    for u, v, data in graph.edges(data=True):
-        if u in member_set and v in member_set:
-            sub.add_edge(
-                u,
-                v,
-                **{
-                    COST: float(data.get(COST, 1.0)),
-                    CAPACITY: float(data.get(CAPACITY, math.inf)),
-                },
-            )
+    sub.add_edges_from(
+        (
+            u,
+            v,
+            {
+                COST: float(data.get(COST, 1.0)),
+                CAPACITY: float(data.get(CAPACITY, math.inf)),
+            },
+        )
+        for u, v, data in index.edges[cid]
+    )
 
     pinned = {
         (v, i) for (v, i) in problem.pinned if v in member_set and i in item_set
     }
-    boundary = _boundary_nodes(graph, partition, cid)
+    boundary = index.boundary[cid]
     for item in items:
         external = sorted(
             # ``h in holder_rows`` guards against holders that are not on
@@ -421,9 +467,12 @@ def decomposed_solve(
     holder_rows = dict(zip(holders, context.rows_of(holders)))
     node_index = context.node_index
 
+    index = ClusterIndex.build(problem, partition)
     payloads = []
     for cid in range(partition.n_clusters):
-        sub = cluster_subproblem(problem, partition, cid, holder_rows, node_index)
+        sub = cluster_subproblem(
+            problem, partition, cid, holder_rows, node_index, index
+        )
         if sub is not None:
             payloads.append((cid, sub, polish))
 
@@ -482,12 +531,18 @@ def touched_clusters(
     A failed node touches its own cluster; a failed directed link touches
     both endpoint clusters (a crossing link touches two).  Elements outside
     the partition's label map (already-removed nodes of a chained
-    derivation) are ignored.  When the result is a strict subset of all
-    clusters, re-solving only those clusters is exact with respect to the
-    decomposed model: every other cluster's sub-instance — members, local
-    links, boundary set, and virtual-origin prices, which are least costs
-    out of *pinned holders* and therefore unchanged while the holders'
-    clusters are untouched — is byte-identical to its healthy twin.
+    derivation) are ignored.
+
+    Re-solving only these clusters is a heuristic, even relative to the
+    decomposed model.  An untouched cluster keeps its members, local links
+    and boundary set, but its virtual-origin prices are full-graph least
+    costs out of the pinned holders, so a failure on a holder-to-boundary
+    shortest path changes them.  On the uncapacitated Tinet scenario
+    (``ScenarioConfig(topology="tinet", link_capacity_fraction=None,
+    seed=0)``) under ``partition_graph(..., 4, seed=0)``, link ``0--1``
+    touches clusters 0 and 1 and changes cluster 3's sub-instance, and
+    over its 89 single-link failures 20 (failure, untouched cluster)
+    pairs get a changed sub-instance.
     """
     labels = partition.labels
     touched: set[int] = set()
@@ -615,13 +670,17 @@ def resolve_clusters(
     components keep serving from whatever replicas they still hold; also
     the fallback when a cluster solve turns out infeasible).
 
-    ``context`` supplies the holder distance rows (``rows_of`` over the
-    pinned holders); without one, :meth:`SolverContext.from_problem`
-    builds it.  The named clusters are solved serially, in cluster order.
+    ``cluster_ids`` are integers (a bool or a non-integer raises
+    :class:`~repro.exceptions.InvalidProblemError`); a repeated id is
+    solved once.  ``context`` supplies the holder distance rows
+    (``rows_of`` over the pinned holders); without one,
+    :meth:`SolverContext.from_problem` builds it.  The named clusters are
+    solved serially, in cluster order, from one :class:`ClusterIndex` of
+    ``problem``.
     """
     graph = problem.network.graph
     part = restrict_partition(partition, graph.nodes)
-    wanted = sorted(int(c) for c in cluster_ids)
+    wanted = sorted({_integer(c, "cluster id") for c in cluster_ids})
     for cid in wanted:
         if not 0 <= cid < part.n_clusters:
             raise InvalidProblemError(f"unknown cluster id {cid}")
@@ -633,10 +692,11 @@ def resolve_clusters(
     holder_rows = dict(zip(holders, context.rows_of(holders)))
     node_index = context.node_index
 
+    index = ClusterIndex.build(problem, part)
     preserved: set = set()
     results: dict[int, tuple[dict, ClusterReport]] = {}
     for cid in wanted:
-        sub = cluster_subproblem(problem, part, cid, holder_rows, node_index)
+        sub = cluster_subproblem(problem, part, cid, holder_rows, node_index, index)
         if sub is None:
             # No local demand — but the cluster's replicas may still serve
             # other clusters through the global routing pass, so keep them.

@@ -21,9 +21,16 @@ implementation:
   Solvers consult cache-node, pinned-holder and requester rows only, so
   memory stays O(relevant · |V|).
 
-A row holds the same bytes whichever sweep produced it (asserted in
-``tests/graph/test_backends.py``), so the two policies are interchangeable
-on every operation.
+Every sweep also returns each row's shortest-path tree (scipy's
+``return_predecessors=True``), memoized as an ``int32`` predecessor array
+beside the row.  :class:`~repro.core.context.PredecessorPathCache`
+backtracks serving paths through these trees, so one Dijkstra per source
+yields both its distances and its paths, on both priming policies.
+
+A row and its tree hold the same bytes whichever sweep produced them
+(asserted in ``tests/graph/test_backends.py`` and
+``tests/graph/test_predecessor_parity.py``), so the two policies are
+interchangeable on every operation.
 
 ``w_max`` (the paper's bound on pairwise costs) is streamed through the
 full Dijkstra sweep in bounded-memory chunks without retaining the rows —
@@ -53,7 +60,8 @@ Node = Hashable
 
 __all__ = ["LazyRowBackend"]
 
-#: Rows per chunk of the streamed ``w_max`` sweep (memory = chunk * |V| * 8).
+#: Rows per chunk of the streamed ``w_max`` sweep (memory = chunk * |V| * 12:
+#: float64 rows and their int32 trees).
 _WMAX_CHUNK = 256
 
 
@@ -64,21 +72,26 @@ def _finite_max(rows: np.ndarray) -> float:
 
 
 class LazyRowBackend:
-    """Distance rows computed in batched sweeps and memoized.
+    """Distance rows and their shortest-path trees, computed in batched
+    sweeps and memoized.
 
     Rows and columns follow the graph's node insertion order, as everywhere
     in the repo; the CSR adjacency over the ``cost`` link attribute is built
     once (O(|V| + |E|)).  A fresh backend holds no rows; :meth:`prime`
     computes all of them at once, and any read computes the missing ones.
+    The sweep that computes a row also keeps its predecessor array
+    (:meth:`predecessors`), so path reconstruction never runs a Dijkstra of
+    its own; a primed backend holds an ``n x n`` ``int32`` tree matrix next
+    to its ``n x n`` rows.
     """
 
     def __init__(self, graph: nx.DiGraph) -> None:
         self.nodes: tuple[Node, ...] = tuple(graph.nodes)
         self.index: dict[Node, int] = {v: k for k, v in enumerate(self.nodes)}
-        #: CSR adjacency every row is computed from (shared with the
-        #: context's predecessor-path oracle).
+        #: CSR adjacency every row and tree is computed from.
         self.csgraph = _sparse_adjacency(graph, self.nodes, self.index, COST)
         self._rows: dict[int, np.ndarray] = {}
+        self._preds: dict[int, np.ndarray] = {}
         self._w_max: float | None = None
 
     def __len__(self) -> int:
@@ -93,23 +106,33 @@ class LazyRowBackend:
     # Row computation
     # ------------------------------------------------------------------
 
-    def _compute_rows(self, sources: np.ndarray) -> np.ndarray:
-        """Fresh rows for ``sources`` (one batched Dijkstra sweep)."""
+    def _compute_rows(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh rows and their predecessor trees for ``sources``.
+
+        One batched Dijkstra sweep; ``preds[k, j]`` is the node before ``j``
+        on the least-cost path out of ``sources[k]`` (negative at the source
+        and wherever ``j`` is unreachable).
+        """
         from scipy.sparse.csgraph import dijkstra
 
-        rows = np.atleast_2d(dijkstra(self.csgraph, directed=True, indices=sources))
+        rows, preds = dijkstra(
+            self.csgraph, directed=True, indices=sources, return_predecessors=True
+        )
+        rows = np.atleast_2d(rows)
         rows[np.arange(len(sources)), sources] = 0.0
-        return rows
+        return rows, np.atleast_2d(preds)
 
     def ensure_rows(self, idx: Iterable[int]) -> None:
-        """Materialize any missing rows in one batched sweep."""
+        """Materialize any missing rows (and their trees) in one batched sweep."""
         missing = {int(i) for i in idx if i not in self._rows}
         if not missing:
             return
         ids = sorted(missing)
-        computed = self._compute_rows(np.asarray(ids, dtype=np.intp))
-        computed.setflags(write=False)
-        self._rows.update(zip(ids, computed))
+        rows, preds = self._compute_rows(np.asarray(ids, dtype=np.intp))
+        rows.setflags(write=False)
+        preds.setflags(write=False)
+        self._rows.update(zip(ids, rows))
+        self._preds.update(zip(ids, preds))
 
     def prime(self) -> "LazyRowBackend":
         """Compute every row now, in one batched sweep (the dense policy).
@@ -148,6 +171,19 @@ class LazyRowBackend:
             return np.empty((0, len(self.nodes)), dtype=np.float64)
         return np.array([self._rows[i] for i in ids])
 
+    def predecessors(self, i: int) -> np.ndarray:
+        """Shortest-path tree of row ``i`` as an ``int32`` predecessor array.
+
+        Computed by the sweep that computed the row, so it records exactly
+        the paths the row measures.
+        """
+        i = int(i)
+        pred = self._preds.get(i)
+        if pred is None:
+            self.ensure_rows((i,))
+            pred = self._preds[i]
+        return pred
+
     def distance(self, i: int, j: int) -> float:
         row = self._rows.get(i)  # inlined hit path: solvers call this per pair
         return float((self.row(i) if row is None else row)[j])
@@ -177,7 +213,7 @@ class LazyRowBackend:
                 if cached:
                     top = max(top, _finite_max(np.array(cached)))
                 if fresh:
-                    rows = self._compute_rows(np.asarray(fresh, dtype=np.intp))
+                    rows, _ = self._compute_rows(np.asarray(fresh, dtype=np.intp))
                     top = max(top, _finite_max(rows))
             self._w_max = top if top > 0 else 1.0
         return self._w_max

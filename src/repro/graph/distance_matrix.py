@@ -4,9 +4,9 @@ The Section 4 machinery (F_RNR greedy, local search, RNR routing, the [3]
 candidate-path baseline) consumes the least routing cost ``w_{v->s}`` for
 (cache node, requester) pairs.  :class:`repro.graph.backends.LazyRowBackend`
 serves those costs as rows produced by ``scipy.sparse.csgraph.dijkstra``
-over the CSR adjacency built here (:func:`_sparse_adjacency`); the
-predecessor-tree path oracle of :mod:`repro.core.rnr` reuses the same
-adjacency, so distances and paths agree.
+over the CSR adjacency built here (:func:`_sparse_adjacency`); the same
+sweeps return the predecessor trees that the path oracle of
+:mod:`repro.core.context` backtracks, so distances and paths agree.
 
 Computing *every* row up front (the "dense" priming policy) costs
 O(|V|²) memory; :func:`estimate_dense_bytes` and :func:`dense_bytes_ceiling`
@@ -36,9 +36,10 @@ def estimate_dense_bytes(num_nodes: int) -> int:
     """Upper estimate of the peak allocation of computing every row at once.
 
     Two ``float64`` ``n x n`` arrays live at once (the result rows plus
-    scipy's working copy).
+    scipy's working copy), next to the ``int32`` ``n x n`` predecessor
+    matrix the primed backend keeps for path reconstruction.
     """
-    return 2 * 8 * num_nodes * num_nodes
+    return (2 * 8 + 4) * num_nodes * num_nodes
 
 
 def dense_bytes_ceiling() -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ClusterIndex,
     ProblemInstance,
     SolverContext,
     check_feasibility,
@@ -17,7 +18,10 @@ from repro.core import (
     default_cluster_count,
     partition_graph,
     pin_full_catalog,
+    resolve_clusters,
+    restrict_partition,
     super_topology,
+    touched_clusters,
 )
 from repro.exceptions import InvalidProblemError
 from repro.graph import CacheNetwork, LazyRowBackend, deltacom, tinet, tree_topology
@@ -86,6 +90,21 @@ class TestPartition:
         with pytest.raises(InvalidProblemError):
             partition_graph(net, net.num_nodes + 1)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, False, np.True_, "3"])
+    def test_non_integer_counts_raise(self, bad):
+        # a float was truncated (2.5 -> 2 clusters) and True meant 1 cluster
+        with pytest.raises(InvalidProblemError, match="n_clusters must be an integer"):
+            partition_graph(tinet(), bad)
+        with pytest.raises(InvalidProblemError, match="n_clusters must be an integer"):
+            decomposed_solve(make_problem(tinet()), n_clusters=bad, parallel=False)
+
+    def test_numpy_integer_count_is_valid(self):
+        net = tinet()
+        a = partition_graph(net, np.int64(3), seed=0)
+        b = partition_graph(net, 3, seed=0)
+        assert a.n_clusters == 3
+        assert a.labels == b.labels
+
     def test_single_cluster_is_whole_graph(self):
         net = tinet()
         part = partition_graph(net, 1, seed=0)
@@ -122,9 +141,10 @@ class TestSubproblem:
         lazy = LazyRowBackend(problem.network.graph)
         holders = sorted({v for (v, _i) in problem.pinned}, key=repr)
         rows = {h: lazy.row(lazy.index[h]) for h in holders}
+        index = ClusterIndex.build(problem, part)
         built = 0
         for cid in range(part.n_clusters):
-            sub = cluster_subproblem(problem, part, cid, rows, lazy.index)
+            sub = cluster_subproblem(problem, part, cid, rows, lazy.index, index)
             if sub is None:
                 continue
             built += 1
@@ -157,8 +177,9 @@ class TestSubproblem:
         part = partition_graph(capped, 3, seed=0)
         lazy = LazyRowBackend(capped.graph)
         rows = {nodes[0]: lazy.row(lazy.index[nodes[0]])}
+        index = ClusterIndex.build(problem, part)
         subs = [
-            cluster_subproblem(problem, part, cid, rows, lazy.index)
+            cluster_subproblem(problem, part, cid, rows, lazy.index, index)
             for cid in range(part.n_clusters)
         ]
         assert sum(s is not None for s in subs) < part.n_clusters
@@ -229,3 +250,82 @@ class TestDecomposedSolve:
         assert res.partition.n_clusters == default_cluster_count(
             problem.network.num_nodes
         )
+
+
+class TestResolveClusters:
+    def setup_method(self):
+        self.problem = make_problem(tinet(), seed=4)
+        self.partition = partition_graph(self.problem.network, 4, seed=0)
+        self.placement = decomposed_solve(
+            self.problem, n_clusters=4, seed=0, parallel=False
+        ).solution.placement
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, "1"])
+    def test_non_integer_ids_raise(self, bad):
+        # 1.7 used to be re-solved as cluster 1
+        with pytest.raises(InvalidProblemError, match="cluster id must be an integer"):
+            resolve_clusters(self.problem, self.partition, self.placement, [0, bad])
+
+    def test_repeated_id_is_solved_once(self, monkeypatch):
+        import repro.core.decomposed as decomposed
+
+        solved = []
+        original = decomposed._solve_cluster
+
+        def counting(payload):
+            solved.append(payload[0])
+            return original(payload)
+
+        monkeypatch.setattr(decomposed, "_solve_cluster", counting)
+        twice, _ = resolve_clusters(
+            self.problem, self.partition, self.placement, [2, 1, 2, np.int64(1)]
+        )
+        assert solved == [1, 2]
+        once, _ = resolve_clusters(self.problem, self.partition, self.placement, [1, 2])
+        assert dict(twice.items()) == dict(once.items())
+
+
+def stitched(problem, partition, cid):
+    """``cluster_subproblem`` of one cluster, from the problem's own rows."""
+    context = SolverContext.from_problem(problem, backend="lazy")
+    graph = problem.network.graph
+    holders = sorted({v for (v, _i) in problem.pinned if v in graph}, key=repr)
+    rows = dict(zip(holders, context.rows_of(holders)))
+    index = ClusterIndex.build(problem, partition)
+    return cluster_subproblem(problem, partition, cid, rows, context.node_index, index)
+
+
+class TestTouchedClusters:
+    def test_untouched_cluster_prices_can_move(self):
+        # Re-solving only the touched clusters is a heuristic: virtual-origin
+        # prices are full-graph least costs, so a failure on a
+        # holder->boundary shortest path changes an untouched cluster too.
+        from repro.experiments import ScenarioConfig, build_scenario
+        from repro.robustness import FailureScenario, LinkFailure, apply_failure
+
+        problem = build_scenario(
+            ScenarioConfig(topology="tinet", link_capacity_fraction=None, seed=0)
+        ).problem
+        partition = partition_graph(problem.network, 4, seed=0)
+        degraded = apply_failure(problem, FailureScenario("0--1", (LinkFailure(0, 1),)))
+        touched = touched_clusters(
+            partition,
+            failed_nodes=degraded.failed_nodes,
+            failed_links=degraded.failed_links,
+        )
+        assert touched == {0, 1}
+        healthy = stitched(problem, partition, 3)
+        after = stitched(
+            degraded.problem,
+            restrict_partition(partition, degraded.problem.network.graph.nodes),
+            3,
+        )
+
+        def split(sub):
+            edges = list(sub.network.graph.edges(data=True))
+            local = [e for e in edges if not isinstance(e[0], tuple)]
+            return local, [e for e in edges if isinstance(e[0], tuple)]
+
+        assert list(after.network.graph.nodes) == list(healthy.network.graph.nodes)
+        assert split(after)[0] == split(healthy)[0]
+        assert split(after)[1] != split(healthy)[1]

@@ -93,7 +93,8 @@ class TestLaziness:
 
 class TestMemoryGuard:
     def test_estimate_counts_matrix_and_adjacency(self):
-        assert estimate_dense_bytes(1000) == 2 * 8 * 1000 * 1000
+        # two float64 row matrices plus the int32 predecessor matrix
+        assert estimate_dense_bytes(1000) == (2 * 8 + 4) * 1000 * 1000
 
     def test_build_raises_over_explicit_ceiling(self, monkeypatch):
         net = deltacom()
