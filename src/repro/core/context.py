@@ -196,12 +196,8 @@ class SolverContext:
             self.node_index[source], self.node_index[target]
         )
 
-    def distances_from(self, source: Node) -> np.ndarray:
-        """Row of distances from ``source`` (read-only array view)."""
-        return self.backend.row(self.node_index[source])
-
     def row_of(self, source: Node) -> np.ndarray:
-        """Alias of :meth:`distances_from` (solver hot paths)."""
+        """Row of distances from ``source`` (read-only array view)."""
         return self.backend.row(self.node_index[source])
 
     def rows_of(self, sources) -> np.ndarray:

@@ -50,11 +50,7 @@ def sp(scenario: EdgeCachingScenario) -> Solution:
 
 
 class ksp:
-    """[3]'s benchmark with k candidate paths ('SP + RNR' at k = 1).
-
-    A callable class (not a closure) so instances pickle cleanly into the
-    parallel Monte Carlo runner's worker processes.
-    """
+    """[3]'s benchmark with k candidate paths ('SP + RNR' at k = 1)."""
 
     def __init__(self, k: int = 10) -> None:
         self.k = k
@@ -68,10 +64,7 @@ class ksp:
 
 
 class alternating:
-    """The general-case alternating optimization (Section 4.3.3).
-
-    Callable class for picklability (see :class:`ksp`).
-    """
+    """The general-case alternating optimization (Section 4.3.3)."""
 
     def __init__(
         self,

@@ -11,10 +11,9 @@ runner's ``RunRecord.extra`` side-channel (the wrapper attaches it to the
 solution as ``extra_metrics``, which :func:`~repro.experiments.runner.
 evaluate_algorithm` picks up).
 
-Everything stays picklable — the wrapper is a frozen dataclass over
-module-level callables — so timeline campaigns parallelize across processes
-exactly like plain campaigns, and the timeline seed is derived from the
-run's scenario seed, keeping serial and parallel execution bit-identical.
+The timeline seed is derived from the run's scenario seed, so a timeline
+campaign is fixed by its Monte Carlo seeds like a plain one, and a resumed
+campaign replays the same timelines.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from repro.robustness.timeline import TimelineConfig, generate_timeline
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Mapping
+    from pathlib import Path
 
     from repro.experiments.scenarios import EdgeCachingScenario
 
@@ -89,13 +89,12 @@ def run_timeline_campaign(
     timeline_config: TimelineConfig = TimelineConfig(),
     policy: RecoveryPolicy | None = None,
     timeline_seed_offset: int = 0,
-    **runner_kwargs,
+    checkpoint: str | Path | None = None,
 ) -> list[RunRecord]:
     """Monte Carlo campaign where every run also replays a failure timeline.
 
     A thin wrapper over :func:`~repro.experiments.runner.run_monte_carlo`
-    (all its keyword arguments — ``parallel``, ``checkpoint``,
-    ``run_timeout``, ... — pass through) with each algorithm wrapped in
+    (``checkpoint`` passes through) with each algorithm wrapped in
     :class:`TimelineAlgorithm`.  Each record's ``extra["timeline"]`` holds
     the replay summary; feed the records to :func:`timeline_rows` for a
     ``format_sweep``-ready table.
@@ -109,7 +108,7 @@ def run_timeline_campaign(
         )
         for name, algorithm in algorithms.items()
     }
-    return run_monte_carlo(config, wrapped, monte_carlo, **runner_kwargs)
+    return run_monte_carlo(config, wrapped, monte_carlo, checkpoint=checkpoint)
 
 
 def timeline_rows(records: "Iterable[RunRecord]") -> list[dict]:

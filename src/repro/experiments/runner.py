@@ -7,14 +7,13 @@ protocol.  The runner repeats scenarios over seeds and aggregates the
 metrics the paper plots: routing cost, congestion, max cache occupancy,
 and execution time (Tables 3-4).
 
-The paper's protocol averages 100 independent runs; :func:`run_monte_carlo`
-can execute them across processes (``parallel=True``).  Per-run seeds are
-materialized up front (optionally via ``numpy.random.SeedSequence.spawn``,
-see :class:`MonteCarloConfig`), every run is fully determined by its seed,
-and records are collected in run-major order — so the parallel mode is
-bit-identical to serial execution in everything except wall-clock timings.
-Runs share no solver state: each draws its own link costs, so each builds
-its own distance rows.
+The paper's protocol averages 100 independent runs.  :func:`run_monte_carlo`
+runs them in order over seeds materialized up front (optionally via
+``numpy.random.SeedSequence.spawn``, see :class:`MonteCarloConfig`); every
+run is fully determined by its seed, so a campaign resumed from its
+checkpoint returns the records of an uninterrupted one in everything except
+wall-clock timings.  Runs share no solver state: each draws its own link
+costs, so each builds its own distance rows.
 """
 
 from __future__ import annotations
@@ -22,16 +21,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import pickle
 import statistics
 import time
 import traceback
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-)
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,7 +39,6 @@ from repro.core.solution import Solution
 from repro.exceptions import ReproError
 from repro.experiments.config import MonteCarloConfig, ScenarioConfig
 from repro.experiments.scenarios import EdgeCachingScenario, build_scenario
-from repro.serving import ServingConfig, compile_tables, replay
 
 Algorithm = Callable[[EdgeCachingScenario], Solution]
 
@@ -79,49 +71,12 @@ class RunRecord:
     extra: dict = field(default_factory=dict)
 
 
-def _serving_metrics(
-    scenario: EdgeCachingScenario,
-    solution: Solution,
-    serving_replay: ServingConfig,
-) -> dict:
-    """Streaming replay of the solved routing against the true demand.
-
-    Returns a JSON-serializable summary for ``RunRecord.extra["serving"]``.
-    Replay problems (e.g. a horizon that would exceed ``max_requests``)
-    mark the summary as failed instead of failing the run — the planning
-    metrics above it are already computed and stay valid.
-    """
-    try:
-        tables = compile_tables(
-            scenario.problem, solution.routing, allow_unrouted=True
-        )
-        report = replay(tables, serving_replay)
-    except RECOVERABLE_ALGORITHM_ERRORS as exc:
-        return {"error": str(exc), "error_type": type(exc).__name__}
-    return {
-        "generated": report.generated,
-        "served": report.served,
-        "served_fraction": report.served_fraction,
-        "delivered_cost": report.delivered_cost,
-        "requests_per_sec": report.requests_per_sec,
-        "unrouted_types": report.unrouted_types,
-        "horizon": report.horizon,
-        "n_shards": report.n_shards,
-    }
-
-
 def evaluate_algorithm(
     name: str,
     algorithm: Algorithm,
     scenario: EdgeCachingScenario,
-    serving_replay: ServingConfig | None = None,
 ) -> RunRecord:
-    """Run one algorithm and measure it against the true demand.
-
-    ``serving_replay`` additionally replays the solved routing through the
-    streaming engine (:mod:`repro.serving`) and attaches the summary as
-    ``extra["serving"]``.
-    """
+    """Run one algorithm and measure it against the true demand."""
     start = time.perf_counter()
     try:
         solution = algorithm(scenario)
@@ -148,8 +103,6 @@ def evaluate_algorithm(
     # record's ``extra`` so checkpoints and aggregation side-channels see it.
     extra = getattr(solution, "extra_metrics", None)
     extra = dict(extra) if extra else {}
-    if serving_replay is not None:
-        extra["serving"] = _serving_metrics(scenario, solution, serving_replay)
     return RunRecord(
         algorithm=name,
         seed=scenario.config.seed,
@@ -167,8 +120,8 @@ def monte_carlo_seeds(monte_carlo: MonteCarloConfig) -> list[int]:
     With ``spawn_seeds`` the seeds come from
     ``numpy.random.SeedSequence(base_seed).spawn(n_runs)`` (independent
     streams); otherwise they are the legacy ``base_seed + run`` offsets.
-    Either way the full list is derived up front, so serial and parallel
-    execution see exactly the same seeds in the same order.
+    Either way the full list is derived up front, so a resumed campaign sees
+    exactly the seeds of the one it resumes, in the same order.
     """
     if monte_carlo.spawn_seeds:
         root = np.random.SeedSequence(monte_carlo.base_seed)
@@ -177,47 +130,6 @@ def monte_carlo_seeds(monte_carlo: MonteCarloConfig) -> list[int]:
             for child in root.spawn(monte_carlo.n_runs)
         ]
     return [monte_carlo.base_seed + run for run in range(monte_carlo.n_runs)]
-
-
-def _evaluate_run(
-    task: tuple[
-        ScenarioConfig,
-        Sequence[tuple[str, Algorithm]],
-        ServingConfig | None,
-    ],
-) -> list[RunRecord]:
-    """One Monte Carlo run: build the scenario, score every algorithm.
-
-    Module-level so :class:`ProcessPoolExecutor` can pickle it; the scenario
-    is built inside the worker so only the (small) config crosses the
-    process boundary.
-    """
-    run_config, named_algorithms, serving_replay = task
-    scenario = build_scenario(run_config)
-    return [
-        evaluate_algorithm(name, algorithm, scenario, serving_replay)
-        for name, algorithm in named_algorithms
-    ]
-
-
-def _timeout_records(
-    task, reason: str, *, seconds: float
-) -> list[RunRecord]:
-    """Failure records for every algorithm of a run that could not complete."""
-    run_config, named_algorithms, _serving = task
-    return [
-        RunRecord(
-            algorithm=name,
-            seed=run_config.seed,
-            cost=float("inf"),
-            congestion=float("inf"),
-            occupancy=float("inf"),
-            seconds=seconds,
-            failed=True,
-            extra={"error": reason, "error_type": "Timeout"},
-        )
-        for name, _algorithm in named_algorithms
-    ]
 
 
 def _checkpoint_line(run_index: int, seed: int, records: list[RunRecord]) -> str:
@@ -264,150 +176,67 @@ def run_monte_carlo(
     algorithms: Mapping[str, Algorithm],
     monte_carlo: MonteCarloConfig,
     *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    run_timeout: float | None = None,
     checkpoint: str | Path | None = None,
-    serving_replay: ServingConfig | None = None,
 ) -> list[RunRecord]:
     """Repeat every algorithm over seeded scenario instances.
 
-    ``parallel=True`` distributes runs over a ``ProcessPoolExecutor``
-    (``max_workers`` processes; default: one per CPU).  Runs are
-    independent — each is rebuilt in its worker from its materialized seed —
-    and records come back in run-major, algorithm-insertion order, so
-    results match serial execution bit-for-bit except for the measured
-    ``seconds``.
+    Runs execute in order over the seeds :func:`monte_carlo_seeds` fixes
+    before the first run starts.  Each run builds its scenario from its seed
+    alone and scores every algorithm in insertion order, so records come
+    back in run-major, algorithm-insertion order.
 
-    Hardening:
-
-    - Algorithms must be picklable (module-level callables); if submitting
-      them fails, or a run's *result* cannot be pickled back, the affected
-      runs degrade to serial execution with a logged warning instead of
-      raising.
-    - A crashed worker (``BrokenProcessPool``) likewise only degrades the
-      runs that were still in flight: they are re-executed serially, in
-      order, so the campaign still completes with the same records.
-    - ``run_timeout`` (seconds, parallel mode only) bounds how long the
-      runner waits for each run's result; a run that exceeds it is recorded
-      as ``failed=True`` for every algorithm instead of hanging the
-      campaign.  The timed-out worker is abandoned, not killed.
-    - ``checkpoint`` names a JSONL file (see :func:`load_checkpoint`) that
-      receives every completed run as soon as it finishes.  Re-running the
-      same campaign with the same checkpoint path skips completed runs and
-      returns records identical (except measured ``seconds``) to an
-      uninterrupted campaign.
-    - ``serving_replay`` replays every solved routing through the streaming
-      serving engine (:mod:`repro.serving`) against the true demand and
-      attaches the summary to each record's ``extra["serving"]``.  Replay
-      failures mark only that summary, never the run.
+    ``checkpoint`` names a JSONL file (see :func:`load_checkpoint`) that
+    receives every completed run as soon as it finishes.  Re-running the
+    same campaign with the same checkpoint path skips completed runs and
+    returns records identical (except measured ``seconds``) to an
+    uninterrupted campaign.  An entry counts as completed only when its
+    records carry this campaign's seed for that run and its algorithm
+    names in order; any other entry is logged and its run re-executed.
     """
-    tasks = [
-        (replace(config, seed=seed), tuple(algorithms.items()), serving_replay)
-        for seed in monte_carlo_seeds(monte_carlo)
-    ]
+    seeds = monte_carlo_seeds(monte_carlo)
+    names = list(algorithms)
     completed: dict[int, list[RunRecord]] = {}
     checkpoint_file = None
     if checkpoint is not None:
+        checkpoint = Path(checkpoint)
         completed = load_checkpoint(checkpoint)
-        stale = [i for i in completed if i >= len(tasks)
-                 or completed[i] and completed[i][0].seed != tasks[i][0].seed]
-        for i in stale:
-            logger.warning(
-                "checkpoint run %d does not match this campaign's seeds; ignoring", i
-            )
-            completed.pop(i)
+        for i in list(completed):
+            expected = [(name, seeds[i]) for name in names] if i < len(seeds) else None
+            if [(r.algorithm, r.seed) for r in completed[i]] != expected:
+                logger.warning(
+                    "checkpoint run %d does not match this campaign's seeds "
+                    "and algorithms; re-running it", i,
+                )
+                del completed[i]
         if completed:
             logger.info(
                 "resuming campaign from checkpoint %s (%d/%d runs done)",
-                checkpoint, len(completed), len(tasks),
+                checkpoint, len(completed), len(seeds),
             )
-        checkpoint_file = open(checkpoint, "a", encoding="utf-8")
+        # A run killed mid-write leaves an unterminated fragment; the next
+        # line must not be glued onto it, or it parses as corrupt too.
+        last_byte = checkpoint.read_bytes()[-1:] if checkpoint.exists() else b""
+        checkpoint_file = checkpoint.open("a", encoding="utf-8")
+        if last_byte not in (b"", b"\n"):
+            checkpoint_file.write("\n")
 
-    def finish_run(index: int, records: list[RunRecord]) -> None:
-        completed[index] = records
-        if checkpoint_file is not None:
-            checkpoint_file.write(
-                _checkpoint_line(index, tasks[index][0].seed, records) + "\n"
-            )
-            checkpoint_file.flush()
-
-    pending = [i for i in range(len(tasks)) if i not in completed]
     try:
-        serial_retry: list[int] = []
-        if parallel and len(pending) > 1:
-            serial_retry = _run_parallel(
-                tasks, pending, finish_run,
-                max_workers=max_workers, run_timeout=run_timeout,
-            )
-        else:
-            serial_retry = pending
-        for index in serial_retry:
-            finish_run(index, _evaluate_run(tasks[index]))
+        for index, seed in enumerate(seeds):
+            if index in completed:
+                continue
+            scenario = build_scenario(replace(config, seed=seed))
+            records = [
+                evaluate_algorithm(name, algorithm, scenario)
+                for name, algorithm in algorithms.items()
+            ]
+            completed[index] = records
+            if checkpoint_file is not None:
+                checkpoint_file.write(_checkpoint_line(index, seed, records) + "\n")
+                checkpoint_file.flush()
     finally:
         if checkpoint_file is not None:
             checkpoint_file.close()
-    return [record for index in range(len(tasks)) for record in completed[index]]
-
-
-def _run_parallel(
-    tasks,
-    pending: list[int],
-    finish_run: Callable[[int, list[RunRecord]], None],
-    *,
-    max_workers: int | None,
-    run_timeout: float | None,
-) -> list[int]:
-    """Run ``pending`` task indices in a process pool; return indices that
-    must be retried serially (worker crash / unpicklable payloads)."""
-    serial_retry: list[int] = []
-    pool = ProcessPoolExecutor(max_workers=max_workers)
-    abandoned = False
-    try:
-        futures = {i: pool.submit(_evaluate_run, tasks[i]) for i in pending}
-        for i in pending:
-            try:
-                finish_run(i, futures[i].result(timeout=run_timeout))
-            except FutureTimeoutError:
-                abandoned = True
-                futures[i].cancel()
-                logger.warning(
-                    "run %d (seed %d) exceeded run_timeout=%.3gs; recording "
-                    "it as failed", i, tasks[i][0].seed, run_timeout,
-                )
-                finish_run(
-                    i,
-                    _timeout_records(
-                        tasks[i],
-                        f"run exceeded run_timeout={run_timeout:.6g}s",
-                        seconds=float(run_timeout),
-                    ),
-                )
-            except BrokenExecutor:
-                # Harvest whatever finished before the crash; everything else
-                # (including the run that broke the pool) retries serially.
-                remaining = pending[pending.index(i):]
-                for j in remaining:
-                    try:
-                        finish_run(j, futures[j].result(timeout=0))
-                    except Exception:
-                        serial_retry.append(j)
-                logger.warning(
-                    "process pool broke at run %d (worker crash); re-running "
-                    "%d affected runs serially", i, len(serial_retry),
-                )
-                break
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                logger.warning(
-                    "run %d (seed %d) could not cross the process boundary "
-                    "(%s); falling back to serial execution for it",
-                    i, tasks[i][0].seed, exc,
-                )
-                serial_retry.append(i)
-    finally:
-        # wait=False so an abandoned (timed-out) worker cannot hang shutdown.
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
-    return serial_retry
+    return [record for index in range(len(seeds)) for record in completed[index]]
 
 
 @dataclass

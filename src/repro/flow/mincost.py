@@ -137,9 +137,6 @@ def min_cost_single_source_flow(
     graph: nx.DiGraph,
     source: Node,
     demands: Mapping[Node, float],
-    *,
-    cost_attr: str = COST,
-    capacity_attr: str = CAPACITY,
 ) -> tuple[dict[Edge, float], float]:
     """Cheapest splittable flow shipping ``demands`` from ``source``.
 
@@ -156,12 +153,12 @@ def min_cost_single_source_flow(
     inc = arc_incidence(graph)
     n_edges = len(inc.edges)
     costs = np.fromiter(
-        (d.get(cost_attr, 1.0) for _, _, d in graph.edges(data=True)),
+        (d.get(COST, 1.0) for _, _, d in graph.edges(data=True)),
         dtype=np.float64,
         count=n_edges,
     )
     caps = np.fromiter(
-        (d.get(capacity_attr, math.inf) for _, _, d in graph.edges(data=True)),
+        (d.get(CAPACITY, math.inf) for _, _, d in graph.edges(data=True)),
         dtype=np.float64,
         count=n_edges,
     )
@@ -185,9 +182,6 @@ def min_cost_single_source_flow(
 def min_cost_multicommodity_flow(
     graph: nx.DiGraph,
     commodities: list[Commodity],
-    *,
-    cost_attr: str = COST,
-    capacity_attr: str = CAPACITY,
 ) -> tuple[dict[Hashable, dict[Edge, float]], float]:
     """Cheapest splittable multicommodity flow under shared link capacities.
 
@@ -206,12 +200,12 @@ def min_cost_multicommodity_flow(
     n_edges = len(inc.edges)
     n_comm = len(commodities)
     costs = np.fromiter(
-        (d.get(cost_attr, 1.0) for _, _, d in graph.edges(data=True)),
+        (d.get(COST, 1.0) for _, _, d in graph.edges(data=True)),
         dtype=np.float64,
         count=n_edges,
     )
     caps = np.fromiter(
-        (d.get(capacity_attr, math.inf) for _, _, d in graph.edges(data=True)),
+        (d.get(CAPACITY, math.inf) for _, _, d in graph.edges(data=True)),
         dtype=np.float64,
         count=n_edges,
     )

@@ -37,9 +37,6 @@ def min_cost_flow_ssp(
     graph: nx.DiGraph,
     source: Node,
     demands: Mapping[Node, float],
-    *,
-    cost_attr: str = COST,
-    capacity_attr: str = CAPACITY,
 ) -> tuple[dict[Edge, float], float]:
     """Exact min-cost single-source flow by successive shortest paths.
 
@@ -60,10 +57,10 @@ def min_cost_flow_ssp(
         return flow, 0.0
 
     costs = {
-        (u, v): data.get(cost_attr, 1.0) for u, v, data in graph.edges(data=True)
+        (u, v): data.get(COST, 1.0) for u, v, data in graph.edges(data=True)
     }
     caps = {
-        (u, v): data.get(capacity_attr, math.inf)
+        (u, v): data.get(CAPACITY, math.inf)
         for u, v, data in graph.edges(data=True)
     }
     if any(c < 0 for c in costs.values()):

@@ -193,10 +193,6 @@ class CacheNetwork:
             raise InvalidNetworkError("cache capacity must be nonnegative")
         self._cache[v] = float(capacity)
 
-    def set_all_cache_capacities(self, capacity_by_node: Mapping[Node, float]) -> None:
-        for v, c in capacity_by_node.items():
-            self.set_cache_capacity(v, c)
-
     def set_link_capacity(self, u: Node, v: Node, capacity: float) -> None:
         if capacity <= 0:
             raise InvalidNetworkError("link capacity must be positive")

@@ -97,15 +97,6 @@ def all_pairs_least_costs(
     return costs, (w_max if w_max > 0 else 1.0)
 
 
-def all_pairs_shortest_paths(
-    graph: nx.DiGraph,
-    *,
-    weight: str = COST,
-) -> dict[Node, tuple[dict[Node, float], dict[Node, Node]]]:
-    """For every node ``v``: the Dijkstra ``(dist, pred)`` pair rooted at ``v``."""
-    return {v: single_source_dijkstra(graph, v, weight=weight) for v in graph.nodes}
-
-
 def path_cost(graph: nx.DiGraph, path: list[Node], *, weight: str = COST) -> float:
     """Total cost of a node path under the given edge weight attribute."""
     total = 0.0

@@ -16,7 +16,6 @@ from repro.experiments import (
     write_records_csv,
     write_sweep_csv,
 )
-from repro.experiments.algorithms import greedy, sp
 from repro.experiments.runner import RunRecord
 from repro.experiments.scenarios import build_scenario
 
@@ -60,66 +59,6 @@ class TestEvaluateAlgorithm:
         )
         # Same routing structure, same true demand -> same measured cost.
         assert record.cost == pytest.approx(baseline.cost)
-
-
-class TestServingReplay:
-    HORIZON = 1e-3  # hours; paper-scale rates make this a few thousand requests
-
-    def serving_config(self):
-        from repro.serving import ServingConfig
-
-        return ServingConfig(horizon=self.HORIZON, seed=0)
-
-    def test_replay_summary_attached(self):
-        scenario = build_scenario(SMALL)
-        record = evaluate_algorithm(
-            "origin", origin_only, scenario, self.serving_config()
-        )
-        serving = record.extra["serving"]
-        assert serving["generated"] > 0
-        assert serving["served_fraction"] == pytest.approx(1.0)
-        assert serving["delivered_cost"] / self.HORIZON == pytest.approx(
-            record.cost, rel=0.2
-        )
-        assert serving["requests_per_sec"] > 0
-
-    def test_no_summary_without_config(self):
-        scenario = build_scenario(SMALL)
-        record = evaluate_algorithm("origin", origin_only, scenario)
-        assert "serving" not in record.extra
-
-    def test_algorithm_failure_skips_replay(self):
-        scenario = build_scenario(SMALL)
-        record = evaluate_algorithm(
-            "bad", failing, scenario, self.serving_config()
-        )
-        assert record.failed
-        assert "serving" not in record.extra
-
-    def test_replay_failure_marks_summary_not_run(self):
-        from repro.serving import ServingConfig
-
-        scenario = build_scenario(SMALL)
-        record = evaluate_algorithm(
-            "origin",
-            origin_only,
-            scenario,
-            ServingConfig(horizon=1e6, max_requests=1_000),
-        )
-        assert not record.failed
-        assert record.cost > 0
-        assert "error" in record.extra["serving"]
-
-    def test_monte_carlo_threads_the_config(self):
-        records = run_monte_carlo(
-            SMALL,
-            {"origin": origin_only},
-            MonteCarloConfig(n_runs=2),
-            serving_replay=self.serving_config(),
-        )
-        assert len(records) == 2
-        for record in records:
-            assert record.extra["serving"]["generated"] > 0
 
 
 class TestRunMonteCarlo:
@@ -175,61 +114,6 @@ class TestSeeds:
         mc = MonteCarloConfig(n_runs=2, base_seed=5, spawn_seeds=True)
         records = run_monte_carlo(SMALL, {"origin": origin_only}, mc)
         assert [r.seed for r in records] == monte_carlo_seeds(mc)
-
-
-class TestParallelRunner:
-    MC = MonteCarloConfig(n_runs=3, base_seed=1)
-
-    def test_parallel_matches_serial_bit_for_bit(self):
-        algorithms = {"greedy": greedy, "sp": sp}
-        serial = run_monte_carlo(SMALL, algorithms, self.MC)
-        parallel = run_monte_carlo(
-            SMALL, algorithms, self.MC, parallel=True, max_workers=2
-        )
-        assert len(serial) == len(parallel) == 6
-        for a, b in zip(serial, parallel):
-            # Identical in everything except wall-clock timing.
-            assert (a.algorithm, a.seed) == (b.algorithm, b.seed)
-            assert a.cost == b.cost
-            assert a.congestion == b.congestion
-            assert a.occupancy == b.occupancy
-            assert a.failed == b.failed
-            assert a.extra == b.extra
-
-    def test_parallel_single_run_stays_serial(self):
-        records = run_monte_carlo(
-            SMALL,
-            {"origin": origin_only},
-            MonteCarloConfig(n_runs=1),
-            parallel=True,
-        )
-        assert len(records) == 1
-
-    def test_unpicklable_algorithm_falls_back_to_serial(self, caplog):
-        local = lambda scenario: origin_only(scenario)  # noqa: E731
-        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
-            records = run_monte_carlo(
-                SMALL,
-                {"origin": local},
-                MonteCarloConfig(n_runs=2),
-                parallel=True,
-            )
-        assert len(records) == 2
-        assert not any(r.failed for r in records)
-        assert any("falling back to serial" in m for m in caplog.messages)
-
-    def test_parallel_records_failures_like_serial(self):
-        serial = run_monte_carlo(SMALL, {"origin": origin_only, "bad": failing}, self.MC)
-        parallel = run_monte_carlo(
-            SMALL,
-            {"origin": origin_only, "bad": failing},
-            self.MC,
-            parallel=True,
-            max_workers=2,
-        )
-        assert [(r.algorithm, r.seed, r.failed) for r in serial] == [
-            (r.algorithm, r.seed, r.failed) for r in parallel
-        ]
 
 
 class TestReporting:

@@ -1,14 +1,6 @@
-"""Hardened Monte Carlo runner: numerical failures, checkpoints, crashes.
-
-Worker-crash helpers are module-level (picklable) and crash only inside a
-pool worker (``multiprocessing.parent_process() is not None``), so the
-serial re-execution path the runner falls back to completes normally.
-"""
+"""Hardened Monte Carlo runner: numerical failures and checkpoints."""
 
 import json
-import multiprocessing
-import os
-import time
 
 import numpy as np
 import pytest
@@ -42,18 +34,6 @@ def raises_value(scenario):
 
 def raises_zero_division(scenario):
     return 1 / 0
-
-
-def crash_worker(scenario):
-    if multiprocessing.parent_process() is not None:
-        os._exit(1)  # hard-kill the pool worker; unreachable serially
-    return origin_only(scenario)
-
-
-def sleepy_on_seed_one(scenario):
-    if scenario.config.seed == 1:
-        time.sleep(6.0)
-    return origin_only(scenario)
 
 
 CALLS: list[int] = []
@@ -123,14 +103,18 @@ class TestCheckpoint:
         assert any("corrupt checkpoint line" in m for m in caplog.messages)
         # Bit-for-bit identical to the uninterrupted campaign, except the
         # measured wall-clock seconds (per the runner's documented guarantee).
-        assert [_strip_seconds(r) for r in resumed] == [
-            _strip_seconds(r) for r in uninterrupted
-        ]
-        # The checkpoint is now complete: a further resume re-runs nothing.
+        expected = [_strip_seconds(r) for r in uninterrupted]
+        assert [_strip_seconds(r) for r in resumed] == expected
+        # The re-executed run starts on a line of its own, not on the
+        # half-written fragment, so the checkpoint is now complete.
+        assert sorted(load_checkpoint(path)) == [0, 1, 2, 3]
+        # A further resume re-runs nothing and returns the same records.
         CALLS.clear()
-        run_monte_carlo(SMALL, {"greedy": greedy, "sp": sp}, self.MC, checkpoint=path)
-        again = load_checkpoint(path)
-        assert sorted(again) == [0, 1, 2, 3]
+        again = run_monte_carlo(
+            SMALL, {"greedy": recording, "sp": recording}, self.MC, checkpoint=path
+        )
+        assert CALLS == []
+        assert [_strip_seconds(r) for r in again] == expected
 
     def test_completed_runs_are_not_reexecuted(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
@@ -154,6 +138,32 @@ class TestCheckpoint:
         assert CALLS == [100, 101]  # both runs re-executed
         assert [r.seed for r in records] == [100, 101]
 
+    @pytest.mark.parametrize(
+        "first, resumed",
+        [
+            (["greedy"], ["greedy", "sp"]),
+            (["greedy", "sp"], ["greedy"]),
+            (["greedy", "sp"], ["sp", "greedy"]),
+        ],
+    )
+    def test_algorithm_mismatch_invalidates_checkpoint_entry(
+        self, tmp_path, caplog, first, resumed
+    ):
+        path = tmp_path / "campaign.jsonl"
+        mc = MonteCarloConfig(n_runs=2, base_seed=0)
+        run_monte_carlo(SMALL, dict.fromkeys(first, recording), mc, checkpoint=path)
+        CALLS.clear()
+        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+            records = run_monte_carlo(
+                SMALL, dict.fromkeys(resumed, recording), mc, checkpoint=path
+            )
+        assert any("does not match" in m for m in caplog.messages)
+        # Both runs re-executed, every algorithm of the resumed set scored.
+        assert CALLS == [seed for seed in (0, 1) for _ in resumed]
+        assert [(r.algorithm, r.seed) for r in records] == [
+            (name, seed) for seed in (0, 1) for name in resumed
+        ]
+
     def test_load_checkpoint_missing_file(self, tmp_path):
         assert load_checkpoint(tmp_path / "nope.jsonl") == {}
 
@@ -167,51 +177,3 @@ class TestCheckpoint:
         assert list(payload) == sorted(payload)
         assert payload["run"] == 0
         assert payload["records"][0]["algorithm"] == "origin"
-
-
-class TestWorkerCrash:
-    def test_broken_pool_degrades_to_serial(self, caplog):
-        mc = MonteCarloConfig(n_runs=3, base_seed=5)
-        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
-            records = run_monte_carlo(
-                SMALL, {"crash": crash_worker}, mc, parallel=True, max_workers=2
-            )
-        assert any("process pool broke" in m for m in caplog.messages)
-        # Every affected seed was re-executed serially and completed.
-        assert [r.seed for r in records] == [5, 6, 7]
-        assert not any(r.failed for r in records)
-
-    def test_broken_pool_with_checkpoint_still_resumable(self, tmp_path):
-        path = tmp_path / "campaign.jsonl"
-        mc = MonteCarloConfig(n_runs=2, base_seed=0)
-        records = run_monte_carlo(
-            SMALL,
-            {"crash": crash_worker},
-            mc,
-            parallel=True,
-            max_workers=2,
-            checkpoint=path,
-        )
-        assert not any(r.failed for r in records)
-        assert sorted(load_checkpoint(path)) == [0, 1]
-
-
-class TestRunTimeout:
-    def test_slow_run_recorded_as_timeout(self, caplog):
-        mc = MonteCarloConfig(n_runs=2, base_seed=0)  # seed 1 sleeps 6s
-        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
-            records = run_monte_carlo(
-                SMALL,
-                {"origin": sleepy_on_seed_one},
-                mc,
-                parallel=True,
-                max_workers=2,
-                run_timeout=2.0,
-            )
-        assert any("exceeded run_timeout" in m for m in caplog.messages)
-        ok, timed_out = records
-        assert (ok.seed, ok.failed) == (0, False)
-        assert timed_out.seed == 1
-        assert timed_out.failed
-        assert timed_out.extra["error_type"] == "Timeout"
-        assert "run_timeout" in timed_out.extra["error"]
