@@ -21,8 +21,6 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-import numpy as np
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -399,7 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    from repro.prediction import DemandPredictor
+    from repro.prediction import DemandPredictor, mape
     from repro.workload import TraceConfig, synthesize_trace
 
     config = TraceConfig(seed=args.seed)
@@ -414,8 +412,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     for h in range(args.hours):
         rel = abs(predicted[h] - truth[h]) / truth[h]
         print(f"{h:>6}{truth[h]:>14,.0f}{predicted[h]:>14,.0f}{rel:>10.1%}")
-    mape = float(np.mean(np.abs(predicted - truth) / truth))
-    print(f"\nMAPE over {args.hours}h: {mape:.1%}")
+    print(f"\nMAPE over {args.hours}h: {mape(truth, predicted):.1%}")
     return 0
 
 

@@ -38,7 +38,6 @@ from repro.core.evaluation import (
     path_stretch,
     routing_cost,
     summarize,
-    unserved_fraction,
     utilization_profile,
 )
 from repro.core.fcfr import FCFRResult, solve_fcfr
@@ -94,7 +93,6 @@ __all__ = [
     "FeasibilityReport",
     "check_feasibility",
     "routing_cost",
-    "unserved_fraction",
     "congestion",
     "link_loads",
     "max_cache_occupancy",

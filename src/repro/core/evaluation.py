@@ -93,32 +93,6 @@ def congestion(
     return worst
 
 
-def unserved_fraction(
-    problem: ProblemInstance,
-    routing: Routing,
-    *,
-    demand: dict[Request, float] | None = None,
-    total_demand: float | None = None,
-) -> float:
-    """Demand-weighted fraction of requests ``routing`` leaves unserved.
-
-    0.0 on a fully served instance; 1.0 when nothing is routed.  Pass
-    ``total_demand`` to normalize against a larger reference volume (the
-    failure-injection reports normalize against the *healthy* instance's
-    demand so requests dropped with a failed requester node still count).
-    """
-    demand = problem.demand if demand is None else demand
-    total = sum(demand.values()) if total_demand is None else float(total_demand)
-    if total <= 0:
-        return 0.0
-    unserved = sum(
-        rate * max(0.0, 1.0 - routing.served_fraction(request))
-        for request, rate in demand.items()
-    )
-    unserved += max(0.0, total - sum(demand.values()))
-    return min(1.0, unserved / total)
-
-
 def max_cache_occupancy(problem: ProblemInstance, placement: Placement) -> float:
     """Max over cache nodes of used/available cache space (pinned is free)."""
     worst = 0.0

@@ -150,7 +150,8 @@ def load_checkpoint(path: str | Path) -> dict[int, list[RunRecord]]:
     ``run`` (index into the campaign's seed list), ``seed``, and
     ``records`` (the serialized :class:`RunRecord` list).  Truncated last
     lines (a run killed mid-write) are skipped with a warning, so resuming
-    after ``kill -9`` just re-executes that run.
+    after ``kill -9`` just re-executes that run; so is any line without an
+    integer ``run`` or a valid ``records`` list.
     """
     completed: dict[int, list[RunRecord]] = {}
     path = Path(path)
@@ -161,13 +162,16 @@ def load_checkpoint(path: str | Path) -> dict[int, list[RunRecord]]:
             continue
         try:
             payload = json.loads(line)
+            run = payload["run"]
+            if type(run) is not int:
+                raise TypeError(f"run index {run!r} is not an integer")
             records = [RunRecord(**r) for r in payload["records"]]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             logger.warning(
                 "skipping corrupt checkpoint line %d of %s (%s)", lineno, path, exc
             )
             continue
-        completed[int(payload["run"])] = records
+        completed[run] = records
     return completed
 
 

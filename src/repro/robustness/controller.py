@@ -11,7 +11,10 @@ The controller mirrors how an operator's control loop behaves under churn:
 - **detection delay** — it notices an event ``detection_delay`` after it
   happens; until it reacts, the *installed* routing keeps running and any
   path crossing a down element simply delivers nothing (charged as
-  unserved time);
+  unserved time).  Which paths still deliver is decided by
+  :func:`~repro.serving.degraded.delivered_rates` on the installed
+  routing's compiled tables — the mask the streaming replay degrades its
+  tables with;
 - **flap backoff** — on a failure it re-checks with exponential backoff
   (``flap_backoff * 2^k`` for ``max_retries`` checks) before committing to
   a re-route; a transient flap that clears in time never triggers
@@ -60,6 +63,8 @@ from repro.robustness.report import (
     survivability_record,
 )
 from repro.robustness.timeline import FailureEvent, FailureTimeline, RepairEvent
+from repro.serving.degraded import TableDegradation, delivered_rates
+from repro.serving.tables import RoutingTables, compile_tables
 
 Edge = tuple[Node, Node]
 
@@ -220,7 +225,8 @@ class TimelineController:
     Instances are single-use: construct and call :meth:`run` once.  The
     public attributes (``placement``, ``routing``, ``down_nodes``,
     ``down_links``, ``active_faults``, ``last_result``) exist for the chaos
-    harness's invariant observer.
+    harness's invariant observer; ``tables`` and :attr:`degradation` give
+    the streaming replay the installed state it serves requests from.
     """
 
     def __init__(
@@ -258,8 +264,8 @@ class TimelineController:
             problem, healthy_routing, demand=problem.demand
         )
         self.placement = placement.copy()
-        self.routing = healthy_routing
         self.last_result = None  # RecoveryResult of the latest action
+        self._install(healthy_routing)
 
         # --- element state ------------------------------------------------
         self.active_faults: dict[Fault, int] = {}
@@ -288,58 +294,51 @@ class TimelineController:
         self.deferrals = 0
         self.repaired_entries = 0
         self.actions: list[TimelineAction] = []
-        self._edge_costs: dict[Edge, float] = problem.network.costs()
-        self._path_costs: dict[tuple, float] = {}
         self._cur_served, self._cur_cost = self._rates()
 
     # ------------------------------------------------------------------
     # Instantaneous state
     # ------------------------------------------------------------------
 
-    def path_alive(self, path: tuple) -> bool:
-        """True when every node and directed edge of ``path`` is up."""
-        if self.down_nodes:
-            for v in path:
-                if self.down_nodes.get(v):
-                    return False
-        if self.down_links and len(path) > 1:
-            for e in zip(path[:-1], path[1:]):
-                if self.down_links.get(e):
-                    return False
-        return True
+    def _install(self, routing: Routing) -> None:
+        """Install ``routing``: compile it once, and note the copies it reads
+        that the placement no longer holds."""
+        self.routing = routing
+        #: The installed routing compiled against the *healthy* instance, so
+        #: every routing shares one request-type order and arrival rates.
+        self.tables: RoutingTables = compile_tables(
+            self.problem, routing, allow_unrouted=True
+        )
+        #: Cached ``(source, item)`` copies the installed routing reads;
+        #: pinned contents are permanent and never count.
+        self._reads: set[tuple[Node, object]] = {
+            (pf.source, item)
+            for (item, _s), pfs in routing.paths.items()
+            for pf in pfs
+        } - self.problem.pinned
+        #: The read copies the placement no longer holds (node failures
+        #: add the entries they wipe).
+        self._wiped = {key for key in self._reads if self.placement[key] <= 0}
 
-    def _path_cost(self, path: tuple) -> float:
-        cost = self._path_costs.get(path)
-        if cost is None:
-            cost = sum(self._edge_costs[e] for e in zip(path[:-1], path[1:]))
-            self._path_costs[path] = cost
-        return cost
+    @property
+    def degradation(self) -> TableDegradation:
+        """The current fault state as a mask of :attr:`tables`."""
+        return TableDegradation(
+            down_nodes=frozenset(self.down_nodes),
+            down_links=frozenset(self.down_links),
+            wiped=frozenset(self._wiped),
+        )
 
     def _rates(self) -> tuple[float, float]:
         """(served demand rate, delivered-traffic cost rate) right now.
 
-        A path delivers only when it is alive *and* its source still holds
-        the item: a node flap wipes the node's cache, so a stale routing
-        that survives the flap (absorbed before the controller reacted)
-        serves nothing from that source until a re-optimization re-routes.
-        Pinned contents are permanent copies and come back with the node.
+        A path delivers only when its requester and every element on it are
+        up *and* its source still holds the item: a node flap wipes the
+        node's cache, so a stale routing that survives the flap (absorbed
+        before the controller reacted) serves nothing from that source
+        until a re-optimization re-routes.
         """
-        served = 0.0
-        cost = 0.0
-        paths = self.routing.paths
-        pinned = self.problem.pinned
-        for (item, s), rate in self.problem.demand.items():
-            if self.down_nodes.get(s):
-                continue
-            for pf in paths.get((item, s), ()):
-                src = pf.source
-                if self.placement[(src, item)] <= 0 and (src, item) not in pinned:
-                    continue
-                if self.path_alive(pf.path):
-                    amount = rate * pf.amount
-                    served += amount
-                    cost += amount * self._path_cost(pf.path)
-        return served, cost
+        return delivered_rates(self.tables, self.degradation)
 
     def served_rate(self) -> float:
         """Demand rate currently delivered by the installed routing."""
@@ -355,10 +354,7 @@ class TimelineController:
 
     def _activate_element(self, fault: Fault, t: float) -> None:
         if isinstance(fault, LinkFailure):
-            pairs = [(fault.u, fault.v)]
-            if fault.both_directions:
-                pairs.append((fault.v, fault.u))
-            for e in pairs:
+            for e in fault.directed_edges:
                 self.down_links[e] = self.down_links.get(e, 0) + 1
         elif isinstance(fault, NodeFailure):
             node = fault.node
@@ -367,14 +363,12 @@ class TimelineController:
             for key in dead:
                 self.placement[key] = 0.0
             self._dropped_pending.extend(dead)
+            self._wiped.update(key for key in dead if key in self._reads)
         # CapacityDegradation leaves liveness untouched.
 
     def _deactivate_element(self, fault: Fault) -> None:
         if isinstance(fault, LinkFailure):
-            pairs = [(fault.u, fault.v)]
-            if fault.both_directions:
-                pairs.append((fault.v, fault.u))
-            for e in pairs:
+            for e in fault.directed_edges:
                 n = self.down_links.get(e, 0) - 1
                 if n <= 0:
                     self.down_links.pop(e, None)
@@ -512,7 +506,7 @@ class TimelineController:
         record = survivability_record(result, healthy_cost=self.healthy_cost)
 
         self.placement = result.placement
-        self.routing = result.routing
+        self._install(result.routing)
         self.last_result = result
         self._composed_faults = set(scenario.faults)
         self._dropped_pending = []

@@ -43,6 +43,14 @@ class LinkFailure:
     v: Node
     both_directions: bool = True
 
+    @property
+    def directed_edges(self) -> tuple[Edge, ...]:
+        """The directed edges this failure takes down: ``(u, v)``, then
+        ``(v, u)`` when ``both_directions``."""
+        if self.both_directions:
+            return ((self.u, self.v), (self.v, self.u))
+        return ((self.u, self.v),)
+
     def describe(self) -> str:
         arrow = "--" if self.both_directions else "->"
         return f"link {self.u!r}{arrow}{self.v!r}"
@@ -144,11 +152,8 @@ def apply_failure(
 
     for fault in scenario.faults:
         if isinstance(fault, LinkFailure):
-            pairs = [(fault.u, fault.v)]
-            if fault.both_directions:
-                pairs.append((fault.v, fault.u))
             removed = False
-            for u, v in pairs:
+            for u, v in fault.directed_edges:
                 if graph.has_edge(u, v):
                     graph.remove_edge(u, v)
                     failed_links.add((u, v))

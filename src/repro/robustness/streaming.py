@@ -5,9 +5,10 @@
 - the **analytic** side runs the ordinary
   :class:`~repro.robustness.controller.TimelineController` replay —
   exact piecewise-constant integration, detection delays, flap backoff,
-  re-optimizations — and an observer captures the *installed* network
-  state (routing, down nodes/links, wiped cached copies) at every
-  boundary where that state changes;
+  re-optimizations — and an observer records the controller's *installed*
+  state (its compiled tables and their
+  :class:`~repro.serving.degraded.TableDegradation`) at every boundary
+  where that state changes;
 - the **streaming** side splits the request stream at those boundaries
   (plus the breakpoints of an optional non-stationary
   :class:`~repro.workload.nonstationary.WorkloadRegime`) and replays
@@ -20,13 +21,14 @@ Request accounting matches :func:`repro.serving.engine.replay` exactly:
 Poisson counts per (type, segment), uniform order-statistic timestamps,
 one spawned :class:`numpy.random.SeedSequence` stream per shard
 (materialized up front, consumed shard-major across segments in time
-order), and the same ``serve_batch`` alias-table dispatch.  Because the
-degraded tables keep the controller's offered-load semantics (arrival
-rates untouched, dead paths carrying zero mass), the expected served /
-cost rates of every segment equal the controller's instantaneous rates,
-so the time-averaged streamed cost is an unbiased estimator of the
-analytic ``cost_integral`` — the statistical-parity gate in the test
-suite and ``benchmarks/bench_serving_degraded.py`` pins this.
+order), and the same ``serve_batch`` alias-table dispatch.  The
+controller computes its rates with
+:func:`~repro.serving.degraded.delivered_rates` on the same tables and
+mask, so the expected served / cost rates of every segment equal the
+controller's instantaneous rates bit for bit, and the time-averaged
+streamed cost is an unbiased estimator of the analytic ``cost_integral``
+— the statistical-parity gate in the test suite and
+``benchmarks/bench_serving_degraded.py`` pins this.
 
 Reactive strategies (:class:`~repro.adaptive.strategies.
 ReactiveStrategyEngine`) can ride the same stream: each segment's
@@ -54,7 +56,7 @@ from repro.robustness.controller import (
     TimelineReport,
 )
 from repro.robustness.timeline import FailureEvent, FailureTimeline
-from repro.serving.degraded import TableDegradation, degrade_tables
+from repro.serving.degraded import degrade_tables
 from repro.serving.engine import (
     ServingConfig,
     ShardAccumulator,
@@ -63,7 +65,7 @@ from repro.serving.engine import (
     serve_batch,
     shard_seed_sequences,
 )
-from repro.serving.tables import RoutingTables, compile_tables
+from repro.serving.tables import RoutingTables
 
 __all__ = [
     "StreamSegment",
@@ -77,34 +79,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Snapshot:
-    """Installed network state right after one controller boundary."""
-
-    routing: Routing
-    down_nodes: frozenset
-    down_links: frozenset
-    wiped: frozenset
-
-
-def _wiped_pairs(ctl: TimelineController) -> frozenset:
-    """(source, item) pairs the installed routing reads but that hold
-    nothing — the exact clause ``TimelineController._rates`` skips."""
-    pinned = ctl.problem.pinned
-    placement = ctl.placement
-    wiped: set = set()
-    for (item, _s), pfs in ctl.routing.paths.items():
-        for pf in pfs:
-            key = (pf.source, item)
-            if key in pinned or key in wiped:
-                continue
-            if placement[key] <= 0:
-                wiped.add(key)
-    return frozenset(wiped)
-
-
 def _capture_observer(entries: list, chained):
-    """Observer recording a state snapshot at init/event/action phases."""
+    """Observer recording the installed state at init/event/action phases."""
 
     def observe(phase, t, ctl, detail):
         if phase in ("init", "event", "action"):
@@ -112,18 +88,7 @@ def _capture_observer(entries: list, chained):
                 kind = "fail" if isinstance(detail, FailureEvent) else "repair"
             else:
                 kind = phase
-            entries.append(
-                (
-                    float(t),
-                    kind,
-                    _Snapshot(
-                        routing=ctl.routing,
-                        down_nodes=frozenset(ctl.down_nodes),
-                        down_links=frozenset(ctl.down_links),
-                        wiped=_wiped_pairs(ctl),
-                    ),
-                )
-            )
+            entries.append((float(t), kind, (ctl.tables, ctl.degradation)))
         if chained is not None:
             chained(phase, t, ctl, detail)
 
@@ -137,13 +102,13 @@ def _coalesce(entries: list) -> list:
     a batch of events/actions at one instant collapses into a single
     boundary carrying the state after the whole batch.
     """
-    out: list[tuple[float, tuple[str, ...], _Snapshot]] = []
-    for t, kind, snap in entries:
+    out: list[tuple[float, tuple[str, ...], tuple]] = []
+    for t, kind, state in entries:
         if out and out[-1][0] == t:
             prev = out[-1]
-            out[-1] = (t, prev[1] + (kind,), snap)
+            out[-1] = (t, prev[1] + (kind,), state)
         else:
-            out.append((t, (kind,), snap))
+            out.append((t, (kind,), state))
     return out
 
 
@@ -194,7 +159,6 @@ class StreamSegment:
 
 
 def _build_segments(
-    problem: ProblemInstance,
     entries: list,
     horizon: float,
     workload,
@@ -221,31 +185,12 @@ def _build_segments(
             boundaries.append((t, ("workload",), boundaries[i][2]))
         boundaries.sort(key=lambda b: b[0])
 
-    # Compile each installed routing once (against the *healthy* problem:
-    # same type order and arrival rates in every segment), keyed by object
-    # identity — the snapshots keep the routings alive.
-    base_cache: dict[int, RoutingTables] = {}
-
-    def base_tables(routing: Routing) -> RoutingTables:
-        tab = base_cache.get(id(routing))
-        if tab is None:
-            tab = compile_tables(problem, routing, allow_unrouted=True)
-            base_cache[id(routing)] = tab
-        return tab
-
     segments: list[StreamSegment] = []
-    for i, (t, kinds, snap) in enumerate(boundaries):
+    for i, (t, kinds, (tables, degradation)) in enumerate(boundaries):
         end = boundaries[i + 1][0] if i + 1 < len(boundaries) else horizon
         if end <= t:
             continue  # zero-width boundary batch (coalesced already)
-        tabs = degrade_tables(
-            base_tables(snap.routing),
-            TableDegradation(
-                down_nodes=snap.down_nodes,
-                down_links=snap.down_links,
-                wiped=snap.wiped,
-            ),
-        )
+        tabs = degrade_tables(tables, degradation)
         if workload is not None:
             tabs = workload.scale(tabs, t)
         segments.append(
@@ -255,8 +200,8 @@ def _build_segments(
                 end=end,
                 kinds=kinds,
                 tables=tabs,
-                down_nodes=snap.down_nodes,
-                down_links=snap.down_links,
+                down_nodes=degradation.down_nodes,
+                down_links=degradation.down_links,
                 offered_rate=tabs.total_rate,
                 served_rate=tabs.expected_served_rate(),
                 cost_rate=tabs.expected_cost_rate(),
@@ -392,7 +337,7 @@ def replay_timeline_streaming(
     )
     analytic = controller.run()
 
-    segments = _build_segments(problem, entries, timeline.horizon, workload)
+    segments = _build_segments(entries, timeline.horizon, workload)
     expected_generated = rate_scale * sum(
         s.offered_rate * s.duration for s in segments
     )

@@ -1,32 +1,32 @@
-"""Failure masking of compiled routing tables (degraded serving state).
+"""Failure masking of compiled routing tables: the one delivery rule.
 
-The streaming engine replays a static :class:`~repro.serving.tables.
-RoutingTables`; this module makes those tables failure-aware without a
-recompile.  :func:`degrade_tables` takes a compiled table and a
-:class:`TableDegradation` (down nodes, down directed links, wiped cached
-copies) and returns a new table in the *same type/path/edge id space*
-where
+A path of a compiled :class:`~repro.serving.tables.RoutingTables`
+*delivers* under a :class:`TableDegradation` (down nodes, down directed
+links, wiped cached copies) iff its requester is up, every node and
+directed edge on it is up, and its source still holds the item.
+:func:`_dead_paths` is the only place that rule is written; every
+failure replay reads it from here:
 
-- every path that traverses a down element, starts at a down or wiped
-  source, or belongs to a dead requester has its ``path_amount`` zeroed
-  and is dropped from its type's Walker–Vose alias slots;
-- ``served_prob`` is recomputed per affected type as ``min(1, sum of
-  surviving fractions)`` with the exact float-op sequence of
-  :func:`~repro.serving.tables.compile_tables`, so a type whose replicas
-  all died carries its whole mass as explicit unserved;
-- arrival ``rates`` are left untouched: a dead requester keeps
-  *generating* demand (it is offered load), it just serves nothing — the
-  same accounting the timeline controller uses, which is what makes the
-  degraded tables' analytic rates match the controller's
-  piecewise-constant integration exactly.
+- :func:`delivered_rates` gives the served demand rate and the
+  delivered routing cost rate (objective (1a)) of a fault state.  The
+  timeline controller integrates these piecewise-constant rates over
+  time;
+- :func:`degrade_tables` returns a new table in the *same
+  type/path/edge id space* for the streaming replay.  Every dead path
+  has its ``path_amount`` zeroed and is dropped from its type's
+  Walker–Vose alias slots, and ``served_prob`` is recomputed per
+  affected type as ``min(1, sum of surviving fractions)`` with the exact
+  float-op sequence of :func:`~repro.serving.tables.compile_tables`, so a
+  type whose replicas all died carries its whole mass as explicit
+  unserved.  Its ``expected_served_rate()`` and ``expected_cost_rate()``
+  equal :func:`delivered_rates` bit for bit.
 
-Masking semantics mirror ``TimelineController._rates()`` clause for
-clause: a path delivers iff its requester is up, every node and directed
-edge on it is up, and its source still holds the item.  Because the
-alias rebuild consumes the surviving amounts through the same operation
-sequence as a fresh compile, degrading is **bit-identical** to
-recompiling the masked routing (the degraded-tables test suite pins
-this against enumerated single-link/node scenarios).
+Arrival ``rates`` are left untouched: a dead requester keeps
+*generating* demand (it is offered load), it just serves nothing.
+Because the alias rebuild consumes the surviving amounts through the
+same operation sequence as a fresh compile, degrading is
+**bit-identical** to recompiling the masked routing (the degraded-tables
+test suite pins this against enumerated single-link/node scenarios).
 
 Sharing: unchanged arrays (costs, CSR layouts, sizes) are shared with
 the input tables, never copied — treat compiled tables as immutable.
@@ -35,16 +35,12 @@ the input tables, never copied — treat compiled tables as immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.serving.tables import Edge, Node, RoutingTables, _alias_table
 
-if TYPE_CHECKING:
-    from repro.robustness.faults import FailureScenario
-
-__all__ = ["TableDegradation", "degrade_tables"]
+__all__ = ["TableDegradation", "degrade_tables", "delivered_rates"]
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,9 @@ class TableDegradation:
     """Liveness state to mask a compiled table with.
 
     ``down_links`` holds *directed* edges (a bidirectional link failure
-    contributes both orientations); ``wiped`` holds ``(node, item)``
-    pairs whose cached copy is gone while the node itself is up — e.g. a
-    cache that flapped and lost its contents.  Callers deriving ``wiped``
+    contributes both orientations, see ``LinkFailure.directed_edges``);
+    ``wiped`` holds ``(node, item)`` pairs whose cached copy is gone — e.g.
+    a cache that flapped and came back empty.  Callers deriving ``wiped``
     from a placement must exclude pinned pairs (permanent copies).
     """
 
@@ -66,40 +62,9 @@ class TableDegradation:
     def empty(self) -> bool:
         return not (self.down_nodes or self.down_links or self.wiped)
 
-    @classmethod
-    def from_scenario(cls, scenario: "FailureScenario") -> "TableDegradation":
-        """Liveness mask of a static failure scenario.
 
-        Node-incident links need no enumeration: masking treats an edge
-        as dead when either endpoint is down.  Capacity degradations do
-        not change liveness and are ignored.
-        """
-        from repro.robustness.faults import LinkFailure, NodeFailure
-
-        down_nodes: set[Node] = set()
-        down_links: set[Edge] = set()
-        for fault in scenario.faults:
-            if isinstance(fault, LinkFailure):
-                down_links.add((fault.u, fault.v))
-                if fault.both_directions:
-                    down_links.add((fault.v, fault.u))
-            elif isinstance(fault, NodeFailure):
-                down_nodes.add(fault.node)
-        return cls(
-            down_nodes=frozenset(down_nodes), down_links=frozenset(down_links)
-        )
-
-
-def _as_degradation(failure) -> TableDegradation:
-    if isinstance(failure, TableDegradation):
-        return failure
-    return TableDegradation.from_scenario(failure)
-
-
-def _dead_paths(
-    tables: RoutingTables, degr: TableDegradation
-) -> tuple[np.ndarray, np.ndarray]:
-    """(per-path dead mask, per-type requester-down mask)."""
+def _dead_paths(tables: RoutingTables, degr: TableDegradation) -> np.ndarray:
+    """Per-path mask of the paths that no longer deliver under ``degr``."""
     n_nodes = len(tables.nodes)
     node_down = np.zeros(n_nodes, dtype=bool)
     if degr.down_nodes:
@@ -142,25 +107,36 @@ def _dead_paths(
                 flat, np.asarray(wiped_flat, dtype=np.int64)
             )
 
-    req_down = node_down[tables.type_req]
-    path_dead |= req_down[tables.path_type]
-    return path_dead, req_down
+    # A dead requester is served nothing, whichever nodes its paths cross.
+    path_dead |= node_down[tables.type_req][tables.path_type]
+    return path_dead
+
+
+def delivered_rates(
+    tables: RoutingTables, degr: TableDegradation
+) -> tuple[float, float]:
+    """(served demand rate, delivered cost rate) of ``tables`` under ``degr``.
+
+    Equal bit for bit to ``expected_served_rate()`` and
+    ``expected_cost_rate()`` of ``degrade_tables(tables, degr)``, without
+    rebuilding any alias table.
+    """
+    flow = tables.rates[tables.path_type] * tables.path_amount
+    if not degr.empty:
+        flow[_dead_paths(tables, degr)] = 0.0
+    return float(flow.sum()), float(flow @ tables.path_cost)
 
 
 def degrade_tables(
-    tables: RoutingTables, failure: "TableDegradation | FailureScenario"
+    tables: RoutingTables, degr: TableDegradation
 ) -> RoutingTables:
     """Mask ``tables`` with a failure state; see the module docstring.
 
-    ``failure`` is a :class:`TableDegradation` or a static
-    :class:`~repro.robustness.faults.FailureScenario` (converted via
-    :meth:`TableDegradation.from_scenario`).  Returns the input object
-    unchanged when nothing is masked.
+    Returns the input object unchanged when nothing is masked.
     """
-    degr = _as_degradation(failure)
     if degr.empty:
         return tables
-    path_dead, req_down = _dead_paths(tables, degr)
+    path_dead = _dead_paths(tables, degr)
     if not path_dead.any():
         return tables
 

@@ -164,6 +164,30 @@ class TestCheckpoint:
             (name, seed) for seed in (0, 1) for name in resumed
         ]
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"records": [], "seed": 21}',
+            '{"records": [], "run": "x", "seed": 21}',
+            '{"records": [], "run": null, "seed": 21}',
+            '{"records": [], "run": 1.0, "seed": 21}',
+        ],
+    )
+    def test_line_without_integer_run_is_corrupt(self, tmp_path, caplog, bad_line):
+        path = tmp_path / "campaign.jsonl"
+        mc = MonteCarloConfig(n_runs=3, base_seed=20)
+        run_monte_carlo(SMALL, {"rec": recording}, mc, checkpoint=path)
+        lines = path.read_text().splitlines()
+        # Run 1's line loses its integer index; runs 0 and 2 stay intact.
+        path.write_text("\n".join([lines[0], bad_line, lines[2]]) + "\n")
+        with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+            assert sorted(load_checkpoint(path)) == [0, 2]
+        assert any("corrupt checkpoint line 2" in m for m in caplog.messages)
+        CALLS.clear()
+        records = run_monte_carlo(SMALL, {"rec": recording}, mc, checkpoint=path)
+        assert CALLS == [21]  # only the affected run re-executes
+        assert [r.seed for r in records] == [20, 21, 22]
+
     def test_load_checkpoint_missing_file(self, tmp_path):
         assert load_checkpoint(tmp_path / "nope.jsonl") == {}
 

@@ -1,12 +1,16 @@
 """Online recovery controller: static parity, policies, exact integration."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.context import SolverContext
 from repro.core.problem import ProblemInstance, pin_full_catalog
-from repro.core.solution import Placement
+from repro.core.solution import Placement, Routing
 from repro.exceptions import InvalidProblemError
+from repro.flow.decomposition import PathFlow
 from repro.graph.network import CacheNetwork
 from repro.robustness import (
     FailureEvent,
@@ -16,13 +20,18 @@ from repro.robustness import (
     RecoveryPolicy,
     RepairEvent,
     TimelineConfig,
+    canonical_links,
     generate_timeline,
     replay_timeline,
     single_link_failures,
     single_node_failures,
 )
 from repro.robustness import controller
-from repro.robustness.chaos import check_static_parity
+from repro.robustness.chaos import (
+    check_static_parity,
+    random_placement,
+    random_problem,
+)
 from repro.robustness.demo import gadget_placement, gadget_problem
 
 _TOL = 1e-9
@@ -41,6 +50,67 @@ def line_problem():
 
 def manual_timeline(events, *, horizon, name="manual"):
     return FailureTimeline(name=name, horizon=horizon, events=tuple(events))
+
+
+def reference_rates(ctl) -> tuple[float, float]:
+    """(served rate, cost rate) by walking every request's paths in Python.
+
+    The delivery rule written out independently of the compiled-table
+    masks: liveness comes straight from the active faults, a link failure
+    downs both orientations unless ``both_directions`` is off, and a copy
+    is gone when the controller's placement no longer holds it unpinned.
+    """
+    down_nodes = set()
+    down_links = set()
+    for fault in ctl.active_faults:
+        if isinstance(fault, NodeFailure):
+            down_nodes.add(fault.node)
+        elif isinstance(fault, LinkFailure):
+            down_links.add((fault.u, fault.v))
+            if fault.both_directions:
+                down_links.add((fault.v, fault.u))
+    costs = ctl.problem.network.costs()
+    pinned = ctl.problem.pinned
+
+    def path_alive(path):
+        if any(v in down_nodes for v in path):
+            return False
+        return not any(e in down_links for e in zip(path[:-1], path[1:]))
+
+    served = 0.0
+    cost = 0.0
+    for (item, s), rate in ctl.problem.demand.items():
+        if s in down_nodes:
+            continue
+        for pf in ctl.routing.paths.get((item, s), ()):
+            src = pf.source
+            if ctl.placement[(src, item)] <= 0 and (src, item) not in pinned:
+                continue
+            if path_alive(pf.path):
+                amount = rate * pf.amount
+                served += amount
+                cost += amount * sum(
+                    costs[e] for e in zip(pf.path[:-1], pf.path[1:])
+                )
+    return served, cost
+
+
+class ReferenceObserver:
+    """Checks the controller's rates against :func:`reference_rates`."""
+
+    def __init__(self) -> None:
+        #: The controller's served rate after each event and action.
+        self.served: list[float] = []
+        self.mismatches: list[str] = []
+
+    def __call__(self, phase, t, ctl, detail) -> None:
+        if phase not in ("event", "action"):
+            return
+        got = (ctl.served_rate(), ctl._cur_cost)
+        self.served.append(got[0])
+        want = reference_rates(ctl)
+        if got != pytest.approx(want, rel=1e-9, abs=1e-12):
+            self.mismatches.append(f"t={t:g} {phase}: {got} != {want}")
 
 
 class TestStaticParity:
@@ -196,6 +266,82 @@ class TestPolicies:
         # item1 (rate 10 of 10.01) stays dark after the flap: availability
         # collapses to roughly the first healthy unit of time.
         assert report.availability < 0.5
+
+
+class TestDeliveryRule:
+    """The controller's rates follow the per-request delivery rule."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        policy=st.sampled_from(
+            [
+                RecoveryPolicy(),
+                RecoveryPolicy(detection_delay=0.3),
+                RecoveryPolicy(detection_delay=0.1, flap_backoff=0.2, max_retries=2),
+                RecoveryPolicy(detection_delay=0.2, min_dwell=2.0, repair=True),
+            ]
+        ),
+    )
+    def test_rates_match_reference_after_every_callback(self, seed, policy):
+        # Node failures, flaps, and an SRLG of two links that also run their
+        # own per-link processes, so a link can be held down twice.
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, n_nodes=int(rng.integers(6, 10)), n_items=3)
+        placement = random_placement(rng, problem)
+        links = canonical_links(problem)
+        picks = rng.choice(len(links), size=2, replace=False)
+        timeline = generate_timeline(
+            problem,
+            TimelineConfig(
+                horizon=30.0,
+                link_mtbf=20.0,
+                link_mttr=2.0,
+                node_mtbf=25.0,
+                node_mttr=3.0,
+                flap_probability=0.4,
+                flap_mttr=0.15,
+                srlg_groups=(tuple(links[int(j)] for j in picks),),
+                srlg_mtbf=10.0,
+                srlg_mttr=2.0,
+                exclude_nodes=("n0",),
+            ),
+            seed=seed,
+        )
+        observer = ReferenceObserver()
+        replay_timeline(problem, placement, timeline, policy, observer=observer)
+        assert len(observer.served) >= len(timeline.events)
+        assert not observer.mismatches, observer.mismatches[:3]
+
+    def test_dead_requester_serves_nothing_off_path(self):
+        # A hand-built routing whose path stops one hop short of its
+        # requester: only the requester clause can see the requester die.
+        g = nx.DiGraph()
+        for u, v in [("a", "b"), ("b", "c")]:
+            g.add_edge(u, v, cost=1.0, capacity=float("inf"))
+            g.add_edge(v, u, cost=1.0, capacity=float("inf"))
+        problem = ProblemInstance(
+            CacheNetwork(g, {"a": 1.0}),
+            ("i",),
+            {("i", "c"): 2.0},
+            pinned=pin_full_catalog(("i",), ["a"]),
+        )
+        routing = Routing({("i", "c"): [PathFlow(path=("a", "b"), amount=1.0)]})
+        fault = NodeFailure("c")
+        timeline = manual_timeline(
+            [FailureEvent(1.0, fault), RepairEvent(2.0, fault)], horizon=3.0
+        )
+        observer = ReferenceObserver()
+        replay_timeline(
+            problem,
+            Placement(),
+            timeline,
+            RecoveryPolicy(detection_delay=0.5),
+            healthy_routing=routing,
+            observer=observer,
+        )
+        assert observer.served[0] == 0.0  # c failed; no re-route yet
+        assert not observer.mismatches, observer.mismatches
 
 
 class TestDerivedStateParity:

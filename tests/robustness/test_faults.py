@@ -41,6 +41,11 @@ class TestLinkFailure:
         assert not degraded.problem.network.has_edge("v1", "s")
         assert degraded.problem.network.has_edge("s", "v1")
 
+    def test_directed_edges_orientations(self):
+        one_way = LinkFailure("a", "b", both_directions=False)
+        assert one_way.directed_edges == (("a", "b"),)
+        assert LinkFailure("a", "b").directed_edges == (("a", "b"), ("b", "a"))
+
     def test_missing_link_raises(self):
         problem = gadget_problem()
         with pytest.raises(InvalidProblemError, match="missing"):

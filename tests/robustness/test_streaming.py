@@ -96,6 +96,19 @@ class TestExactParity:
             analytic.total_demand * analytic.horizon, rel=_TOL
         )
 
+    def test_segment_rates_are_controller_rates(self, gadget, timeline):
+        """Each segment serves at the controller's rates of its boundary."""
+        rates = {}
+
+        def record(phase, t, ctl, _detail):
+            if phase != "end":  # the last callback at an instant wins
+                rates[t] = (ctl.served_rate(), ctl._cur_cost)
+
+        report = _stream(gadget, timeline, observer=record)
+        assert len(report.segments) > 10
+        for seg in report.segments:
+            assert (seg.served_rate, seg.cost_rate) == rates[seg.start]
+
     def test_offered_load_semantics_keep_rates(self, gadget, timeline):
         """Dead paths drop mass from served, never from arrivals."""
         report = _stream(gadget, timeline)

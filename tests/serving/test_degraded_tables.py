@@ -6,15 +6,10 @@ import pytest
 from repro.core import Placement, Routing, route_to_nearest_replica
 from repro.core.evaluation import link_loads
 from repro.flow.decomposition import PathFlow
-from repro.robustness import (
-    FailureScenario,
-    LinkFailure,
-    NodeFailure,
-    apply_failure,
-    recover,
-)
+from repro.robustness import FailureScenario, NodeFailure, apply_failure, recover
 from repro.robustness.chaos import random_placement, random_problem
 from repro.serving import TableDegradation, compile_tables, degrade_tables
+from repro.serving.degraded import delivered_rates
 
 from tests.core.conftest import make_line_problem
 
@@ -52,6 +47,10 @@ def assert_degrade_matches_recompile(problem, routing, degr):
     """
     base = compile_tables(problem, routing, allow_unrouted=True)
     deg = degrade_tables(base, degr)
+    assert delivered_rates(base, degr) == (
+        deg.expected_served_rate(),
+        deg.expected_cost_rate(),
+    )
     ref = compile_tables(
         problem, _mask_routing(problem, routing, degr), allow_unrouted=True
     )
@@ -211,20 +210,9 @@ class TestSemantics:
         result = recover(apply_failure(problem, scenario), placement)
         tables = compile_tables(problem, result.routing, allow_unrouted=True)
         deg = degrade_tables(
-            tables, TableDegradation.from_scenario(scenario)
+            tables, TableDegradation(down_nodes=frozenset([victim]))
         )
         assert deg is tables
-
-    def test_from_scenario_orientations(self):
-        one_way = FailureScenario(
-            "x", (LinkFailure("a", "b", both_directions=False),)
-        )
-        both = FailureScenario("y", (LinkFailure("a", "b"),))
-        assert TableDegradation.from_scenario(one_way).down_links == {("a", "b")}
-        assert TableDegradation.from_scenario(both).down_links == {
-            ("a", "b"),
-            ("b", "a"),
-        }
 
     def test_line_problem_served_rate_matches_masked(self):
         prob = make_line_problem(cache_nodes={2: 1.0})
