@@ -15,7 +15,10 @@ a whole chunk of requests with a handful of scatter ops:
 State is *frozen within a chunk*: lookups during a chunk see the state left
 by the previous chunk, and all touches/insertions of the chunk are applied
 at once by :meth:`CacheArrayState.apply_chunk` (recency = within-chunk
-order, evictions afterwards).  With ``chunk_size == 1`` this reproduces the
+order, evictions afterwards).  An event may carry a multiplicity: per
+``(node, item)`` pair only the event count and the latest position matter,
+so ``k`` events of one pair at positions up to ``p`` are one event of
+multiplicity ``k`` at ``p``.  With ``chunk_size == 1`` this reproduces the
 legacy per-request dynamics exactly; larger chunks trade a bounded state
 lag for vectorized throughput.
 """
@@ -123,12 +126,16 @@ class CacheArrayState:
         insert_items: np.ndarray,
         insert_seq: np.ndarray,
         chunk_len: int,
+        touch_mult: np.ndarray | None = None,
+        insert_mult: np.ndarray | None = None,
     ) -> None:
         """Apply one chunk's touches and insertions, then evict overflows.
 
         ``*_seq`` are within-chunk request indices (``0 .. chunk_len-1``)
-        establishing recency order; events later in the chunk win.  Per
-        ``(node, item)`` pair the update is:
+        establishing recency order; events later in the chunk win.
+        ``*_mult`` give each event a multiplicity (default 1): an event of
+        multiplicity ``k`` stands for ``k`` events on one pair whose latest
+        index is its ``seq``.  Per ``(node, item)`` pair the update is:
 
         - recency ``last_used = clock + 1 + max(seq)`` over its events;
         - frequency ``+= #events`` for pairs already resident (a re-insert
@@ -149,6 +156,8 @@ class CacheArrayState:
         insert_nodes = np.asarray(insert_nodes, dtype=np.int64)
         insert_items = np.asarray(insert_items, dtype=np.int64)
         insert_seq = np.asarray(insert_seq, dtype=np.int64)
+        touch_mult = np.ones_like(touch_seq) if touch_mult is None else touch_mult
+        insert_mult = np.ones_like(insert_seq) if insert_mult is None else insert_mult
 
         if self.down.any():
             # Dead-node skipping: failed caches neither record touches
@@ -157,10 +166,12 @@ class CacheArrayState:
             touch_nodes = touch_nodes[alive]
             touch_items = touch_items[alive]
             touch_seq = touch_seq[alive]
+            touch_mult = touch_mult[alive]
             alive = ~self.down[insert_nodes]
             insert_nodes = insert_nodes[alive]
             insert_items = insert_items[alive]
             insert_seq = insert_seq[alive]
+            insert_mult = insert_mult[alive]
 
         # Reject inserts that can never fit (size > whole cache).
         fits = self.item_sizes[insert_items] <= (
@@ -170,6 +181,7 @@ class CacheArrayState:
             insert_nodes = insert_nodes[fits]
             insert_items = insert_items[fits]
             insert_seq = insert_seq[fits]
+            insert_mult = insert_mult[fits]
 
         nodes = np.concatenate([touch_nodes, insert_nodes])
         items = np.concatenate([touch_items, insert_items])
@@ -177,9 +189,9 @@ class CacheArrayState:
         if len(nodes):
             # Collapse events per (node, item): count and latest seq.
             flat = nodes * np.int64(self.num_items) + items
-            uniq, inverse, counts = np.unique(
-                flat, return_inverse=True, return_counts=True
-            )
+            uniq, inverse = np.unique(flat, return_inverse=True)
+            counts = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(counts, inverse, np.concatenate([touch_mult, insert_mult]))
             latest = np.zeros(len(uniq), dtype=np.int64)
             np.maximum.at(latest, inverse, seq)
             u_nodes = uniq // self.num_items

@@ -28,7 +28,13 @@ Strategies (shapes follow Icarus):
 Within a chunk the cache state is frozen (all lookups see chunk-start
 state) and the chunk's touches/insertions apply at the boundary, so
 ``chunk_size=1`` reproduces the per-request dynamics of the legacy loop
-exactly while large chunks amortize everything into O(types) work.
+exactly while large chunks amortize everything into O(types) work.  Under
+frozen state every request of one type has the same hit, touch and
+insertion nodes, so LCE, LCD, CL4M and hash routing apply one event per
+(type, node), weighted by the type's request count and stamped with its
+last position in the chunk — the same update as one event per request.
+ProbCache flips one coin per (request, candidate), so its events stay per
+request.
 
 All on-path strategies travel the cost-shortest request path ``s ->
 origin`` and charge request-direction edge costs up to the first hit,
@@ -310,11 +316,49 @@ class ReactiveStrategyEngine:
     # ------------------------------------------------------------------
 
     def step(self, type_ids: np.ndarray) -> ChunkMetrics:
-        """Score one chunk against frozen state, then apply its events."""
-        type_ids = np.asarray(type_ids, dtype=np.int64)
+        """Score one chunk against frozen state, then apply its events.
+
+        A chunk that is not a 1-d array of integer type ids in ``[0, num_types)``
+        raises :class:`InvalidProblemError` before any state changes.
+        """
+        ids = np.asarray(type_ids)
+        n_types = self.rt.num_types
+        if ids.ndim != 1 or ids.size and not (
+            np.issubdtype(ids.dtype, np.integer) and ids.min() >= 0 and ids.max() < n_types
+        ):
+            raise InvalidProblemError(f"type ids must be a 1-d integer array in [0, {n_types})")
+        type_ids = ids.astype(np.int64, copy=False)
         if self.strategy == "hashrouting":
             return self._step_hashrouting(type_ids)
         return self._step_on_path(type_ids)
+
+    def _apply_per_type(
+        self,
+        type_ids: np.ndarray,
+        touch_mask: np.ndarray,
+        touch_node: np.ndarray,
+        insert_mask: np.ndarray,
+        insert_nodes: np.ndarray,
+    ) -> None:
+        """Apply a chunk in which all requests of one type share their events.
+
+        Type ``t`` touches its item at ``touch_node[t]`` where ``touch_mask[t]``
+        and inserts it at ``insert_nodes[t, k]`` where ``insert_mask[t, k]``.
+        Its request count and last position in the chunk carry the update.
+        """
+        n = len(type_ids)
+        count = np.bincount(type_ids, minlength=self.rt.num_types)
+        last = np.full(self.rt.num_types, -1, dtype=np.int64)
+        np.maximum.at(last, type_ids, np.arange(n, dtype=np.int64))
+        present = count > 0
+        touch_t = np.flatnonzero(touch_mask & present)
+        insert_t, pos = np.nonzero(insert_mask & present[:, None])
+        item = self.rt.type_item
+        self.state.apply_chunk(
+            touch_node[touch_t], item[touch_t], last[touch_t],
+            insert_nodes[insert_t, pos], item[insert_t], last[insert_t],
+            n, touch_mult=count[touch_t], insert_mult=count[insert_t],
+        )
 
     # -- on-path strategies ---------------------------------------------
 
@@ -375,19 +419,10 @@ class ReactiveStrategyEngine:
         costs = type_cost[type_ids]
         edge_hits = type_edge_hit[type_ids]
 
-        # Touch events: requests whose hit was an actual cache residency.
-        touch_types = hit_is_cache[type_ids]
-        seq = np.arange(len(type_ids), dtype=np.int64)
-        touch_seq = seq[touch_types]
-        touch_nodes = rt.pad_nodes[type_ids[touch_seq], hit_pos[type_ids[touch_seq]]]
-        touch_items = rt.type_item[type_ids[touch_seq]]
-
         # Insert candidates per type (cache positions strictly before hit).
         col = np.arange(rt.pad_nodes.shape[1])[None, :]
         before_hit = rt.pad_cache & (col < hit_pos[:, None])
-        if self.strategy == "lce":
-            cand_mask = before_hit
-        elif self.strategy == "lcd":
+        if self.strategy == "lcd":
             # First cache-capable node downstream of the serving node (the
             # highest cache position below the hit).  Unlike Icarus we let
             # the requester itself qualify: in the edge-caching scenarios
@@ -397,29 +432,32 @@ class ReactiveStrategyEngine:
         elif self.strategy == "cl4m":
             best = rt.pad_best_prefix[rows, hit_pos]
             cand_mask = before_hit & (col == best[:, None])
-        else:  # probcache: keep the full mask; thin per request below
+        else:  # lce; probcache thins the same mask per request below
             cand_mask = before_hit
 
+        # Every request of a type touches the same cached copy (if its hit
+        # was one) and inserts at the same candidates: apply once per type.
+        hit_node = rt.pad_nodes[rows, hit_pos]
+        if self.strategy != "probcache":
+            self._apply_per_type(type_ids, hit_is_cache, hit_node, cand_mask, rt.pad_nodes)
+            return ChunkMetrics(costs=costs, edge_hits=edge_hits)
+
+        # ProbCache flips one coin per (request, candidate), so its events
+        # stay per request.
+        seq = np.arange(len(type_ids), dtype=np.int64)
+        touch_seq = seq[hit_is_cache[type_ids]]
+        touch_t = type_ids[touch_seq]
         cand_len, cand_ptr, cand_nodes, cand_items = self._candidate_csr(cand_mask)
         event_seq, flat_idx = self._expand(type_ids, cand_len, cand_ptr)
-        insert_nodes = cand_nodes[flat_idx]
-        insert_items = cand_items[flat_idx]
-        insert_seq = event_seq
-
-        if self.strategy == "probcache":
-            cand_prob = self._probcache_probs(cand_mask, hit_pos)
-            keep = self._rng.random(len(flat_idx)) < cand_prob[flat_idx]
-            insert_nodes = insert_nodes[keep]
-            insert_items = insert_items[keep]
-            insert_seq = insert_seq[keep]
-
+        cand_prob = self._probcache_probs(cand_mask, hit_pos)
+        keep = self._rng.random(len(flat_idx)) < cand_prob[flat_idx]
         self.state.apply_chunk(
-            touch_nodes,
-            touch_items,
+            hit_node[touch_t],
+            rt.type_item[touch_t],
             touch_seq,
-            insert_nodes,
-            insert_items,
-            insert_seq,
+            cand_nodes[flat_idx[keep]],
+            cand_items[flat_idx[keep]],
+            event_seq[keep],
             len(type_ids),
         )
         return ChunkMetrics(costs=costs, edge_hits=edge_hits)
@@ -475,26 +513,7 @@ class ReactiveStrategyEngine:
         costs = type_cost[type_ids]
         edge_hits = type_hit[type_ids]
 
-        seq = np.arange(len(type_ids), dtype=np.int64)
-        touch_mask = resident[type_ids]
-        touch_seq = seq[touch_mask]
-        touch_nodes = auth[type_ids[touch_seq]]
-        touch_items = rt.type_item[type_ids[touch_seq]]
-
-        miss_mask = ~type_hit[type_ids]
-        insert_seq = seq[miss_mask]
-        insert_nodes = auth[type_ids[insert_seq]]
-        insert_items = rt.type_item[type_ids[insert_seq]]
-
-        self.state.apply_chunk(
-            touch_nodes,
-            touch_items,
-            touch_seq,
-            insert_nodes,
-            insert_items,
-            insert_seq,
-            len(type_ids),
-        )
+        self._apply_per_type(type_ids, resident, auth, ~type_hit[:, None], auth[:, None])
         return ChunkMetrics(costs=costs, edge_hits=edge_hits)
 
 
@@ -571,7 +590,7 @@ def replay_reactive(
     if type_ids is None:
         type_ids = stream_type_ids(rt.tables, n_requests, rng)
     else:
-        type_ids = np.asarray(type_ids, dtype=np.int64)
+        type_ids = np.asarray(type_ids)
     n = len(type_ids)
     engine = ReactiveStrategyEngine(
         rt, strategy=strategy, policy=policy, seed=seed + 1

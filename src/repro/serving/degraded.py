@@ -76,7 +76,7 @@ def _dead_paths(tables: RoutingTables, degr: TableDegradation) -> np.ndarray:
 
     edge_down = node_down[tables.edge_src] | node_down[tables.edge_dst]
     if degr.down_links:
-        edge_idx = {e: k for k, e in enumerate(tables.edges)}
+        edge_idx = tables.edge_index()
         for e in degr.down_links:
             k = edge_idx.get(e)
             if k is not None:

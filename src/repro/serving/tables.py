@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,8 +157,21 @@ class RoutingTables:
         return float((self.rates[self.path_type] * self.path_amount).sum())
 
     def node_index(self) -> dict[Node, int]:
-        """Label -> id map over ``nodes`` (for failure masking)."""
-        return {v: k for k, v in enumerate(self.nodes)}
+        """Label -> id map over ``nodes`` (for failure masking; do not mutate)."""
+        return self._label_ids[0]
+
+    def edge_index(self) -> dict[Edge, int]:
+        """Label -> id map over ``edges`` (for failure masking; do not mutate)."""
+        return self._label_ids[1]
+
+    @cached_property
+    def _label_ids(self) -> tuple[dict[Node, int], dict[Edge, int]]:
+        # Built once per table: its ids never change, and a table made by
+        # ``dataclasses.replace`` starts without this memo.
+        return (
+            {v: k for k, v in enumerate(self.nodes)},
+            {e: k for k, e in enumerate(self.edges)},
+        )
 
 
 def compile_tables(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.adaptive.state import CacheArrayState
 from repro.baselines.reactive import EvictingCache
@@ -154,3 +156,48 @@ class TestFailureHooks:
         assert np.array_equal(a.last_used, b.last_used)
         assert np.array_equal(a.freq, b.freq)
         assert np.array_equal(a.used, b.used)
+
+
+class TestMultiplicity:
+    """An event of multiplicity k equals k events on its pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=hst.data(),
+        policy=hst.sampled_from(("lru", "lfu")),
+    )
+    def test_multiplicity_equals_repeated_events(self, data, policy):
+        caps = np.array([2.0, 3.0, 0.0, 4.0])
+        sizes = np.array([1.0, 2.0, 1.0, 3.0, 5.0])  # item 4 fits no cache
+        a = CacheArrayState(caps, sizes, policy)
+        b = CacheArrayState(caps, sizes, policy)
+        event = hst.tuples(
+            hst.sampled_from(("touch", "insert")),
+            hst.integers(0, 3),  # node
+            hst.integers(0, 4),  # item
+            hst.integers(0, 9),  # seq
+            hst.integers(1, 4),  # multiplicity
+        )
+        for _ in range(data.draw(hst.integers(1, 6), label="chunks")):
+            events = data.draw(hst.lists(event, max_size=12), label="events")
+            down = data.draw(hst.lists(hst.integers(0, 3), max_size=2), label="down")
+            a.set_down(down)
+            b.set_down(down)
+            cols = {}
+            for kind in ("touch", "insert"):
+                mine = [e[1:] for e in events if e[0] == kind]
+                cols[kind] = [np.array(c, dtype=np.int64) for c in zip(*mine)] or [
+                    np.zeros(0, dtype=np.int64)
+                ] * 4
+            (tn, ti, ts, tm), (inn, ini, ins, im) = cols["touch"], cols["insert"]
+            a.apply_chunk(tn, ti, ts, inn, ini, ins, 10, touch_mult=tm, insert_mult=im)
+            b.apply_chunk(
+                np.repeat(tn, tm), np.repeat(ti, tm), np.repeat(ts, tm),
+                np.repeat(inn, im), np.repeat(ini, im), np.repeat(ins, im),
+                10,
+            )
+            assert np.array_equal(a.resident, b.resident)
+            assert np.array_equal(a.last_used, b.last_used)
+            assert np.array_equal(a.freq, b.freq)
+            assert np.array_equal(a.used, b.used)
+            assert a.clock == b.clock

@@ -201,3 +201,59 @@ class TestStrategyBehavior:
         assert len(a) == 5000
         assert (a == b).all()
         assert a.max() < reactive_tables.num_types
+
+
+class TestTypeIdValidation:
+    """``step`` refuses ids it cannot index, before touching any state."""
+
+    def _engine(self, reactive_tables, strategy):
+        engine = ReactiveStrategyEngine(reactive_tables, strategy=strategy)
+        engine.step(np.array([0, 1, 2, 0]))  # some state to protect
+        return engine
+
+    def _assert_refused(self, engine, chunk):
+        before = (
+            engine.state.resident.copy(),
+            engine.state.last_used.copy(),
+            engine.state.freq.copy(),
+            engine.state.clock,
+        )
+        with pytest.raises(InvalidProblemError, match="type ids"):
+            engine.step(chunk)
+        assert np.array_equal(engine.state.resident, before[0])
+        assert np.array_equal(engine.state.last_used, before[1])
+        assert np.array_equal(engine.state.freq, before[2])
+        assert engine.state.clock == before[3]
+
+    def test_hashrouting_rejects_negative_ids(self, reactive_tables):
+        engine = self._engine(reactive_tables, "hashrouting")
+        self._assert_refused(engine, np.array([-1, -2, 0]))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float_chunk_rejected(self, reactive_tables, strategy):
+        engine = self._engine(reactive_tables, strategy)
+        self._assert_refused(engine, np.array([0.7, 1.9]))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_out_of_range_and_bool_rejected(self, reactive_tables, strategy):
+        engine = self._engine(reactive_tables, strategy)
+        for chunk in (
+            np.array([-1]),
+            np.array([0, reactive_tables.num_types]),
+            np.array([True, False]),
+            np.array([[0, 1]]),
+        ):
+            self._assert_refused(engine, chunk)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_empty_chunk_is_valid(self, reactive_tables, strategy):
+        engine = self._engine(reactive_tables, strategy)
+        for chunk in (np.zeros(0, dtype=np.int64), np.array([]), np.zeros(0, dtype=np.int32)):
+            metrics = engine.step(chunk)
+            assert len(metrics.costs) == len(metrics.edge_hits) == 0
+
+    def test_replay_reactive_refuses_a_float_stream(self, line_problem, reactive_tables):
+        with pytest.raises(InvalidProblemError, match="type ids"):
+            replay_reactive(
+                line_problem, reactive=reactive_tables, type_ids=np.array([0.0, 1.5])
+            )

@@ -227,3 +227,35 @@ class TestSemantics:
         assert_degrade_matches_recompile(
             prob, routing, TableDegradation(wiped=frozenset([(2, "item0")]))
         )
+
+
+class TestLabelMaps:
+    def test_masks_reuse_one_map_per_label_tuple(self):
+        problem, routing = _diamond_problem_and_routing()
+        tables = compile_tables(problem, routing)
+        first = TableDegradation(
+            down_nodes=frozenset([1]),
+            down_links=frozenset([(0, 2)]),
+            wiped=frozenset([(1, "A")]),
+        )
+        second = TableDegradation(
+            down_nodes=frozenset([2]),
+            down_links=frozenset([(2, 3)]),
+            wiped=frozenset([(1, "B")]),
+        )
+
+        def maps(t):
+            return t.node_index(), t.edge_index()
+
+        delivered_rates(tables, first)
+        built = maps(tables)
+        delivered_rates(tables, second)
+        degraded = degrade_tables(tables, second)
+        assert all(a is b for a, b in zip(built, maps(tables)))
+        assert built == tuple(
+            {x: k for k, x in enumerate(labels)}
+            for labels in (tables.nodes, tables.edges)
+        )
+        # A replaced table builds its own maps; the ids are the same.
+        assert not any(a is b for a, b in zip(built, maps(degraded)))
+        assert maps(degraded) == built

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Placement, route_to_nearest_replica
 from repro.exceptions import InvalidProblemError
+from repro.experiments import ScenarioConfig, build_scenario
 from repro.serving import (
     ServingConfig,
     compile_tables,
@@ -17,6 +20,7 @@ from repro.serving import (
     replay_solution,
     serve_batch,
 )
+from repro.serving.engine import _arrival_order
 
 from tests.core.conftest import make_line_problem
 
@@ -69,6 +73,56 @@ class TestGenerate:
         for horizon in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidProblemError, match="horizon"):
                 generate_requests(tables, horizon, np.random.default_rng(0))
+
+
+def stable_recipe(tables, horizon, rng, rate_scale):
+    """The draw ``generate_requests`` must reproduce: one stable argsort."""
+    counts = rng.poisson(tables.rates * (horizon * rate_scale))
+    type_ids = np.repeat(np.arange(tables.num_types, dtype=np.int64), counts)
+    timestamps = rng.random(int(counts.sum())) * horizon
+    order = np.argsort(timestamps, kind="stable")
+    return timestamps[order], type_ids[order]
+
+
+@pytest.fixture(scope="module")
+def abovenet_tables():
+    problem = build_scenario(ScenarioConfig(topology="abovenet")).problem
+    return compile_tables(problem, route_to_nearest_replica(problem, Placement()))
+
+
+class TestArrivalOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, width=64), max_size=200),
+    )
+    def test_equals_stable_argsort(self, values):
+        x = np.array(values, dtype=float)
+        assert np.array_equal(_arrival_order(x), np.argsort(x, kind="stable"))
+
+    @pytest.mark.parametrize("distinct", [1, 2, 5, 50])
+    @pytest.mark.parametrize("n", [0, 1, 17, 300, 20_000])
+    def test_ties_keep_stable_order(self, distinct, n):
+        rng = np.random.default_rng(n + distinct)
+        x = rng.integers(0, distinct, size=n) * 0.25
+        assert np.array_equal(_arrival_order(x), np.argsort(x, kind="stable"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rate_scale", [0.25, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "which, horizon",
+        [("line", 3.0), ("line", 400.0), ("abovenet", 1e-3), ("abovenet", 2e-2)],
+    )
+    def test_generate_requests_matches_the_stable_recipe(
+        self, tables, abovenet_tables, which, horizon, rate_scale, seed
+    ):
+        tabs = tables if which == "line" else abovenet_tables
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = generate_requests(tabs, horizon, rng, rate_scale=rate_scale)
+        timestamps, type_ids = stable_recipe(tabs, horizon, ref_rng, rate_scale)
+        assert len(batch) > 0
+        assert np.array_equal(batch.timestamps, timestamps)
+        assert np.array_equal(batch.type_ids, type_ids)
+        assert rng.random() == ref_rng.random()  # same stream consumed
 
 
 class TestReplay:
