@@ -12,18 +12,27 @@ segmented engine (tables degraded in place at every boundary), and gate
   must integrate back to its cost/unserved integrals within 1e-9;
 - **statistical parity**: generated / served counts and delivered cost
   within 6 sigma of their compound-Poisson expectations, so the streamed
-  cost integral is a certified estimator of the analytic one.
+  cost integral is a certified estimator of the analytic one;
+- **rider footprint**: a second pass replays the same volume on 2 shards
+  under ``tracemalloc`` (cyclic collector paused), without and then with
+  an LRU leave-copy-everywhere reactive rider.  The rider steps each
+  segment as it is drawn, so its peak may exceed the rider-free peak by
+  less than a quarter of the stream's type-id bytes (8 B per request);
+  holding every id until the draw ends reads about one.
 
 ``SERVING_DEGRADED_BENCH_REQUESTS`` scales the request budget (CI uses a
 reduced budget; the default streams ~2M arrivals).
 """
 
+import gc
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
+from repro.adaptive import ReactiveStrategyEngine, build_reactive_tables
 from repro.experiments import ScenarioConfig, build_scenario, format_sweep
 from repro.experiments.algorithms import greedy
 from repro.robustness import (
@@ -127,6 +136,34 @@ def test_serving_degraded(benchmark, report, bench_json):
         <= 6 * estimator_sigma
     )
 
+    # --- Rider footprint: one LCE rider on 2 shards holds one segment's
+    # arrivals at a time, not the whole stream's type ids.  The cyclic
+    # collector is paused: the controller leaves megabytes of cyclic
+    # garbage, and when the collector happens to run would move either
+    # peak by more than the gate's margin.
+    def traced(reactive):
+        """The replay on 2 shards, and its ``tracemalloc`` peak in bytes."""
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            replayed = replay_timeline_streaming(
+                problem, placement, timeline, policy,
+                config=ServingConfig(horizon=timeline.horizon, seed=11, n_shards=2),
+                rate_scale=rate_scale, reactive=reactive,
+            )
+            return replayed, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    bare, bare_peak = traced(None)
+    rt = build_reactive_tables(problem)
+    ridden, ridden_peak = traced({"lce": ReactiveStrategyEngine(rt)})
+    assert ridden.generated == bare.generated > 0
+    rider_extra_frac = (ridden_peak - bare_peak) / (8 * ridden.generated)
+    assert rider_extra_frac < 0.25, rider_extra_frac
+
     overhead = (
         streamed.elapsed_seconds / static_elapsed
         if static_elapsed > 0
@@ -162,7 +199,11 @@ def test_serving_degraded(benchmark, report, bench_json):
                 f"{len(streamed.segments)} segments, "
                 f"overhead {overhead:.2f}x)"
             ),
-        ),
+        )
+        + f"\nrider footprint (2 shards, tracemalloc): peak "
+        f"{bare_peak / 2**20:.1f} MiB rider-free, {ridden_peak / 2**20:.1f} MiB "
+        f"with an LCE rider; extra {rider_extra_frac:.3f} of the "
+        f"{8 * ridden.generated / 2**20:.1f} MiB of type ids (gate < 0.25)",
     )
     bench_json(
         "serving_degraded",
@@ -185,5 +226,10 @@ def test_serving_degraded(benchmark, report, bench_json):
             "streamed_cost_integral": streamed.streamed_cost_integral,
             "estimator_sigma": estimator_sigma,
             "reports_identical": analytic == plain,
+            "memory_shards": 2,
+            "memory_requests_generated": ridden.generated,
+            "memory_peak_bare_mib": bare_peak / 2**20,
+            "memory_peak_lce_mib": ridden_peak / 2**20,
+            "memory_lce_extra_frac": rider_extra_frac,
         },
     )

@@ -20,7 +20,8 @@
 Request accounting matches :func:`repro.serving.engine.replay` exactly:
 Poisson counts per (type, segment), uniform order-statistic timestamps,
 one spawned :class:`numpy.random.SeedSequence` stream per shard
-(materialized up front, consumed shard-major across segments in time
+(materialized up front; the segments are drawn in time order, each by
+every shard in shard order, so every stream walks the segments in time
 order), and the same ``serve_batch`` alias-table dispatch.  The
 controller computes its rates with
 :func:`~repro.serving.degraded.delivered_rates` on the same tables and
@@ -31,11 +32,12 @@ streamed cost is an unbiased estimator of the analytic ``cost_integral``
 ``benchmarks/bench_serving_degraded.py`` pins this.
 
 Reactive strategies (:class:`~repro.adaptive.strategies.
-ReactiveStrategyEngine`) can ride the same stream: each segment's
-arrivals are fed in time order with the engine's cache state marked down
-(:meth:`~repro.adaptive.state.CacheArrayState.set_down`) for the
-segment's failed nodes — dead caches are wiped on failure and skipped
-while down, and come back empty.
+ReactiveStrategyEngine`) can ride the same stream: once a segment is
+drawn, each engine marks the segment's failed nodes down
+(:meth:`~repro.adaptive.state.CacheArrayState.set_down`) — dead caches
+are wiped on failure and skipped while down, and come back empty — and
+steps once on the segment's arrivals, concatenated in shard order.  Only
+one segment's arrivals are alive at a time.
 """
 
 from __future__ import annotations
@@ -241,6 +243,8 @@ class StreamingTimelineReport:
     expected_cost: float = 0.0
     #: Variance of ``delivered_cost`` under the compound-Poisson stream.
     cost_variance: float = 0.0
+    #: Seconds spent drawing and serving the arrivals; the reactive
+    #: riders' steps are not timed.
     elapsed_seconds: float = 0.0
     #: Reactive riders (present when ``reactive`` engines were passed).
     reactive_costs: dict[str, float] = field(default_factory=dict)
@@ -284,6 +288,33 @@ class StreamingTimelineReport:
 # ----------------------------------------------------------------------
 
 
+def _stream_segment(seg, rngs, rate_scale, riders, costs, hits) -> float:
+    """Draw and serve ``seg`` on every shard, then step each rider on its
+    arrivals; return the seconds spent drawing and serving."""
+    start = _time.perf_counter()
+    acc = seg.accumulator = _empty_accumulator(seg.tables)
+    chunks = []
+    for rng in rngs:
+        batch = generate_requests(
+            seg.tables, seg.duration, rng, rate_scale=rate_scale
+        )
+        acc.merge(serve_batch(seg.tables, batch, rng))
+        if riders:
+            chunks.append(batch.type_ids)
+    elapsed = _time.perf_counter() - start
+    ids = np.concatenate(chunks) if riders else None
+    del batch, chunks  # the riders need only the type ids
+    for name, engine, node_id in riders:
+        engine.state.set_down(
+            [node_id[v] for v in seg.down_nodes if v in node_id]
+        )
+        if len(ids):
+            metrics = engine.step(ids)
+            costs[name] += float(metrics.costs.sum())
+            hits[name] += int(metrics.edge_hits.sum())
+    return elapsed
+
+
 def replay_timeline_streaming(
     problem: ProblemInstance,
     placement: Placement,
@@ -308,9 +339,10 @@ def replay_timeline_streaming(
     ``workload`` is an optional
     :class:`~repro.workload.nonstationary.WorkloadRegime`; ``reactive``
     an optional ``{name: ReactiveStrategyEngine}`` mapping fed the same
-    stream with dead-node handling.  The returned report's ``analytic``
-    field carries the ordinary :class:`TimelineReport`, equal to what
-    :func:`~repro.robustness.controller.replay_timeline` returns.
+    stream with dead-node handling, one distinct engine per name, each
+    built for ``problem``'s request types.  The returned report's
+    ``analytic`` field carries the ordinary :class:`TimelineReport`, equal
+    to what :func:`~repro.robustness.controller.replay_timeline` returns.
     """
     config = config or ServingConfig(horizon=timeline.horizon)
     if abs(config.horizon - timeline.horizon) > 1e-12 * max(
@@ -324,6 +356,19 @@ def replay_timeline_streaming(
         raise InvalidProblemError(
             f"rate_scale must be finite and > 0, got {rate_scale!r}"
         )
+    types = tuple(problem.requests)
+    reactive = reactive or {}
+    if len({id(engine) for engine in reactive.values()}) < len(reactive):
+        raise InvalidProblemError(
+            "reactive engines must be distinct objects: one engine under "
+            "two names would step through the stream twice"
+        )
+    for name, engine in reactive.items():
+        if engine.rt.tables.types != types:
+            raise InvalidProblemError(
+                f"reactive engine {name!r} was built for other request "
+                "types than the problem's"
+            )
 
     entries: list = []
     controller = TimelineController(
@@ -348,37 +393,30 @@ def replay_timeline_streaming(
             "rate_scale or the horizon"
         )
 
-    # Shard-major, segment-minor: each shard owns one spawned stream and
-    # walks the segments in time order — serving.engine.replay's shard
-    # discipline, with the horizon split at the boundaries.
-    accs = [_empty_accumulator(s.tables) for s in segments]
-    type_chunks: list[list[np.ndarray]] | None = (
-        [[] for _ in segments] if reactive else None
-    )
-    start = _time.perf_counter()
-    for seed_seq in shard_seed_sequences(config):
-        rng = np.random.default_rng(seed_seq)
-        for seg in segments:
-            batch = generate_requests(
-                seg.tables,
-                seg.duration,
-                rng,
-                rate_scale=rate_scale / config.n_shards,
-            )
-            accs[seg.index].merge(serve_batch(seg.tables, batch, rng))
-            if type_chunks is not None:
-                type_chunks[seg.index].append(batch.type_ids)
-    elapsed = _time.perf_counter() - start
-
-    num_types = len(problem.requests)
-    per_type_generated = np.zeros(num_types, dtype=np.int64)
-    per_type_served = np.zeros(num_types, dtype=np.int64)
+    # Segment-major, shard-minor: each segment is drawn and served by every
+    # shard in shard order, then every rider steps once on its arrivals in
+    # shard order.  Each generator and rider gets the calls of a
+    # shard-major walk, in the same order, with one segment's ids alive.
+    rngs = [np.random.default_rng(s) for s in shard_seed_sequences(config)]
+    riders = [
+        (name, engine, {v: k for k, v in enumerate(engine.rt.nodes)})
+        for name, engine in reactive.items()
+    ]
+    reactive_costs = dict.fromkeys(reactive, 0.0)
+    reactive_edge_hits = dict.fromkeys(reactive, 0)
+    per_type_generated = np.zeros(len(types), dtype=np.int64)
+    per_type_served = np.zeros(len(types), dtype=np.int64)
     delivered_cost = 0.0
     expected_served = 0.0
     expected_cost = 0.0
     cost_variance = 0.0
-    for seg, acc in zip(segments, accs):
-        seg.accumulator = acc
+    elapsed = 0.0
+    for seg in segments:
+        elapsed += _stream_segment(
+            seg, rngs, rate_scale / config.n_shards, riders,
+            reactive_costs, reactive_edge_hits,
+        )
+        acc = seg.accumulator
         per_type_generated += acc.generated
         per_type_served += acc.served
         delivered_cost += acc.delivered_cost
@@ -389,31 +427,6 @@ def replay_timeline_streaming(
         cost_variance += float(
             (lam * dt) @ (seg.tables.path_cost * seg.tables.path_cost)
         )
-
-    reactive_costs: dict[str, float] = {}
-    reactive_edge_hits: dict[str, int] = {}
-    if reactive:
-        for name, engine in reactive.items():
-            node_id = {v: k for k, v in enumerate(engine.rt.nodes)}
-            total_cost = 0.0
-            total_hits = 0
-            for seg in segments:
-                engine.state.set_down(
-                    [node_id[v] for v in seg.down_nodes if v in node_id]
-                )
-                chunks = type_chunks[seg.index]
-                ids = (
-                    np.concatenate(chunks)
-                    if chunks
-                    else np.zeros(0, dtype=np.int64)
-                )
-                if len(ids) == 0:
-                    continue
-                metrics = engine.step(ids)
-                total_cost += float(metrics.costs.sum())
-                total_hits += int(metrics.edge_hits.sum())
-            reactive_costs[name] = total_cost
-            reactive_edge_hits[name] = total_hits
 
     return StreamingTimelineReport(
         analytic=analytic,
