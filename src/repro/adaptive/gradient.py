@@ -40,15 +40,15 @@ from repro.core.solution import Placement
 from repro.exceptions import InvalidProblemError
 
 _EPS = 1e-12
+#: Capacity slack and bisection cap of :func:`project_box_capacity`.
+_PROJECTION_TOL = 1e-10
+_PROJECTION_MAX_ITER = 200
 
 
 def project_box_capacity(
     z: np.ndarray,
     sizes: np.ndarray,
     capacity: float,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Euclidean projection of ``z`` onto ``{0<=y<=1, sizes @ y <= capacity}``.
 
@@ -62,20 +62,22 @@ def project_box_capacity(
     if capacity < 0:
         raise InvalidProblemError("capacity must be nonnegative")
     y = np.clip(z, 0.0, 1.0)
-    if float(sizes @ y) <= capacity + tol:
+    if float(sizes @ y) <= capacity + _PROJECTION_TOL:
         return y
     lo, hi = 0.0, float(np.max(z / np.maximum(sizes, _EPS))) + 1.0
-    for _ in range(max_iter):
+    for _ in range(_PROJECTION_MAX_ITER):
         tau = 0.5 * (lo + hi)
         y = np.clip(z - tau * sizes, 0.0, 1.0)
         load = float(sizes @ y)
-        if abs(load - capacity) <= tol:
+        if abs(load - capacity) <= _PROJECTION_TOL:
             break
         if load > capacity:
             lo = tau
         else:
             hi = tau
-    return np.clip(z - hi * sizes, 0.0, 1.0) if float(sizes @ y) > capacity + tol else y
+    if float(sizes @ y) > capacity + _PROJECTION_TOL:
+        return np.clip(z - hi * sizes, 0.0, 1.0)
+    return y
 
 
 @dataclass

@@ -49,9 +49,8 @@ class Algorithm1Template:
     live on one lazy backend shared by every re-solve.
     """
 
-    def __init__(self, problem: ProblemInstance, *, polish: bool = True) -> None:
+    def __init__(self, problem: ProblemInstance) -> None:
         self.problem = problem
-        self.polish = polish
         context = SolverContext.from_problem(problem, backend="lazy")
         self._backend = context.backend
         (
@@ -110,7 +109,6 @@ class Algorithm1Template:
             constant=constant,
             lp_objective=lp_solution.objective,
             x_values=lp_solution.block("x").tolist(),
-            polish=self.polish,
         )
 
 
@@ -132,8 +130,6 @@ class PlannerConfig:
     max_gpr_types: int = 16
     #: Random restarts per GPR refit (0 = optimize from current theta only).
     n_restarts: int = 0
-    #: Polish the re-optimized placement with the 1-swap local search.
-    polish: bool = True
     seed: int = 0
 
 
@@ -154,9 +150,7 @@ class PredictivePlanner:
         self.config = config or PlannerConfig()
         if self.config.history_window < 2:
             raise InvalidProblemError("history_window must be >= 2")
-        self.template = Algorithm1Template(
-            reactive.problem, polish=self.config.polish
-        )
+        self.template = Algorithm1Template(reactive.problem)
         #: Map template row order -> tables type order (both are over the
         #: same request keys; tables use the deterministic sorted order).
         type_index = {key: t for t, key in enumerate(reactive.tables.types)}

@@ -295,7 +295,6 @@ class ReactiveStrategyEngine:
         strategy: str = "lce",
         policy: str = "lru",
         seed: int = 0,
-        t_tw: float = _T_TW,
     ) -> None:
         if strategy not in STRATEGIES:
             raise InvalidProblemError(
@@ -307,7 +306,6 @@ class ReactiveStrategyEngine:
             )
         self.rt = reactive
         self.strategy = strategy
-        self.t_tw = float(t_tw)
         self.state = CacheArrayState(
             reactive.capacities, reactive.item_size, policy
         )
@@ -495,7 +493,7 @@ class ReactiveStrategyEngine:
             ratio = np.where(c[:, None] > 0, x / np.maximum(c[:, None], 1.0), 0.0)
             p = (
                 n_budget
-                / (self.t_tw * cap_v)
+                / (_T_TW * cap_v)
                 * np.power(np.clip(ratio, 0.0, 1.0), c[:, None])
             )
         p = np.clip(np.nan_to_num(p, nan=0.0, posinf=1.0), 0.0, 1.0)

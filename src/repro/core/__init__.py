@@ -25,7 +25,6 @@ from repro.core.decomposed import (
     partition_graph,
     resolve_clusters,
     restrict_partition,
-    super_topology,
     touched_clusters,
 )
 from repro.core.evaluation import (
@@ -116,7 +115,6 @@ __all__ = [
     "partition_graph",
     "resolve_clusters",
     "restrict_partition",
-    "super_topology",
     "touched_clusters",
     "RNRCostSaving",
     "greedy_rnr_placement",

@@ -34,6 +34,9 @@ from repro.exceptions import InfeasibleError
 
 logger = logging.getLogger(__name__)
 
+#: Smallest cost (or congestion) decrease that counts as an improvement.
+_TOLERANCE = 1e-9
+
 
 @dataclass
 class AlternatingResult:
@@ -104,22 +107,20 @@ def alternating_optimization(
     problem: ProblemInstance,
     *,
     integral_routing: bool = True,
-    placement_method: str = "auto",
     mmufp_method: str = "randomized",
     max_iterations: int = 20,
     n_samples: int = 16,
     rng: np.random.Generator | None = None,
-    tolerance: float = 1e-9,
 ) -> AlternatingResult:
     """Run the alternating caching / routing optimization.
+
+    The placement step picks its method from the catalog: LP (15) + pipage
+    when every item has size 1, the Theorem 5.2 greedy otherwise.
 
     Parameters
     ----------
     integral_routing:
         ``True`` for IC-IR (MMUFP heuristics), ``False`` for IC-FR (MMSFP LP).
-    placement_method:
-        ``"auto"`` (pipage for homogeneous catalogs, greedy otherwise),
-        ``"pipage"`` or ``"greedy"``.
     mmufp_method:
         ``"randomized"`` (LP relaxation + randomized rounding) or ``"greedy"``.
     max_iterations:
@@ -147,9 +148,7 @@ def alternating_optimization(
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        placement = optimize_placement(
-            problem, best.routing, method=placement_method
-        )
+        placement = optimize_placement(problem, best.routing)
         try:
             routing = _route(
                 problem,
@@ -175,8 +174,8 @@ def alternating_optimization(
             break
         cost = routing_cost(problem, routing)
         cong = congestion(problem, routing)
-        accepted = cost < best_cost - tolerance or (
-            cost <= best_cost + tolerance and cong < best_congestion - tolerance
+        accepted = cost < best_cost - _TOLERANCE or (
+            cost <= best_cost + _TOLERANCE and cong < best_congestion - _TOLERANCE
         )
         history.append(
             {

@@ -40,6 +40,8 @@ from repro.exceptions import InvalidProblemError
 
 CACHING_MODES = ("integral", "fractional")
 ROUTING_MODES = ("integral", "fractional")
+#: Cap on the alternating optimization's rounds (Section 4.3.3).
+_MAX_ITERATIONS = 12
 
 
 @dataclass
@@ -65,8 +67,6 @@ def solve(
     caching: str = "integral",
     routing: str = "integral",
     rng: np.random.Generator | None = None,
-    max_iterations: int = 12,
-    mmufp_method: str = "best",
 ) -> SolveResult:
     """Solve the joint caching-and-routing problem in the requested regime.
 
@@ -93,7 +93,7 @@ def solve(
         solution = alternating_optimization(
             problem,
             integral_routing=False,
-            max_iterations=max_iterations,
+            max_iterations=_MAX_ITERATIONS,
             rng=rng,
         ).solution
     else:
@@ -111,12 +111,12 @@ def solve(
                     route_to_nearest_replica(problem, placement, context=context),
                 )
         else:
-            method = f"alternating (MMUFP {mmufp_method})"
+            method = "alternating (MMUFP best)"
             solution = alternating_optimization(
                 problem,
                 integral_routing=True,
-                mmufp_method=mmufp_method,
-                max_iterations=max_iterations,
+                mmufp_method="best",
+                max_iterations=_MAX_ITERATIONS,
                 rng=rng,
             ).solution
 

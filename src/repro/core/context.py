@@ -207,9 +207,6 @@ class SolverContext:
         )
         return self.backend.rows(idx)
 
-    def reachable(self, source: Node, target: Node) -> bool:
-        return bool(np.isfinite(self.distance(source, target)))
-
     def finite_max_from(self, sources) -> float:
         """Max finite distance out of ``sources`` (1.0 if that max is 0).
 
@@ -267,16 +264,14 @@ class SolverContext:
             self._pinned_base[item] = base
         return base
 
-    def baseline_costs(self, item: Item, *, cap: float | None = None) -> np.ndarray:
-        """Per-requester serving cost from pinned holders, capped at ``cap``.
+    def baseline_costs(self, item: Item) -> np.ndarray:
+        """Per-requester serving cost from pinned holders, capped at ``w_max``.
 
-        This is F_RNR's empty-placement baseline: ``min(cap,
+        This is F_RNR's empty-placement baseline: ``min(w_max,
         min_{pinned holder h} w_{h->s})`` for each requester ``s`` of the
-        item; ``cap`` defaults to the context's ``w_max``.  Returns a fresh
-        writable copy each call.
+        item.  Returns a fresh writable copy each call.
         """
-        cap = self.w_max if cap is None else cap
-        return np.minimum(self.pinned_min_costs(item), cap)
+        return np.minimum(self.pinned_min_costs(item), self.w_max)
 
     # ------------------------------------------------------------------
     # Paths and link costs

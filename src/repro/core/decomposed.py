@@ -19,8 +19,7 @@ of the caching literature:
    (computed from O(#origins) lazy distance rows, never the full matrix).
    Each solve first groups links, boundary nodes and demand by cluster in
    one pass (:class:`ClusterIndex`), so stitching a cluster never rescans
-   the whole graph.  A cluster-level super-topology is also exposed for
-   diagnostics (:func:`super_topology`).
+   the whole graph.
 3. **Solve** each cluster's sub-instance with the exact Algorithm 1 —
    small dense contexts, the LP (7) machinery unchanged — in parallel
    across a process pool (:func:`decomposed_solve`), then **compose**: the
@@ -69,7 +68,6 @@ __all__ = [
     "DecomposedResult",
     "DecompositionGap",
     "partition_graph",
-    "super_topology",
     "cluster_subproblem",
     "decomposed_solve",
     "decomposition_gap",
@@ -217,37 +215,6 @@ def partition_graph(
         clusters=tuple(tuple(c) for c in clusters),
         seeds=tuple(seeds),
     )
-
-
-def super_topology(network: CacheNetwork, partition: ClusterPartition) -> CacheNetwork:
-    """Cluster-level quotient topology (diagnostics and coarse solves).
-
-    One node per cluster; a directed super-link per ordered cluster pair
-    with at least one crossing link, priced at the cheapest crossing link
-    and sized at the summed crossing capacity.  Cluster cache capacity is
-    the sum over member nodes.
-    """
-    graph = network.graph
-    quotient = nx.DiGraph()
-    quotient.add_nodes_from(range(partition.n_clusters))
-    best_cost: dict[tuple[int, int], float] = {}
-    total_cap: dict[tuple[int, int], float] = {}
-    for u, v, data in graph.edges(data=True):
-        cu, cv = partition.labels[u], partition.labels[v]
-        if cu == cv:
-            continue
-        key = (cu, cv)
-        cost = float(data.get(COST, 1.0))
-        cap = float(data.get(CAPACITY, math.inf))
-        if key not in best_cost or cost < best_cost[key]:
-            best_cost[key] = cost
-        total_cap[key] = total_cap.get(key, 0.0) + cap
-    for (cu, cv), cost in best_cost.items():
-        quotient.add_edge(cu, cv, **{COST: cost, CAPACITY: total_cap[(cu, cv)]})
-    caps = {cid: 0.0 for cid in range(partition.n_clusters)}
-    for v in network.nodes:
-        caps[partition.labels[v]] += network.cache_capacity(v)
-    return CacheNetwork(quotient, caps)
 
 
 @dataclass(frozen=True)
@@ -409,14 +376,12 @@ class DecomposedResult:
 
 
 def _solve_cluster(
-    payload: tuple[int, ProblemInstance, bool],
+    payload: tuple[int, ProblemInstance],
 ) -> tuple[int, dict, ClusterReport]:
     """Pool worker: exact Algorithm 1 on one cluster sub-instance."""
-    cid, sub, polish = payload
+    cid, sub = payload
     t0 = time.perf_counter()
-    result: Algorithm1Result = algorithm1(
-        sub, polish=polish, context=SolverContext.from_problem(sub)
-    )
+    result: Algorithm1Result = algorithm1(sub, context=SolverContext.from_problem(sub))
     elapsed = time.perf_counter() - t0
     entries = {
         key: val
@@ -441,7 +406,6 @@ def decomposed_solve(
     seed: int = 0,
     parallel: bool = True,
     max_workers: int | None = None,
-    polish: bool = True,
     context: SolverContext | None = None,
 ) -> DecomposedResult:
     """Cluster-decomposed Algorithm 1 over an arbitrarily large topology.
@@ -474,7 +438,7 @@ def decomposed_solve(
             problem, partition, cid, holder_rows, node_index, index
         )
         if sub is not None:
-            payloads.append((cid, sub, polish))
+            payloads.append((cid, sub))
 
     results: dict[int, tuple[dict, ClusterReport]] = {}
     ran_parallel = False
@@ -651,7 +615,6 @@ def resolve_clusters(
     cluster_ids,
     *,
     context: SolverContext | None = None,
-    polish: bool = True,
 ) -> tuple[Placement, tuple[ClusterReport, ...]]:
     """Re-solve the named clusters of ``problem`` and stitch into ``placement``.
 
@@ -707,7 +670,7 @@ def resolve_clusters(
         if reduced is None:
             continue
         try:
-            _cid, entries, rep = _solve_cluster((cid, reduced, polish))
+            _cid, entries, rep = _solve_cluster((cid, reduced))
         except InfeasibleError:
             # Defense in depth: an unservable corner the reduction did
             # not anticipate — keep the cluster's surviving entries.
@@ -745,7 +708,6 @@ def decomposition_gap(
     *,
     n_clusters: int | None = None,
     seed: int = 0,
-    polish: bool = True,
 ) -> DecompositionGap:
     """Run the exact and the decomposed solve side by side and report the gap.
 
@@ -754,13 +716,9 @@ def decomposition_gap(
     gates.  Both costs are exact RNR routing costs on the full topology;
     the decomposed solve runs its clusters serially.
     """
-    exact = algorithm1(
-        problem, polish=polish, context=SolverContext.from_problem(problem)
-    )
+    exact = algorithm1(problem, context=SolverContext.from_problem(problem))
     exact_cost = routing_cost(problem, exact.solution.routing)
-    dec = decomposed_solve(
-        problem, n_clusters=n_clusters, seed=seed, parallel=False, polish=polish
-    )
+    dec = decomposed_solve(problem, n_clusters=n_clusters, seed=seed, parallel=False)
     if exact_cost > 0:
         gap = (dec.cost - exact_cost) / exact_cost
     else:

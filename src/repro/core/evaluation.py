@@ -23,6 +23,8 @@ from repro.graph.network import CacheNetwork
 Edge = tuple[Node, Node]
 
 _EPS = 1e-9
+#: Slack :func:`check_feasibility` allows on every constraint.
+_FEASIBILITY_TOL = 1e-6
 
 
 def path_cost(network: CacheNetwork, path: tuple[Node, ...]) -> float:
@@ -96,9 +98,10 @@ def congestion(
 def max_cache_occupancy(problem: ProblemInstance, placement: Placement) -> float:
     """Max over cache nodes of used/available cache space (pinned is free)."""
     worst = 0.0
+    usage = placement.used_capacities(problem)
     for v in problem.network.cache_nodes():
         cap = problem.network.cache_capacity(v)
-        used = placement.used_capacity(v, problem)
+        used = usage.get(v, 0)
         if cap > 0:
             worst = max(worst, used / cap)
         elif used > _EPS:
@@ -124,18 +127,17 @@ class FeasibilityReport:
 def check_feasibility(
     problem: ProblemInstance,
     solution: Solution,
-    *,
-    tol: float = 1e-6,
 ) -> FeasibilityReport:
     """Verify cache capacities, link capacities, service, and source validity."""
     report = FeasibilityReport()
     network = problem.network
     placement, routing = solution.placement, solution.routing
 
+    usage = placement.used_capacities(problem)
     for v in network.nodes:
-        used = placement.used_capacity(v, problem)
+        used = usage.get(v, 0)
         cap = network.cache_capacity(v)
-        if used > cap + tol:
+        if used > cap + _FEASIBILITY_TOL:
             report.cache_ok = False
             report.violations.append(
                 f"cache at {v!r} holds {used:.4g} > capacity {cap:.4g}"
@@ -147,7 +149,7 @@ def check_feasibility(
             report.violations.append(f"routing uses missing link ({u!r}, {v!r})")
             continue
         cap = network.capacity(u, v)
-        if load > cap + tol * max(1.0, cap):
+        if load > cap + _FEASIBILITY_TOL * max(1.0, cap):
             report.links_ok = False
             report.violations.append(
                 f"link ({u!r}, {v!r}) carries {load:.6g} > capacity {cap:.6g}"
@@ -155,7 +157,7 @@ def check_feasibility(
 
     for request, rate in problem.demand.items():
         served = routing.served_fraction(request)
-        if served < 1 - tol:
+        if served < 1 - _FEASIBILITY_TOL:
             report.served_ok = False
             report.violations.append(
                 f"request {request!r} only served at fraction {served:.4g}"
@@ -171,7 +173,7 @@ def check_feasibility(
             available = placement[(source, item)]
             if (source, item) in problem.pinned:
                 available = 1.0
-            if fraction > available + tol:
+            if fraction > available + _FEASIBILITY_TOL:
                 report.sources_ok = False
                 report.violations.append(
                     f"request {request!r} draws {fraction:.4g} from {source!r} "
@@ -275,7 +277,9 @@ def utilization_profile(
 
 
 def summarize(problem: ProblemInstance, solution: Solution) -> dict[str, float]:
-    """One-line metric bundle used by experiments and examples."""
+    """A solution's headline metrics in one dict (cost, congestion, cache
+    occupancy, hit rate and feasibility as 0/1); a public helper for
+    library users, not called inside the package."""
     return {
         "routing_cost": routing_cost(problem, solution.routing),
         "congestion": congestion(problem, solution.routing),

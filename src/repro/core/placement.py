@@ -354,14 +354,9 @@ def optimize_placement(
     problem: ProblemInstance,
     routing: Routing,
     *,
-    method: str = "auto",
     context: "SolverContext | None" = None,
 ) -> Placement:
     """Dispatch: pipage LP for homogeneous catalogs, greedy otherwise."""
-    if method == "auto":
-        method = "pipage" if problem.is_homogeneous() else "greedy"
-    if method == "pipage":
+    if problem.is_homogeneous():
         return optimize_placement_lp(problem, routing, context=context)
-    if method == "greedy":
-        return optimize_placement_greedy(problem, routing, context=context)
-    raise ValueError(f"unknown placement method {method!r}")
+    return optimize_placement_greedy(problem, routing, context=context)

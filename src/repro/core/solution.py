@@ -75,6 +75,18 @@ class Placement:
             if v == node and (v, i) not in problem.pinned
         )
 
+    def used_capacities(self, problem: ProblemInstance) -> dict[Node, float]:
+        """:meth:`used_capacity` of every node holding an entry, in one pass.
+
+        Each node's terms are summed in entry order, as :meth:`used_capacity`
+        sums them, so the values are identical; absent nodes use nothing.
+        """
+        terms: dict[Node, list[float]] = {}
+        for (v, i), x in self._x.items():
+            if (v, i) not in problem.pinned:
+                terms.setdefault(v, []).append(x * problem.size_of(i))
+        return {v: sum(t) for v, t in terms.items()}
+
     def as_set(self, tol: float = 1e-6) -> frozenset[tuple[Node, Item]]:
         """Integral placement as a set of ``(node, item)`` pairs."""
         return frozenset(k for k, v in self._x.items() if v >= 1 - tol)

@@ -42,26 +42,24 @@ class RNRCostSaving:
     therefore changes nothing for maximization.
 
     Distances come from ``context`` (one is built on the lazy tier when
-    none is passed); ``w_max`` defaults to the context's.
+    none is passed); costs are capped at the context's ``w_max``.
     """
 
     def __init__(
         self,
         problem: ProblemInstance,
         *,
-        w_max: float | None = None,
         context: SolverContext | None = None,
     ) -> None:
         context = context or SolverContext.from_problem(problem, backend="lazy")
         self._ctx = context
         self._value = 0.0
         self._selected: set[tuple[Node, Item]] = set()
-        self.w_max = context.w_max if w_max is None else w_max
         #: Current best (least) serving cost per requester, per item.
         #: Catalog (item_index) order — no per-construction repr sort.
         demand_items = {i for (i, _s) in problem.demand}
         self._best_arr: dict[Item, np.ndarray] = {
-            item: context.baseline_costs(item, cap=self.w_max)
+            item: context.baseline_costs(item)
             for item in context.items
             if item in demand_items
         }

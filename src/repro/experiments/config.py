@@ -50,17 +50,11 @@ class ScenarioConfig:
 class MonteCarloConfig:
     """Monte Carlo protocol: the paper averages over 100 runs; benches use fewer.
 
-    ``spawn_seeds=True`` derives per-run seeds through
-    ``numpy.random.SeedSequence(base_seed).spawn(n_runs)`` instead of the
-    legacy ``base_seed + run`` offsets.  Spawned seeds give statistically
-    independent streams and — because they are materialized up front — make
-    parallel execution bit-identical to serial execution run-for-run.
-    The default stays ``False`` for backward-compatible seed values.
+    Run ``k`` builds its scenario with seed ``base_seed + k``.
     """
 
     n_runs: int = 5
     base_seed: int = 0
-    spawn_seeds: bool = False
 
 
 @dataclass

@@ -40,34 +40,30 @@ class TimelineAlgorithm:
 
     Calls the wrapped ``algorithm`` on the scenario, then replays its
     placement through a timeline generated over the scenario's (true)
-    problem with seed ``scenario.config.seed + timeline_seed_offset``.  The
-    healthy solution is returned unchanged — cost/congestion/occupancy keep
-    their usual healthy-instance meaning — with the replay summary attached
-    as ``solution.extra_metrics["timeline"]``.
+    problem with the scenario's seed.  The origin is spared from node
+    failures: it pins the whole catalog, so killing it measures origin loss
+    rather than placement quality.  The healthy solution is returned
+    unchanged — cost/congestion/occupancy keep their usual healthy-instance
+    meaning — with the replay summary attached as
+    ``solution.extra_metrics["timeline"]``.
     """
 
     algorithm: Algorithm
     timeline_config: TimelineConfig = TimelineConfig()
     policy: RecoveryPolicy = RecoveryPolicy()
-    #: Added to the scenario seed so timeline randomness is decoupled from
-    #: the workload randomness of the run itself.
-    timeline_seed_offset: int = 0
-    #: Spare the origin from node failures (it pins the whole catalog, so
-    #: killing it measures origin loss rather than placement quality).
-    exclude_origin: bool = True
 
     def __call__(self, scenario: "EdgeCachingScenario") -> Solution:
         solution = self.algorithm(scenario)
         problem = scenario.problem
         tcfg = self.timeline_config
-        if self.exclude_origin and scenario.origin not in tcfg.exclude_nodes:
+        if scenario.origin not in tcfg.exclude_nodes:
             tcfg = replace(
                 tcfg, exclude_nodes=(*tcfg.exclude_nodes, scenario.origin)
             )
         timeline = generate_timeline(
             problem,
             tcfg,
-            seed=scenario.config.seed + self.timeline_seed_offset,
+            seed=scenario.config.seed,
             name=f"{scenario.config.topology}:seed={scenario.config.seed}",
         )
         report = replay_timeline(
@@ -88,7 +84,6 @@ def run_timeline_campaign(
     *,
     timeline_config: TimelineConfig = TimelineConfig(),
     policy: RecoveryPolicy | None = None,
-    timeline_seed_offset: int = 0,
     checkpoint: str | Path | None = None,
 ) -> list[RunRecord]:
     """Monte Carlo campaign where every run also replays a failure timeline.
@@ -104,7 +99,6 @@ def run_timeline_campaign(
             algorithm,
             timeline_config=timeline_config,
             policy=policy or RecoveryPolicy(),
-            timeline_seed_offset=timeline_seed_offset,
         )
         for name, algorithm in algorithms.items()
     }

@@ -22,12 +22,8 @@ def format_aggregates(
     aggregates: Sequence[Aggregate],
     *,
     title: str = "",
-    sort_by_cost: bool = False,
 ) -> str:
-    """Render aggregates as an aligned text table."""
-    rows = sorted(aggregates, key=lambda a: a.mean_cost) if sort_by_cost else list(
-        aggregates
-    )
+    """Render aggregates as an aligned text table, in the given order."""
     lines = []
     if title:
         lines.append(title)
@@ -38,7 +34,7 @@ def format_aggregates(
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for agg in rows:
+    for agg in aggregates:
         lines.append(
             f"{agg.algorithm:<22}"
             f"{_fmt(agg.mean_cost)}"

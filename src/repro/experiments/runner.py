@@ -8,9 +8,8 @@ metrics the paper plots: routing cost, congestion, max cache occupancy,
 and execution time (Tables 3-4).
 
 The paper's protocol averages 100 independent runs.  :func:`run_monte_carlo`
-runs them in order over seeds materialized up front (optionally via
-``numpy.random.SeedSequence.spawn``, see :class:`MonteCarloConfig`); every
-run is fully determined by its seed, so a campaign resumed from its
+runs them in order over the seeds ``base_seed + run``, materialized up front;
+every run is fully determined by its seed, so a campaign resumed from its
 checkpoint returns the records of an uninterrupted one in everything except
 wall-clock timings.  Runs share no solver state: each draws its own link
 costs, so each builds its own distance rows.
@@ -117,18 +116,10 @@ def evaluate_algorithm(
 def monte_carlo_seeds(monte_carlo: MonteCarloConfig) -> list[int]:
     """Materialize the per-run scenario seeds of a Monte Carlo protocol.
 
-    With ``spawn_seeds`` the seeds come from
-    ``numpy.random.SeedSequence(base_seed).spawn(n_runs)`` (independent
-    streams); otherwise they are the legacy ``base_seed + run`` offsets.
-    Either way the full list is derived up front, so a resumed campaign sees
-    exactly the seeds of the one it resumes, in the same order.
+    The seeds are the ``base_seed + run`` offsets.  The full list is derived
+    up front, so a resumed campaign sees exactly the seeds of the one it
+    resumes, in the same order.
     """
-    if monte_carlo.spawn_seeds:
-        root = np.random.SeedSequence(monte_carlo.base_seed)
-        return [
-            int(child.generate_state(1, dtype=np.uint32)[0])
-            for child in root.spawn(monte_carlo.n_runs)
-        ]
     return [monte_carlo.base_seed + run for run in range(monte_carlo.n_runs)]
 
 

@@ -21,6 +21,8 @@ Node = Hashable
 Edge = tuple[Node, Node]
 
 _EPS = 1e-9
+#: Demand slack that is forgiven (LP solutions carry ~1e-9 noise).
+_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,6 @@ def decompose_single_source_flow(
     flow: Mapping[Edge, float],
     source: Node,
     demands: Mapping[Node, float],
-    *,
-    tolerance: float = 1e-7,
 ) -> dict[Node, list[PathFlow]]:
     """Decompose ``flow`` into per-sink path flows covering ``demands``.
 
@@ -56,8 +56,6 @@ def decompose_single_source_flow(
     flow:
         Aggregate link loads; must conserve flow with excess ``demands[t]``
         at each sink and ``-sum(demands)`` at ``source``.
-    tolerance:
-        Demand slack that is forgiven (LP solutions carry ~1e-9 noise).
 
     Raises
     ------
@@ -82,12 +80,12 @@ def decompose_single_source_flow(
     steps = 0
     for sink in demands:
         remaining = float(demands[sink])
-        if remaining <= tolerance:
+        if remaining <= _TOLERANCE:
             continue
         if sink == source:
             result[sink].append(PathFlow(path=(source,), amount=remaining))
             continue
-        while remaining > tolerance:
+        while remaining > _TOLERANCE:
             steps += 1
             if steps > max_steps:
                 raise DecompositionError("path peeling did not terminate")
@@ -139,7 +137,6 @@ def split_with_removal_quotas(
     commodities: list[tuple[Hashable, Node, float, float]],
     *,
     costs: Mapping[Edge, float] | None = None,
-    tolerance: float = 1e-7,
 ) -> dict[Hashable, list[PathFlow]]:
     """Split per-sink path flows among commodities, steering expensive slices
     toward commodities that will later *remove* them.
@@ -158,7 +155,6 @@ def split_with_removal_quotas(
         return split_among_commodities(
             paths_by_sink,
             [(cid, sink, demand) for cid, sink, demand, _q in commodities],
-            tolerance=tolerance,
         )
 
     def cost_of(path: tuple) -> float:
@@ -200,7 +196,7 @@ def split_with_removal_quotas(
                 member[1] -= take
                 out[member[0]].append(PathFlow(path=slot[1], amount=take))
         for member in members:
-            if member[1] > tolerance:
+            if member[1] > _TOLERANCE:
                 raise DecompositionError(
                     f"not enough path flow at sink {sink!r} for {member[0]!r}"
                 )
@@ -210,8 +206,6 @@ def split_with_removal_quotas(
 def split_among_commodities(
     paths_by_sink: Mapping[Node, list[PathFlow]],
     commodities: list[tuple[Hashable, Node, float]],
-    *,
-    tolerance: float = 1e-7,
 ) -> dict[Hashable, list[PathFlow]]:
     """Split per-sink path flows among commodities sharing that sink.
 
@@ -229,7 +223,7 @@ def split_among_commodities(
         need = float(demand)
         queue = remaining_paths.get(sink, [])
         index = 0
-        while need > tolerance and index < len(queue):
+        while need > _TOLERANCE and index < len(queue):
             slot = queue[index]
             available = slot[0]
             if available <= _EPS:
@@ -241,7 +235,7 @@ def split_among_commodities(
             out[cid].append(PathFlow(path=slot[1], amount=take))
             if slot[0] <= _EPS:
                 index += 1
-        if need > tolerance:
+        if need > _TOLERANCE:
             raise DecompositionError(
                 f"not enough path flow at sink {sink!r} for commodity {cid!r}"
             )

@@ -32,6 +32,9 @@ from repro.graph.network import COST
 Node = Hashable
 Edge = tuple[Node, Node]
 
+#: Flow slack forgiven per unit of demand (LP solutions carry ~1e-9 noise).
+_TOLERANCE = 1e-7
+
 
 @dataclass(frozen=True)
 class _Demand:
@@ -183,8 +186,6 @@ def round_to_unsplittable(
     source: Node,
     commodities: list[tuple[Hashable, Node, float]],
     flow: Mapping[Edge, float],
-    *,
-    tolerance: float = 1e-7,
 ) -> dict[Hashable, tuple[Node, ...]]:
     """Round a splittable flow into one path per commodity (Lemma 4.6).
 
@@ -212,11 +213,11 @@ def round_to_unsplittable(
         raise InvalidProblemError("commodity ids must be unique")
     demands = _classify_levels(commodities)
     d_min = min(d.value for d in demands)
-    working: dict[Edge, float] = {e: f for e, f in flow.items() if f > tolerance}
+    working: dict[Edge, float] = {e: f for e, f in flow.items() if f > _TOLERANCE}
     paths: dict[Hashable, tuple[Node, ...]] = {}
     for level in sorted({d.level for d in demands}):
         delta = d_min * (2.0**level)
-        tol = tolerance * max(1.0, delta)
+        tol = _TOLERANCE * max(1.0, delta)
         _make_delta_integral(working, delta, costs, tol)
         at_level = sorted(
             (d for d in demands if d.level == level), key=lambda d: repr(d.commodity)

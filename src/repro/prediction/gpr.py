@@ -54,8 +54,9 @@ class GaussianProcessRegressor:
         ``constant * (RBF + periodic) + white``).
     n_restarts:
         Extra random restarts of the marginal-likelihood optimization.
-    normalize_y:
-        Standardize targets before fitting (recommended for view counts).
+
+    Targets are standardized before fitting (view counts span orders of
+    magnitude).
     """
 
     def __init__(
@@ -63,12 +64,10 @@ class GaussianProcessRegressor:
         kernel: Kernel | None = None,
         *,
         n_restarts: int = 2,
-        normalize_y: bool = True,
         rng: np.random.Generator | None = None,
     ) -> None:
         self.kernel = kernel or paper_kernel()
         self.n_restarts = int(n_restarts)
-        self.normalize_y = normalize_y
         self._rng = rng or np.random.default_rng(0)
         self._x: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
@@ -120,11 +119,8 @@ class GaussianProcessRegressor:
         if len(x) < 2:
             raise PredictionError("need at least 2 training points")
         self._x = x
-        if self.normalize_y:
-            self._y_mean = float(y.mean())
-            self._y_std = float(y.std()) or 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
+        self._y_mean = float(y.mean())
+        self._y_std = float(y.std()) or 1.0
         self._y_train = (y - self._y_mean) / self._y_std
 
         bounds = self.kernel.bounds

@@ -221,9 +221,8 @@ class InvariantChecker:
     (pinpoints the exact event in a failing seed).
     """
 
-    def __init__(self, *, strict: bool = False, tol: float = _TOL) -> None:
+    def __init__(self, *, strict: bool = False) -> None:
         self.strict = strict
-        self.tol = tol
         self.violations: list[str] = []
         self._last_served: float | None = None
 
@@ -243,19 +242,19 @@ class InvariantChecker:
         served = ctl.served_rate()
         total = ctl.problem.total_demand
         scale = max(1.0, total)
-        if served > total + self.tol * scale:
+        if served > total + _TOL * scale:
             self._violate(
                 time, f"conservation: served rate {served:g} exceeds demand {total:g}"
             )
         if self._last_served is not None:
             if phase == "event" and isinstance(detail, RepairEvent):
-                if served < self._last_served - self.tol * scale:
+                if served < self._last_served - _TOL * scale:
                     self._violate(
                         time,
                         f"monotone: repair {detail.fault.describe()} dropped served "
                         f"rate {self._last_served:g} -> {served:g}",
                     )
-            elif phase == "action" and served < self._last_served - self.tol * scale:
+            elif phase == "action" and served < self._last_served - _TOL * scale:
                 self._violate(
                     time,
                     f"monotone: re-optimization dropped served rate "
@@ -302,7 +301,7 @@ class InvariantChecker:
                         f"dead replica[{record_scenario}]: ({item!r}, {s!r}) "
                         f"served from {src!r} which holds no copy",
                     )
-            if served > 1.0 + self.tol:
+            if served > 1.0 + _TOL:
                 self._violate(
                     time,
                     f"conservation[{record_scenario}]: ({item!r}, {s!r}) served "
@@ -653,7 +652,7 @@ def run_chaos(
 # ----------------------------------------------------------------------
 
 
-def check_streaming_invariants(report, *, tol: float = _TOL) -> list[str]:
+def check_streaming_invariants(report) -> list[str]:
     """Request-level chaos invariants over a segmented streaming replay.
 
     ``report`` is a :class:`~repro.robustness.streaming.
@@ -706,7 +705,7 @@ def check_streaming_invariants(report, *, tol: float = _TOL) -> list[str]:
             and "workload" not in seg.kinds
         ):
             scale = max(1.0, prev.served_rate)
-            if seg.served_rate < prev.served_rate - tol * scale:
+            if seg.served_rate < prev.served_rate - _TOL * scale:
                 violate(
                     f"{where}: {'/'.join(seg.kinds)} boundary dropped the "
                     f"expected served rate {prev.served_rate:g} -> "
@@ -730,7 +729,7 @@ def check_streaming_invariants(report, *, tol: float = _TOL) -> list[str]:
         ("delivered cost", report.delivered_cost, report.expected_cost,
          report.cost_variance),
     ):
-        bound = 6.0 * float(np.sqrt(max(variance, 0.0))) + tol
+        bound = 6.0 * float(np.sqrt(max(variance, 0.0))) + _TOL
         if abs(observed - expected) > bound:
             violate(
                 f"global: {label} {observed:g} is over 6 sigma from its "

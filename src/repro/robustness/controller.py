@@ -62,7 +62,12 @@ from repro.robustness.report import (
     SurvivabilityRecord,
     survivability_record,
 )
-from repro.robustness.timeline import FailureEvent, FailureTimeline, RepairEvent
+from repro.robustness.timeline import (
+    FailureEvent,
+    FailureTimeline,
+    RepairEvent,
+    validate_horizon,
+)
 from repro.serving.degraded import TableDegradation, delivered_rates
 from repro.serving.tables import RoutingTables, compile_tables
 
@@ -95,8 +100,6 @@ class RecoveryPolicy:
     repair: bool = False
     #: Only repair once the oldest live outage is at least this old.
     repair_after: float = 0.0
-    #: Budget forwarded to :func:`repair_placement`.
-    max_repairs: int | None = None
 
     def validate(self) -> None:
         for label, value in (
@@ -105,7 +108,8 @@ class RecoveryPolicy:
             ("min_dwell", self.min_dwell),
             ("repair_after", self.repair_after),
         ):
-            if value < 0:
+            # Negated so NaN fails too: NaN agenda times break the heap order.
+            if not value >= 0:
                 raise InvalidProblemError(f"{label} must be >= 0")
         if self.max_retries < 0:
             raise InvalidProblemError("max_retries must be >= 0")
@@ -241,6 +245,8 @@ class TimelineController:
         observer: Observer | None = None,
         partition=None,
     ) -> None:
+        # A FailureTimeline can be built directly, bypassing its generators.
+        validate_horizon(timeline.horizon)
         self.problem = problem
         self.timeline = timeline
         self.policy = policy or RecoveryPolicy()
@@ -252,7 +258,7 @@ class TimelineController:
         #: :func:`~repro.robustness.recovery.cluster_local_recover` — only
         #: the clusters the cumulative fault set touches are re-solved and
         #: stitched — instead of :func:`recover`'s greedy repair (the
-        #: ``repair``/``max_repairs`` policy knobs are superseded).
+        #: ``repair``/``repair_after`` policy knobs are superseded).
         self.partition = partition
         self.horizon = timeline.horizon
 
@@ -497,7 +503,6 @@ class TimelineController:
                 degraded,
                 self.placement,
                 repair=do_repair,
-                max_repairs=self.policy.max_repairs,
                 context=ctx,
             )
         # Entries lost at event time (the placement is pre-pruned so repairs

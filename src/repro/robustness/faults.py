@@ -132,9 +132,6 @@ def canonical_links(problem: ProblemInstance) -> list[Edge]:
     return out
 
 
-_canonical_links = canonical_links
-
-
 def apply_failure(
     problem: ProblemInstance, scenario: FailureScenario
 ) -> DegradedProblem:
@@ -218,34 +215,24 @@ def apply_failure(
 # ----------------------------------------------------------------------
 
 
-def single_link_failures(
-    problem: ProblemInstance, *, both_directions: bool = True
-) -> list[FailureScenario]:
+def single_link_failures(problem: ProblemInstance) -> list[FailureScenario]:
     """One scenario per undirected link of the instance (deterministic order)."""
     return [
-        FailureScenario(
-            name=f"link:{u!r}--{v!r}",
-            faults=(LinkFailure(u, v, both_directions=both_directions),),
-        )
-        for u, v in _canonical_links(problem)
+        FailureScenario(name=f"link:{u!r}--{v!r}", faults=(LinkFailure(u, v),))
+        for u, v in canonical_links(problem)
     ]
 
 
-def k_link_failures(
-    problem: ProblemInstance, k: int, *, both_directions: bool = True
-) -> list[FailureScenario]:
+def k_link_failures(problem: ProblemInstance, k: int) -> list[FailureScenario]:
     """Every set of ``k`` simultaneous undirected link failures."""
     if k < 1:
         raise InvalidProblemError("k must be >= 1")
-    links = _canonical_links(problem)
     return [
         FailureScenario(
             name="links:" + "+".join(f"{u!r}--{v!r}" for u, v in combo),
-            faults=tuple(
-                LinkFailure(u, v, both_directions=both_directions) for u, v in combo
-            ),
+            faults=tuple(LinkFailure(u, v) for u, v in combo),
         )
-        for combo in itertools.combinations(links, k)
+        for combo in itertools.combinations(canonical_links(problem), k)
     ]
 
 
@@ -269,7 +256,6 @@ def sample_failures(
     nodes_per_scenario: int = 0,
     exclude_nodes: tuple[Node, ...] = (),
     seed: int = 0,
-    unique: bool = False,
 ) -> list[FailureScenario]:
     """Seeded random failure scenarios (without-replacement per scenario).
 
@@ -277,11 +263,7 @@ def sample_failures(
     derive everything from ``numpy.random.default_rng(seed)``.
 
     Sampling is with replacement *across* scenarios: one seed can emit the
-    same fault set twice (likely on small topologies).  ``unique=True``
-    keeps drawing until ``n_scenarios`` distinct fault sets are collected
-    (raising :class:`InvalidProblemError` when the element pool cannot
-    supply that many); the default preserves the historical duplicated
-    stream bit-for-bit.
+    same fault set twice (likely on small topologies).
     """
     if n_scenarios < 1:
         raise InvalidProblemError("n_scenarios must be >= 1")
@@ -296,16 +278,7 @@ def sample_failures(
     if nodes_per_scenario > len(nodes):
         raise InvalidProblemError("nodes_per_scenario exceeds the node count")
     scenarios: list[FailureScenario] = []
-    seen: set[frozenset] = set()
-    max_attempts = 100 * n_scenarios
-    attempts = 0
-    while len(scenarios) < n_scenarios:
-        if attempts >= max_attempts:
-            raise InvalidProblemError(
-                f"could not sample {n_scenarios} unique scenarios in "
-                f"{max_attempts} attempts (element pool too small?)"
-            )
-        attempts += 1
+    for k in range(n_scenarios):
         faults: list[Fault] = []
         if links_per_scenario:
             chosen = rng.choice(len(links), size=links_per_scenario, replace=False)
@@ -313,12 +286,5 @@ def sample_failures(
         if nodes_per_scenario:
             chosen = rng.choice(len(nodes), size=nodes_per_scenario, replace=False)
             faults.extend(NodeFailure(nodes[j]) for j in sorted(chosen))
-        if unique:
-            key = frozenset(faults)
-            if key in seen:
-                continue
-            seen.add(key)
-        scenarios.append(
-            FailureScenario(name=f"random:{len(scenarios)}", faults=tuple(faults))
-        )
+        scenarios.append(FailureScenario(name=f"random:{k}", faults=tuple(faults)))
     return scenarios

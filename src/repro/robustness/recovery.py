@@ -109,7 +109,6 @@ def recover(
     placement: Placement,
     *,
     repair: bool = False,
-    max_repairs: int | None = None,
     context: SolverContext | None = None,
 ) -> RecoveryResult:
     """Re-route (and optionally repair) a healthy placement after failures.
@@ -126,9 +125,7 @@ def recover(
     )
     repaired: list[tuple[Node, Item]] = []
     if repair:
-        repaired = repair_placement(
-            problem, survivor, max_repairs=max_repairs, context=context
-        )
+        repaired = repair_placement(problem, survivor, context=context)
         if repaired:
             routing = route_to_nearest_replica(
                 problem, survivor, on_unservable="partial", context=context
@@ -147,7 +144,6 @@ def repair_placement(
     problem: ProblemInstance,
     placement: Placement,
     *,
-    max_repairs: int | None = None,
     context: SolverContext | None = None,
 ) -> list[tuple[Node, Item]]:
     """Greedy incremental repair: refill residual cache space in place.
@@ -163,8 +159,9 @@ def repair_placement(
     ctx = context or SolverContext.from_problem(problem, backend="lazy")
     nidx = ctx.node_index
     cache_nodes = sorted(problem.network.cache_nodes(), key=repr)
+    usage = placement.used_capacities(problem)
     residual = {
-        v: problem.network.cache_capacity(v) - placement.used_capacity(v, problem)
+        v: problem.network.cache_capacity(v) - usage.get(v, 0)
         for v in cache_nodes
     }
 
@@ -202,10 +199,7 @@ def repair_placement(
         return float(diff[mask] @ block.rates[mask])
 
     repaired: list[tuple[Node, Item]] = []
-    budget = max_repairs if max_repairs is not None else len(cache_nodes) * len(
-        problem.catalog
-    )
-    while len(repaired) < budget:
+    while True:
         best_key: tuple[float, str, Node, Item] | None = None
         for v in cache_nodes:
             for item in problem.catalog:
@@ -239,7 +233,6 @@ def cluster_local_recover(
     partition,
     *,
     context: SolverContext | None = None,
-    polish: bool = True,
 ) -> RecoveryResult:
     """Recover by re-solving only the clusters a failure touched.
 
@@ -274,12 +267,7 @@ def cluster_local_recover(
     )
     if touched:
         new_placement, _reports = resolve_clusters(
-            problem,
-            partition,
-            survivor,
-            sorted(touched),
-            context=context,
-            polish=polish,
+            problem, partition, survivor, sorted(touched), context=context
         )
         repaired = sorted(
             (key for key in new_placement if key not in survivor),

@@ -18,7 +18,7 @@ from repro.core.context import SolverContext
 from repro.core.evaluation import congestion, routing_cost
 from repro.core.problem import ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
-from repro.core.solution import Placement, Routing
+from repro.core.solution import Placement
 from repro.robustness.degraded import degraded_context
 from repro.robustness.faults import FailureScenario, apply_failure
 from repro.robustness.recovery import RecoveryResult, recover
@@ -185,15 +185,14 @@ def survivability_report(
     scenarios: Sequence[FailureScenario],
     *,
     repair: bool = False,
-    healthy_routing: Routing | None = None,
     context: SolverContext | None = None,
 ) -> SurvivabilityReport:
     """Evaluate a placement's graceful degradation across ``scenarios``.
 
-    ``healthy_routing`` defaults to RNR on the healthy instance, the same
-    policy recovery applies after failure — so on uncapacitated instances
-    cost inflation is guaranteed ≥ 1 for every fully-served scenario
-    (removing links can only lengthen shortest paths).
+    The healthy cost is RNR's on the healthy instance, the same policy
+    recovery applies after failure — so on uncapacitated instances cost
+    inflation is guaranteed ≥ 1 for every fully-served scenario (removing
+    links can only lengthen shortest paths).
 
     ``context`` is the *healthy* instance's :class:`SolverContext` (a lazy
     one is built when none is passed); each scenario's recovery runs on a
@@ -202,10 +201,7 @@ def survivability_report(
     are computed on demand.
     """
     context = context or SolverContext.from_problem(problem, backend="lazy")
-    if healthy_routing is None:
-        healthy_routing = route_to_nearest_replica(
-            problem, placement, context=context
-        )
+    healthy_routing = route_to_nearest_replica(problem, placement, context=context)
     healthy_cost = routing_cost(problem, healthy_routing, demand=problem.demand)
     records = []
     for scenario in scenarios:

@@ -50,6 +50,13 @@ from repro.robustness.faults import (
 Edge = tuple[Node, Node]
 
 
+def validate_horizon(horizon: float) -> None:
+    """Reject a horizon that is not a finite positive number: the renewal
+    processes run until they pass it, and the replay divides by it."""
+    if not 0.0 < horizon < float("inf"):
+        raise InvalidProblemError("timeline horizon must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class FailureEvent:
     """An element goes down at ``time`` (``transient`` marks a short flap)."""
@@ -107,8 +114,7 @@ class TimelineConfig:
     exclude_nodes: tuple[Node, ...] = ()
 
     def validate(self) -> None:
-        if not self.horizon > 0:
-            raise InvalidProblemError("timeline horizon must be > 0")
+        validate_horizon(self.horizon)
         for label, value in (
             ("link_mtbf", self.link_mtbf),
             ("node_mtbf", self.node_mtbf),
@@ -264,8 +270,7 @@ def timeline_from_scenario(
     static ``survivability_record`` for ``scenario`` bit-for-bit — the
     chaos harness's static-parity invariant.
     """
-    if not horizon > 0:
-        raise InvalidProblemError("timeline horizon must be > 0")
+    validate_horizon(horizon)
     return FailureTimeline(
         name=scenario.name,
         horizon=horizon,

@@ -106,7 +106,7 @@ class TestUniformNonUnitSizes:
         routing = Routing()
         for (item, s) in prob.demand:
             routing.paths[(item, s)] = [PathFlow(path=tuple(range(s + 1)), amount=1.0)]
-        placement = optimize_placement(prob, routing, method="auto")
+        placement = optimize_placement(prob, routing)
         assert max_cache_occupancy(prob, placement) <= 1.0 + 1e-9
 
     def test_shortest_path_baseline_respects_sizes(self):

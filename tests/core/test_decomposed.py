@@ -20,7 +20,6 @@ from repro.core import (
     pin_full_catalog,
     resolve_clusters,
     restrict_partition,
-    super_topology,
     touched_clusters,
 )
 from repro.exceptions import InvalidProblemError
@@ -109,29 +108,6 @@ class TestPartition:
         net = tinet()
         part = partition_graph(net, 1, seed=0)
         assert part.sizes() == [net.num_nodes]
-
-
-class TestSuperTopology:
-    def test_quotient_shape_and_capacity(self):
-        net = CacheNetwork(deltacom().graph, {v: 1.5 for v in deltacom().nodes})
-        part = partition_graph(net, 4, seed=0)
-        quotient = super_topology(net, part)
-        assert quotient.num_nodes == 4
-        assert nx.is_strongly_connected(quotient.graph)
-        total = sum(quotient.cache_capacity(c) for c in quotient.nodes)
-        assert total == pytest.approx(1.5 * net.num_nodes)
-
-    def test_super_link_cost_is_cheapest_crossing(self):
-        net = tinet()
-        part = partition_graph(net, 3, seed=0)
-        quotient = super_topology(net, part)
-        for u, v in quotient.edges:
-            crossing = [
-                net.cost(a, b)
-                for a, b in net.edges
-                if part.labels[a] == u and part.labels[b] == v
-            ]
-            assert quotient.cost(u, v) == min(crossing)
 
 
 class TestSubproblem:

@@ -2,10 +2,15 @@
 
 import math
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Placement,
+    ProblemInstance,
     Routing,
     Solution,
     check_feasibility,
@@ -16,6 +21,7 @@ from repro.core import (
     summarize,
 )
 from repro.flow.decomposition import PathFlow
+from repro.graph.network import CacheNetwork
 
 from tests.core.conftest import make_line_problem
 
@@ -204,3 +210,66 @@ class TestFeasibility:
             "feasible",
         }
         assert stats["feasible"] == 1.0
+
+
+def sized_placement(seed: int):
+    """A line network with sized items, pinned copies and a fractional
+    placement whose entries (pinned ones included) arrive in random order.
+    Sizes and fractions use full mantissas, so a change in the order a
+    node's terms are summed shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    n_nodes = int(rng.integers(2, 7))
+    graph = nx.DiGraph()
+    for v in range(n_nodes - 1):
+        graph.add_edge(v, v + 1, cost=1.0, capacity=math.inf)
+        graph.add_edge(v + 1, v, cost=1.0, capacity=math.inf)
+    capacities = {
+        v: float(rng.uniform(0.0, 6.0)) for v in range(n_nodes) if rng.random() < 0.8
+    }
+    catalog = tuple(f"i{k}" for k in range(int(rng.integers(1, 9))))
+    sizes = {i: float(rng.uniform(0.1, 3.0)) for i in catalog}
+    pairs = [(v, i) for v in range(n_nodes) for i in catalog]
+    order = rng.permutation(len(pairs))
+    pinned = frozenset(pairs[j] for j in order[: int(rng.integers(0, 5))])
+    problem = ProblemInstance(
+        network=CacheNetwork(graph, capacities),
+        catalog=catalog,
+        demand={(catalog[0], n_nodes - 1): 1.0},
+        item_sizes=sizes,
+        pinned=pinned,
+    )
+    placement = Placement()
+    for j in rng.permutation(len(pairs))[: int(rng.integers(0, len(pairs) + 1))]:
+        placement[pairs[j]] = float(rng.uniform(0.01, 1.0))
+    return problem, placement
+
+
+class TestOccupancyParity:
+    """check_feasibility and max_cache_occupancy against per-node
+    ``Placement.used_capacity``, the definition they must agree with."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_node_used_capacity(self, seed):
+        problem, placement = sized_placement(seed)
+        network = problem.network
+        expected = []
+        for v in network.nodes:
+            used = placement.used_capacity(v, problem)
+            cap = network.cache_capacity(v)
+            if used > cap + 1e-6:
+                expected.append(f"cache at {v!r} holds {used:.4g} > capacity {cap:.4g}")
+        report = check_feasibility(problem, Solution(placement, Routing()))
+        cache_msgs = [m for m in report.violations if m.startswith("cache at")]
+        assert cache_msgs == expected
+        assert report.cache_ok == (not expected)
+
+        worst = 0.0
+        for v in network.cache_nodes():
+            cap = network.cache_capacity(v)
+            used = placement.used_capacity(v, problem)
+            if cap > 0:
+                worst = max(worst, used / cap)
+            elif used > 1e-9:
+                worst = math.inf
+        assert max_cache_occupancy(problem, placement) == worst

@@ -222,10 +222,5 @@ class TestOptimizePlacementGreedy:
 class TestDispatch:
     def test_auto_uses_pipage_for_homogeneous(self):
         prob = make_line_problem(cache_nodes={3: 1})
-        placement = optimize_placement(prob, origin_routing(prob), method="auto")
+        placement = optimize_placement(prob, origin_routing(prob))
         assert placement.is_integral()
-
-    def test_unknown_method(self):
-        prob = make_line_problem()
-        with pytest.raises(ValueError):
-            optimize_placement(prob, origin_routing(prob), method="magic")

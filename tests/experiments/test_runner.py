@@ -98,23 +98,6 @@ class TestSeeds:
         mc = MonteCarloConfig(n_runs=4, base_seed=7)
         assert monte_carlo_seeds(mc) == [7, 8, 9, 10]
 
-    def test_spawn_seeds_deterministic_and_distinct(self):
-        mc = MonteCarloConfig(n_runs=5, base_seed=3, spawn_seeds=True)
-        first = monte_carlo_seeds(mc)
-        assert first == monte_carlo_seeds(mc)
-        assert len(set(first)) == 5
-        assert first != [3, 4, 5, 6, 7]
-
-    def test_spawn_seeds_depend_on_base_seed(self):
-        a = monte_carlo_seeds(MonteCarloConfig(n_runs=3, base_seed=0, spawn_seeds=True))
-        b = monte_carlo_seeds(MonteCarloConfig(n_runs=3, base_seed=1, spawn_seeds=True))
-        assert a != b
-
-    def test_runner_uses_spawned_seeds(self):
-        mc = MonteCarloConfig(n_runs=2, base_seed=5, spawn_seeds=True)
-        records = run_monte_carlo(SMALL, {"origin": origin_only}, mc)
-        assert [r.seed for r in records] == monte_carlo_seeds(mc)
-
 
 class TestReporting:
     def test_format_aggregates_contains_rows(self):

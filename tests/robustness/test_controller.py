@@ -174,6 +174,21 @@ class TestExactIntegration:
         with pytest.raises(InvalidProblemError, match="inactive"):
             replay_timeline(problem, Placement(), timeline)
 
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # A FailureTimeline built directly skips the generators' checks.
+        timeline = manual_timeline([], horizon=horizon)
+        with pytest.raises(InvalidProblemError, match="finite"):
+            controller.TimelineController(line_problem(), Placement(), timeline)
+
+    @pytest.mark.parametrize(
+        "field", ["detection_delay", "flap_backoff", "min_dwell", "repair_after"]
+    )
+    def test_nan_policy_delay_rejected(self, field):
+        # NaN agenda times would break the controller's heap order.
+        with pytest.raises(InvalidProblemError, match=field):
+            RecoveryPolicy(**{field: float("nan")}).validate()
+
 
 class TestPolicies:
     def test_absorbed_flap_never_reoptimizes(self):

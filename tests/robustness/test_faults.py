@@ -171,33 +171,29 @@ class TestSampler:
 
 
 class TestUniqueSampler:
-    def test_unique_yields_distinct_fault_sets(self):
-        problem = gadget_problem()
-        scenarios = sample_failures(
-            problem, n_scenarios=4, links_per_scenario=1, seed=0, unique=True
-        )
-        fault_sets = [frozenset(s.faults) for s in scenarios]
-        assert len(set(fault_sets)) == 4  # the gadget has exactly 4 links
-
     def test_default_stream_unchanged_by_unique_flag(self):
-        # unique=False must preserve the historical duplicated stream
-        # bit-for-bit: the flag only filters, it never reorders draws.
+        # The seeded stream ``repro robustness --failures random`` draws,
+        # pinned to fault names recorded before the sampler's ``unique=``
+        # option was retired, so a change to the draws shows here.
+        # Sampling is with replacement across scenarios: 6 draws over the
+        # gadget's 4 links repeat some.
         problem = gadget_problem()
-        legacy = sample_failures(problem, n_scenarios=6, seed=5)
-        again = sample_failures(problem, n_scenarios=6, seed=5, unique=False)
-        assert legacy == again
-        # With 4 links and 6 draws the pigeonhole guarantees duplicates.
-        assert len({frozenset(s.faults) for s in legacy}) < len(legacy)
-
-    def test_unique_is_seed_deterministic(self):
-        problem = gadget_problem()
-        a = sample_failures(problem, n_scenarios=3, seed=9, unique=True)
-        b = sample_failures(problem, n_scenarios=3, seed=9, unique=True)
-        assert a == b
-
-    def test_unique_exhausted_pool_raises(self):
-        problem = gadget_problem()
-        with pytest.raises(InvalidProblemError, match="unique"):
-            sample_failures(
-                problem, n_scenarios=5, links_per_scenario=1, seed=0, unique=True
-            )
+        scenarios = sample_failures(problem, n_scenarios=6, seed=5)
+        assert [s.name for s in scenarios] == [f"random:{k}" for k in range(6)]
+        assert [tuple(f.describe() for f in s.faults) for s in scenarios] == [
+            ("link 'vs'--'v1'",),
+            ("link 'vs'--'v2'",),
+            ("link 'v1'--'s'",),
+            ("link 'vs'--'v2'",),
+            ("link 'v2'--'s'",),
+            ("link 'vs'--'v1'",),
+        ]
+        mixed = sample_failures(
+            problem, n_scenarios=4, links_per_scenario=1, nodes_per_scenario=1, seed=3
+        )
+        assert [tuple(f.describe() for f in s.faults) for s in mixed] == [
+            ("link 'vs'--'v2'", "node 's'"),
+            ("link 'v1'--'s'", "node 's'"),
+            ("link 'v1'--'s'", "node 'vs'"),
+            ("link 'vs'--'v2'", "node 'v2'"),
+        ]

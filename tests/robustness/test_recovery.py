@@ -7,7 +7,10 @@ never beats the healthy RNR cost while everything stays served.
 """
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import route_to_nearest_replica, routing_cost
 from repro.core.context import SolverContext
@@ -19,11 +22,13 @@ from repro.robustness import (
     LinkFailure,
     NodeFailure,
     apply_failure,
+    canonical_links,
     recover,
     repair_placement,
     single_link_failures,
     surviving_placement,
 )
+from repro.robustness.chaos import random_placement, random_problem
 from repro.robustness.degraded import degraded_context
 from repro.robustness.demo import gadget_placement, gadget_problem
 
@@ -151,11 +156,6 @@ class TestRepair:
             problem, repaired.routing, demand=problem.demand
         ) < routing_cost(problem, plain.routing, demand=problem.demand)
 
-    def test_max_repairs_zero_disables_repair(self):
-        degraded, placement = self._lost_copy()
-        result = recover(degraded, placement, repair=True, max_repairs=0)
-        assert result.repaired == []
-
     def test_repair_respects_capacity(self):
         # Both caches full -> nothing to repair even though v1's copy is gone.
         problem = gadget_problem()
@@ -175,6 +175,50 @@ class TestRepair:
             placement = Placement()
             runs.append(list(repair_placement(problem, placement)))
         assert runs[0] == runs[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_links=st.integers(0, 2),
+        n_nodes=st.integers(0, 1),
+    )
+    def test_repair_only_adds_copies_that_help(self, seed, n_links, n_nodes):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(
+            rng, n_nodes=int(rng.integers(4, 9)), n_items=int(rng.integers(2, 5))
+        )
+        # Half of a full placement, so caches keep residual space to refill.
+        full = sorted(random_placement(rng, problem), key=repr)
+        keep = rng.random(len(full)) < 0.5
+        placement = Placement({key: 1.0 for key, k in zip(full, keep) if k})
+        links = canonical_links(problem)
+        nodes = sorted(problem.network.nodes, key=repr)
+        cut = rng.choice(len(links), size=min(n_links, len(links)), replace=False)
+        down = rng.choice(len(nodes), size=n_nodes, replace=False)
+        faults = [LinkFailure(*links[j]) for j in sorted(cut)]
+        faults += [NodeFailure(nodes[j]) for j in sorted(down)]
+        degraded = apply_failure(problem, FailureScenario("f", tuple(faults)))
+
+        plain = recover(degraded, placement.copy())
+        repaired = recover(degraded, placement.copy(), repair=True)
+        dp = degraded.problem
+        caches = dp.network.cache_nodes()
+        for v, item in repaired.repaired:
+            assert v in caches and v not in degraded.failed_nodes
+            assert (v, item) not in dp.pinned
+            assert plain.placement[(v, item)] < 1 - _TOL
+        for v in caches:
+            assert repaired.placement.used_capacity(v, dp) <= (
+                dp.network.cache_capacity(v) + 1e-9
+            )
+        assert set(repaired.stranded) <= set(plain.stranded)
+        # Whole copies only shorten a request's nearest-replica path.
+        for request, rate in dp.demand.items():
+            if request in plain.stranded or request in repaired.stranded:
+                continue
+            before = routing_cost(dp, plain.routing, demand={request: rate})
+            after = routing_cost(dp, repaired.routing, demand={request: rate})
+            assert after <= before * (1 + 1e-9)
 
 
 class TestWorstCases:

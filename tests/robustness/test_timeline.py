@@ -123,6 +123,8 @@ class TestConfigValidation:
             {"flap_probability": 1.5},
             {"flap_mttr": 0.0},
             {"srlg_mtbf": 0.0},
+            {"horizon": float("inf")},
+            {"horizon": float("nan")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -146,3 +148,9 @@ class TestFromScenario:
     def test_bad_horizon_rejected(self):
         with pytest.raises(InvalidProblemError):
             timeline_from_scenario(FailureScenario("x", ()), horizon=0.0)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # An infinite horizon would make the replay's integrals inf/nan.
+        with pytest.raises(InvalidProblemError, match="finite"):
+            timeline_from_scenario(FailureScenario("x", ()), horizon=horizon)
