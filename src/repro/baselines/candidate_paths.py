@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,9 +39,6 @@ from repro.exceptions import InfeasibleError, InvalidProblemError
 from repro.flow.decomposition import PathFlow
 from repro.flow.lp import LPBuilder
 from repro.graph.shortest_paths import k_shortest_paths
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
 
 Node = Hashable
 
@@ -79,18 +75,12 @@ class CandidatePathModel:
     )
 
     @classmethod
-    def build(
-        cls,
-        problem: ProblemInstance,
-        k: int,
-        *,
-        context: "SolverContext | None" = None,
-    ) -> "CandidatePathModel":
+    def build(cls, problem: ProblemInstance, k: int) -> "CandidatePathModel":
         if k < 1:
             raise InvalidProblemError("k must be >= 1")
         server = origin_server(problem)
         graph = problem.network.graph
-        link_cost = problem.network.cost if context is None else context.link_cost
+        link_cost = problem.network.cost
         model = cls(k=k, server=server)
         requesters = sorted({s for (_i, s) in problem.demand}, key=repr)
         for s in requesters:
@@ -277,24 +267,19 @@ def candidate_path_baseline(
     problem: ProblemInstance,
     *,
     k: int = 10,
-    context: "SolverContext | None" = None,
 ) -> Solution:
     """The benchmark of [3]: k-shortest-path MinCost-SR + restricted RNR.
 
     ``k=1`` gives the paper's 'SP + RNR' variant, ``k=10`` its recommended
     'k shortest paths' configuration.
     """
-    model = CandidatePathModel.build(problem, k, context=context)
+    model = CandidatePathModel.build(problem, k)
     placement = _restricted_placement_lp(problem, model)
     routing = _restricted_rnr_routing(problem, model, placement)
     return Solution(placement, routing)
 
 
-def shortest_path_baseline(
-    problem: ProblemInstance,
-    *,
-    context: "SolverContext | None" = None,
-) -> Solution:
+def shortest_path_baseline(problem: ProblemInstance) -> Solution:
     """The benchmark of [38] ('SP'): placement on fixed shortest paths.
 
     Requests travel the single least-cost server->requester path; placement
@@ -303,15 +288,15 @@ def shortest_path_baseline(
     heterogeneous sizes it reproduces [38]'s equal-swap rounding (which can
     overfill caches).
     """
-    model = CandidatePathModel.build(problem, 1, context=context)
+    model = CandidatePathModel.build(problem, 1)
     sp_routing = Routing()
     for (item, s), _rate in problem.demand.items():
         path = model.paths[s][0]
         sp_routing.paths[(item, s)] = [PathFlow(path=path, amount=1.0)]
     if problem.is_homogeneous():
-        placement = optimize_placement_lp(problem, sp_routing, context=context)
+        placement = optimize_placement_lp(problem, sp_routing)
     else:
-        placement = _hetero_sp_placement(problem, sp_routing, context=context)
+        placement = _hetero_sp_placement(problem, sp_routing)
     routing = Routing()
     for (item, s), _rate in problem.demand.items():
         path = model.paths[s][0]
@@ -324,14 +309,9 @@ def shortest_path_baseline(
     return Solution(placement, routing)
 
 
-def _hetero_sp_placement(
-    problem: ProblemInstance,
-    sp_routing: Routing,
-    *,
-    context: "SolverContext | None" = None,
-) -> Placement:
+def _hetero_sp_placement(problem: ProblemInstance, sp_routing: Routing) -> Placement:
     """[38]'s placement with heterogeneous sizes: LP (15) + naive equal-swap round."""
-    paths = extract_serving_paths(problem, sp_routing, context=context)
+    paths = extract_serving_paths(problem, sp_routing)
     fractional, capacities = fractional_placement_lp(problem, paths)
     weights: dict = {}
     for sp in paths:

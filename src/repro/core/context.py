@@ -14,7 +14,6 @@ requester lists with their rates, and the bound ``w_max``.  A
   :meth:`ProblemInstance.requesters_of` order so vectorized reductions are
   deterministic;
 - precomputed per-request baseline serving costs over pinned holders;
-- an edge-cost dict for O(1) link-cost lookups (serving-path suffix sums);
 - a lazy :class:`PredecessorPathCache` that backtracks actual paths
   through the backend's memoized shortest-path trees.
 
@@ -35,8 +34,6 @@ import numpy as np
 from repro.core.problem import Item, Node, ProblemInstance
 from repro.exceptions import InfeasibleError, InvalidProblemError
 from repro.graph.backends import LazyRowBackend
-
-Edge = tuple[Node, Node]
 
 #: Up to this many nodes, ``from_problem(backend="auto")`` primes every
 #: distance row up front; above it, rows are computed on first read.
@@ -131,7 +128,6 @@ class SolverContext:
         self._w_max: float | None = None
         self._requesters: dict[Item, RequesterBlock] = {}
         self._pinned_base: dict[Item, np.ndarray] = {}
-        self._edge_costs: dict[Edge, float] = problem.network.costs()
         self._path_oracle: PredecessorPathCache | None = None
 
     @classmethod
@@ -274,7 +270,7 @@ class SolverContext:
         return np.minimum(self.pinned_min_costs(item), self.w_max)
 
     # ------------------------------------------------------------------
-    # Paths and link costs
+    # Paths
     # ------------------------------------------------------------------
 
     @property
@@ -283,10 +279,6 @@ class SolverContext:
         if self._path_oracle is None:
             self._path_oracle = PredecessorPathCache(self.backend)
         return self._path_oracle
-
-    def link_cost(self, u: Node, v: Node) -> float:
-        """Routing cost ``w_uv`` of a single link (precomputed dict)."""
-        return self._edge_costs[(u, v)]
 
     def __repr__(self) -> str:
         w = f"{self._w_max:.4g}" if self._w_max is not None else "<unread>"

@@ -221,17 +221,18 @@ def partition_graph(
 class ClusterIndex:
     """One instance's per-cluster links, boundaries and demand.
 
-    Built in one pass over the instance's own graph and demand
+    Built in one pass over the instance's own links and demand
     (:meth:`build`), so :func:`cluster_subproblem` reads a cluster's slice
     instead of scanning every link and request once per cluster.  An index
     describes exactly one ``(problem, partition)`` pair: a degraded
-    instance's removed links and scaled capacities come from its own graph,
-    so an index is never reused across graphs.
+    instance's removed links and scaled capacities come from its own
+    network (:meth:`~repro.graph.network.CacheNetwork.links`, which reads
+    a derived network without building its graph), so an index is never
+    reused across instances.
     """
 
-    #: Intra-cluster links ``(u, v, data)``, in graph edge order; ``data``
-    #: is the graph's own attribute dict.
-    edges: tuple[tuple[tuple[Node, Node, dict], ...], ...]
+    #: Intra-cluster links ``(u, v, cost, capacity)``, in graph edge order.
+    edges: tuple[tuple[tuple[Node, Node, float, float], ...], ...]
     #: Members with at least one link crossing the cluster edge, repr-sorted.
     boundary: tuple[tuple[Node, ...], ...]
     #: Requests ``{(item, requester): rate}``, in ``problem.demand`` order.
@@ -245,10 +246,10 @@ class ClusterIndex:
         k = partition.n_clusters
         edges: list[list] = [[] for _ in range(k)]
         boundary: list[set] = [set() for _ in range(k)]
-        for u, v, data in problem.network.graph.edges(data=True):
+        for u, v, cost, cap in problem.network.links():
             cu, cv = labels[u], labels[v]
             if cu == cv:
-                edges[cu].append((u, v, data))
+                edges[cu].append((u, v, cost, cap))
             else:
                 boundary[cu].add(u)
                 boundary[cv].add(v)
@@ -293,15 +294,8 @@ def cluster_subproblem(
     sub = nx.DiGraph()
     sub.add_nodes_from(members)
     sub.add_edges_from(
-        (
-            u,
-            v,
-            {
-                COST: float(data.get(COST, 1.0)),
-                CAPACITY: float(data.get(CAPACITY, math.inf)),
-            },
-        )
-        for u, v, data in index.edges[cid]
+        (u, v, {COST: float(cost), CAPACITY: float(cap)})
+        for u, v, cost, cap in index.edges[cid]
     )
 
     pinned = {
@@ -641,8 +635,8 @@ def resolve_clusters(
     solved serially, in cluster order, from one :class:`ClusterIndex` of
     ``problem``.
     """
-    graph = problem.network.graph
-    part = restrict_partition(partition, graph.nodes)
+    network = problem.network
+    part = restrict_partition(partition, network.nodes)
     wanted = sorted({_integer(c, "cluster id") for c in cluster_ids})
     for cid in wanted:
         if not 0 <= cid < part.n_clusters:
@@ -650,7 +644,7 @@ def resolve_clusters(
 
     context = context or SolverContext.from_problem(problem)
     holders = sorted(
-        {v for (v, _i) in problem.pinned if v in graph}, key=repr
+        {v for (v, _i) in problem.pinned if v in network}, key=repr
     )
     holder_rows = dict(zip(holders, context.rows_of(holders)))
     node_index = context.node_index

@@ -24,7 +24,6 @@ import heapq
 import itertools
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from repro.core.pipage import pipage_round
 from repro.core.problem import Item, ProblemInstance
 from repro.core.solution import Placement, Routing
 from repro.flow.lp import LPBuilder
-
-if TYPE_CHECKING:
-    from repro.core.context import SolverContext
 
 Node = Hashable
 
@@ -53,17 +49,10 @@ class ServingPath:
 
 
 def extract_serving_paths(
-    problem: ProblemInstance,
-    routing: Routing,
-    *,
-    context: "SolverContext | None" = None,
+    problem: ProblemInstance, routing: Routing
 ) -> list[ServingPath]:
-    """Turn a routing into rated serving paths (rate = lambda * fraction).
-
-    With ``context``, link costs come from its precomputed edge-cost dict
-    instead of per-edge graph attribute lookups.
-    """
-    link_cost = problem.network.cost if context is None else context.link_cost
+    """Turn a routing into rated serving paths (rate = lambda * fraction)."""
+    link_cost = problem.network.cost
     out: list[ServingPath] = []
     for (item, s), rate in problem.demand.items():
         for pf in routing.paths.get((item, s), []):
@@ -228,11 +217,9 @@ def fractional_placement_lp(
 def optimize_placement_lp(
     problem: ProblemInstance,
     routing: Routing,
-    *,
-    context: "SolverContext | None" = None,
 ) -> Placement:
     """(1-1/e)-approximate placement via the LP surrogate (15) + pipage."""
-    paths = extract_serving_paths(problem, routing, context=context)
+    paths = extract_serving_paths(problem, routing)
     fractional, capacities = fractional_placement_lp(problem, paths)
 
     # Index paths by (node, item) for derivative evaluation during rounding.
@@ -286,11 +273,9 @@ def optimize_placement_lp(
 def optimize_placement_greedy(
     problem: ProblemInstance,
     routing: Routing,
-    *,
-    context: "SolverContext | None" = None,
 ) -> Placement:
     """1/(1+p)-approximate placement by lazy greedy (Theorem 5.2, Lemma 5.3)."""
-    paths = extract_serving_paths(problem, routing, context=context)
+    paths = extract_serving_paths(problem, routing)
     cache_nodes = [
         v for v in problem.network.cache_nodes() if problem.network.cache_capacity(v) > 0
     ]
@@ -353,10 +338,8 @@ def optimize_placement_greedy(
 def optimize_placement(
     problem: ProblemInstance,
     routing: Routing,
-    *,
-    context: "SolverContext | None" = None,
 ) -> Placement:
     """Dispatch: pipage LP for homogeneous catalogs, greedy otherwise."""
     if problem.is_homogeneous():
-        return optimize_placement_lp(problem, routing, context=context)
-    return optimize_placement_greedy(problem, routing, context=context)
+        return optimize_placement_lp(problem, routing)
+    return optimize_placement_greedy(problem, routing)

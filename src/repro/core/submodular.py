@@ -146,7 +146,8 @@ def local_search_swap(
     ``(#holders, #requesters)`` slice of the context's distance rows and a
     partial sort; eviction losses and insertion gains are masked dot
     products.  On exact distance ties any best holder is valid, which can
-    only change which of two equal-loss moves is taken.
+    only change which of two equal-loss moves is taken.  Each sweep reads
+    every cache's items and used space from one pass over the placement.
     """
     ctx = context or SolverContext.from_problem(problem, backend="lazy")
     placement = placement.copy()
@@ -204,13 +205,17 @@ def local_search_swap(
                 stats_cache[item] = holder_stats(item)
             return stats_cache[item]
 
+        # One pass per sweep: a sweep visits each cache once and a move
+        # changes only that cache's entries, so these stay exact.
+        usage = placement.used_capacities(problem)
+        held: dict[Node, list[Item]] = {}
+        for u, i in placement:
+            if (u, i) not in problem.pinned:
+                held.setdefault(u, []).append(i)
         for v in cache_nodes:
             capacity = problem.network.cache_capacity(v)
-            cached = sorted(
-                (i for i in placement.items_at(v) if (v, i) not in problem.pinned),
-                key=repr,
-            )
-            spare = capacity - placement.used_capacity(v, problem)
+            cached = sorted(held.get(v, ()), key=repr)
+            spare = capacity - usage.get(v, 0)
             removal_loss: dict[Item, float] = {}
             for i in cached:
                 st = stats_of(i)

@@ -43,10 +43,7 @@ def greedy(scenario: EdgeCachingScenario) -> Solution:
 
 def sp(scenario: EdgeCachingScenario) -> Solution:
     """[38]'s 'shortest path' benchmark."""
-    problem = scenario.planning_problem()
-    return shortest_path_baseline(
-        problem, context=SolverContext.from_problem(problem)
-    )
+    return shortest_path_baseline(scenario.planning_problem())
 
 
 class ksp:
@@ -57,10 +54,7 @@ class ksp:
         self.__name__ = f"ksp_{k}"
 
     def __call__(self, scenario: EdgeCachingScenario) -> Solution:
-        problem = scenario.planning_problem()
-        return candidate_path_baseline(
-            problem, k=self.k, context=SolverContext.from_problem(problem)
-        )
+        return candidate_path_baseline(scenario.planning_problem(), k=self.k)
 
 
 class alternating:

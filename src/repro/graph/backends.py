@@ -46,6 +46,7 @@ from collections.abc import Hashable, Iterable
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.exceptions import ResourceError
 from repro.graph.distance_matrix import (
@@ -86,10 +87,15 @@ class LazyRowBackend:
     """
 
     def __init__(self, graph: nx.DiGraph) -> None:
-        self.nodes: tuple[Node, ...] = tuple(graph.nodes)
-        self.index: dict[Node, int] = {v: k for k, v in enumerate(self.nodes)}
+        nodes = tuple(graph.nodes)
+        index = {v: k for k, v in enumerate(nodes)}
+        self._adopt(nodes, index, _sparse_adjacency(graph, nodes, index, COST))
+
+    def _adopt(self, nodes: tuple[Node, ...], index: dict[Node, int], csgraph) -> None:
+        self.nodes: tuple[Node, ...] = nodes
+        self.index: dict[Node, int] = index
         #: CSR adjacency every row and tree is computed from.
-        self.csgraph = _sparse_adjacency(graph, self.nodes, self.index, COST)
+        self.csgraph = csgraph
         self._rows: dict[int, np.ndarray] = {}
         self._preds: dict[int, np.ndarray] = {}
         self._w_max: float | None = None
@@ -222,17 +228,56 @@ class LazyRowBackend:
     # Failure derivation
     # ------------------------------------------------------------------
 
-    def repair(self, degraded_graph: nx.DiGraph) -> "LazyRowBackend":
-        """A fresh backend for ``degraded_graph``; no rows are carried.
+    def repair(
+        self, failed_nodes: Iterable[Node], failed_links: Iterable[tuple[Node, Node]]
+    ) -> "LazyRowBackend":
+        """A fresh backend for this graph minus ``failed_nodes`` and the
+        directed ``failed_links``; no rows are carried.
 
-        Every row recomputes on first read against the degraded CSR, so the
-        child equals ``LazyRowBackend(degraded_graph)`` on every operation
-        by construction.  Carrying the rows a failure provably cannot touch
-        would need an affected-row test per derivation, and on the
-        workloads measured (recovery reads only cache, pinned and holder
-        rows) that test cost more than the Dijkstra it saved.
+        The child's CSR is this one's arrays with the failed entries masked
+        out: the rows and columns of failed nodes, and the entries of failed
+        links (a failed self-loop leaves the zero diagonal, which stands in
+        for every node's self-loop).  Surviving nodes keep their order and
+        are renumbered densely, so the arrays equal
+        ``_sparse_adjacency`` of the degraded graph entry for entry, and
+        the child equals ``LazyRowBackend(degraded_graph)`` on every
+        operation.  No graph is walked.
+
+        Every row recomputes on first read.  Carrying the rows a failure
+        provably cannot touch would need an affected-row test per
+        derivation, and on the workloads measured (recovery reads only
+        cache, pinned and holder rows) that test cost more than the
+        Dijkstra it saved.
         """
-        return LazyRowBackend(degraded_graph)
+        index = self.index
+        n = len(self.nodes)
+        adj = self.csgraph
+        indptr, indices = adj.indptr, adj.indices
+        entry_row = np.repeat(np.arange(n), np.diff(indptr))
+        alive = np.ones(n, dtype=bool)
+        alive[[index[v] for v in failed_nodes]] = False
+        keep = alive[entry_row] & alive[indices]
+        cut = [(index[u], index[v]) for u, v in failed_links if u != v]
+        if cut:
+            tail, head = np.asarray(cut, dtype=np.int64).T
+            keep &= ~np.isin(entry_row * n + indices, tail * n + head)
+        renumber = np.cumsum(alive) - 1
+        nodes = tuple(v for v, up in zip(self.nodes, alive.tolist()) if up)
+        m = len(nodes)
+        counts = np.bincount(renumber[entry_row[keep]], minlength=m)
+        child_indptr = np.zeros(m + 1, dtype=indptr.dtype)
+        np.cumsum(counts, out=child_indptr[1:])
+        csgraph = csr_matrix(
+            (
+                adj.data[keep],
+                renumber[indices[keep]].astype(indices.dtype),
+                child_indptr,
+            ),
+            shape=(m, m),
+        )
+        child = LazyRowBackend.__new__(LazyRowBackend)
+        child._adopt(nodes, {v: k for k, v in enumerate(nodes)}, csgraph)
+        return child
 
     def __repr__(self) -> str:
         return (

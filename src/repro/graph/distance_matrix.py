@@ -106,5 +106,5 @@ def _sparse_adjacency(
 
 # perfbench/tracer.py instruments this name by attribute lookup; it is kept
 # only as an alias of ``LazyRowBackend.repair`` and is not called here.
-def repair_distance_matrix(parent, degraded_graph):
-    return parent.repair(degraded_graph)
+def repair_distance_matrix(parent, failed_nodes, failed_links):
+    return parent.repair(failed_nodes, failed_links)

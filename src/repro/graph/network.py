@@ -11,6 +11,17 @@ A :class:`CacheNetwork` is a directed graph where
 
 The class is a thin validated wrapper around :class:`networkx.DiGraph` so all
 the usual graph tooling remains available through :attr:`CacheNetwork.graph`.
+
+A network can also be *derived* (:meth:`CacheNetwork.derive`): another
+network minus failed nodes and directed links, with some link capacities
+overridden.  A derived network copies no graph.  It answers membership,
+``has_edge``, ``cost``, ``capacity``, cache capacities and the node and link
+lists from the network it was derived from, skipping the failed ids and
+reading capacities through its overlay.  Its own :class:`networkx.DiGraph`
+is built only when a consumer reads :attr:`CacheNetwork.graph`; from then
+on the network reads only that graph, so mutating it never touches the
+network it was derived from.  The derived network reads the parent's link
+data live: mutate a network's links before deriving from it, not after.
 """
 
 from __future__ import annotations
@@ -57,7 +68,6 @@ class CacheNetwork:
     ) -> None:
         if not isinstance(graph, nx.DiGraph) or isinstance(graph, nx.MultiDiGraph):
             raise InvalidNetworkError("graph must be a plain networkx.DiGraph")
-        self._graph = graph
         self._cache: dict[Node, float] = {}
         cache_capacity = cache_capacity or {}
         for node, cap in cache_capacity.items():
@@ -77,6 +87,52 @@ class CacheNetwork:
                 raise InvalidNetworkError(f"link ({u!r}, {v!r}) has nonpositive capacity")
             data[COST] = cost
             data[CAPACITY] = cap
+        self._read(graph)
+
+    def _read(self, graph: nx.DiGraph) -> None:
+        """Answer every query from ``graph`` alone (no failures, no overlay)."""
+        self._graph: nx.DiGraph | None = graph
+        #: The graph's live successor and predecessor dicts (networkx's own
+        #: storage), read directly by the per-link lookups.
+        self._adj = graph._adj
+        self._pred = graph._pred
+        #: The graph-backed network a derived one reads, else ``None``.
+        self._base: CacheNetwork | None = None
+        self._down_nodes: frozenset[Node] = frozenset()
+        #: Failed directed links; every link of a failed node is one.
+        self._down_links: frozenset[Edge] = frozenset()
+        #: Link capacities that override the base graph's.
+        self._capacity: dict[Edge, float] = {}
+
+    def derive(
+        self,
+        failed_nodes: frozenset[Node],
+        failed_links: frozenset[Edge],
+        capacities: Mapping[Edge, float],
+    ) -> "CacheNetwork":
+        """This network minus ``failed_nodes`` and the directed
+        ``failed_links``, with ``capacities`` overriding link capacities.
+
+        No graph is copied and nothing already validated is re-validated:
+        the result reads this network's links, skipping the failed ids.
+        ``failed_links`` must hold every surviving link of each failed node,
+        and every overriding capacity must be positive.  Deriving from a
+        derived network composes both onto the graph-backed network they
+        share.
+        """
+        caps = {e: float(c) for e, c in capacities.items()}
+        for (u, v), cap in caps.items():
+            if cap <= 0:
+                raise InvalidNetworkError(f"link ({u!r}, {v!r}) has nonpositive capacity")
+        child = CacheNetwork.__new__(CacheNetwork)
+        child._graph = None
+        child._adj, child._pred = self._adj, self._pred
+        child._base = self if self._base is None else self._base
+        child._down_nodes = self._down_nodes | failed_nodes
+        child._down_links = self._down_links | failed_links
+        child._capacity = {**self._capacity, **caps}
+        child._cache = {v: c for v, c in self._cache.items() if v not in failed_nodes}
+        return child
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -110,7 +166,7 @@ class CacheNetwork:
 
     def copy(self) -> "CacheNetwork":
         """Deep-enough copy (graph attributes and cache map are duplicated)."""
-        return CacheNetwork(self._graph.copy(), dict(self._cache))
+        return CacheNetwork(self.graph.copy(), dict(self._cache))
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -118,32 +174,66 @@ class CacheNetwork:
 
     @property
     def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (shared, not a copy)."""
+        """The underlying directed graph (shared, not a copy).
+
+        A derived network builds its graph on first read: a copy of the
+        base graph minus the failed nodes and links, carrying the
+        overriding capacities.  After that it reads only this graph.
+        """
+        if self._graph is None:
+            base = self._base
+            graph = base.graph.copy()
+            graph.remove_edges_from(self._down_links)
+            graph.remove_nodes_from(self._down_nodes)
+            adj = graph._adj
+            for (u, v), cap in self._capacity.items():
+                if (u, v) not in self._down_links:
+                    adj[u][v][CAPACITY] = cap
+            self._read(graph)
         return self._graph
+
+    def links(self) -> Iterator[tuple[Node, Node, float, float]]:
+        """``(u, v, cost, capacity)`` of every link, in graph order."""
+        down_nodes, down_links, overlay = self._down_nodes, self._down_links, self._capacity
+        for u, nbrs in self._adj.items():
+            if u in down_nodes:
+                continue
+            for v, data in nbrs.items():
+                if (u, v) not in down_links:
+                    yield u, v, data[COST], overlay.get((u, v), data[CAPACITY])
+
+    def _data(self, u: Node, v: Node) -> dict:
+        """Attribute dict of link ``(u, v)``; ``KeyError`` if it is absent."""
+        if self._down_links and (u, v) in self._down_links:
+            raise KeyError(f"The edge {(u, v)} is not in the graph.")
+        return self._adj[u][v]
 
     @property
     def nodes(self) -> list[Node]:
-        return list(self._graph.nodes)
+        down = self._down_nodes
+        return [v for v in self._adj if v not in down] if down else list(self._adj)
 
     @property
     def edges(self) -> list[Edge]:
-        return list(self._graph.edges)
+        return [(u, v) for u, v, _, _ in self.links()]
 
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adj) - len(self._down_nodes)
 
     @property
     def num_edges(self) -> int:
-        return self._graph.number_of_edges()
+        if self._base is None:
+            return self._graph.number_of_edges()
+        return sum(1 for _ in self.links())
 
     def cost(self, u: Node, v: Node) -> float:
         """Routing cost ``w_uv`` of link ``(u, v)``."""
-        return self._graph.edges[u, v][COST]
+        return self._data(u, v)[COST]
 
     def capacity(self, u: Node, v: Node) -> float:
         """Transfer capacity ``c_uv`` of link ``(u, v)``."""
-        return self._graph.edges[u, v][CAPACITY]
+        return self._capacity.get((u, v), self._data(u, v)[CAPACITY])
 
     def cache_capacity(self, v: Node) -> float:
         """Cache capacity ``c_v`` of node ``v`` (0 means no cache)."""
@@ -159,35 +249,53 @@ class CacheNetwork:
         return [v for v, c in self._cache.items() if c > 0]
 
     def costs(self) -> dict[Edge, float]:
-        return {(u, v): d[COST] for u, v, d in self._graph.edges(data=True)}
+        return {(u, v): cost for u, v, cost, _ in self.links()}
 
     def capacities(self) -> dict[Edge, float]:
-        return {(u, v): d[CAPACITY] for u, v, d in self._graph.edges(data=True)}
+        return {(u, v): cap for u, v, _, cap in self.links()}
+
+    def _neighbors(self, v: Node) -> tuple[list[Node], list[Node]]:
+        """Surviving ``(predecessors, successors)`` of ``v``; ``KeyError``
+        if ``v`` is not in the network."""
+        if v in self._down_nodes:
+            raise KeyError(f"node {v!r} is not in the network")
+        pred, succ, down = self._pred[v], self._adj[v], self._down_links
+        if not down:
+            return list(pred), list(succ)
+        return (
+            [u for u in pred if (u, v) not in down],
+            [w for w in succ if (v, w) not in down],
+        )
 
     def out_edges(self, v: Node) -> Iterator[Edge]:
-        return iter(self._graph.out_edges(v))
+        return iter([(v, w) for w in self._neighbors(v)[1]])
 
     def in_edges(self, v: Node) -> Iterator[Edge]:
-        return iter(self._graph.in_edges(v))
+        """Links into ``v``, in the base graph's predecessor order."""
+        return iter([(u, v) for u in self._neighbors(v)[0]])
 
     def has_edge(self, u: Node, v: Node) -> bool:
-        return self._graph.has_edge(u, v)
+        if self._down_links and (u, v) in self._down_links:
+            return False
+        nbrs = self._adj.get(u)
+        return nbrs is not None and v in nbrs
 
     def degree(self, v: Node) -> int:
         """Total (in + out) degree of ``v``."""
-        return self._graph.in_degree(v) + self._graph.out_degree(v)
+        pred, succ = self._neighbors(v)
+        return len(pred) + len(succ)
 
     def undirected_degree(self, v: Node) -> int:
         """Degree in the undirected sense (anti-parallel links count once)."""
-        neighbors = set(self._graph.predecessors(v)) | set(self._graph.successors(v))
-        return len(neighbors)
+        pred, succ = self._neighbors(v)
+        return len(set(pred) | set(succ))
 
     # ------------------------------------------------------------------
     # Mutators used by experiment setups
     # ------------------------------------------------------------------
 
     def set_cache_capacity(self, v: Node, capacity: float) -> None:
-        if v not in self._graph:
+        if v not in self:
             raise InvalidNetworkError(f"node {v!r} not in graph")
         if capacity < 0:
             raise InvalidNetworkError("cache capacity must be nonnegative")
@@ -196,11 +304,11 @@ class CacheNetwork:
     def set_link_capacity(self, u: Node, v: Node, capacity: float) -> None:
         if capacity <= 0:
             raise InvalidNetworkError("link capacity must be positive")
-        self._graph.edges[u, v][CAPACITY] = float(capacity)
+        self.graph.edges[u, v][CAPACITY] = float(capacity)
 
     def set_uniform_link_capacity(self, capacity: float) -> None:
         """Give every link the same capacity (the paper's default ``kappa``)."""
-        for _, _, data in self._graph.edges(data=True):
+        for _, _, data in self.graph.edges(data=True):
             if capacity <= 0:
                 raise InvalidNetworkError("link capacity must be positive")
             data[CAPACITY] = float(capacity)
@@ -221,8 +329,9 @@ class CacheNetwork:
         """
         if extra < 0:
             raise InvalidNetworkError("extra capacity must be nonnegative")
+        graph = self.graph
         for u, v in zip(path[:-1], path[1:]):
-            data = self._graph.edges[u, v]
+            data = graph.edges[u, v]
             data[CAPACITY] = data[CAPACITY] + extra
 
     # ------------------------------------------------------------------
@@ -230,7 +339,10 @@ class CacheNetwork:
     # ------------------------------------------------------------------
 
     def __contains__(self, node: Any) -> bool:
-        return node in self._graph
+        try:
+            return node in self._adj and node not in self._down_nodes
+        except TypeError:  # unhashable: never a node
+            return False
 
     def __len__(self) -> int:
         return self.num_nodes

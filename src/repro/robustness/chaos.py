@@ -270,7 +270,7 @@ class InvariantChecker:
             self._violate(time, "action without a recovery result")
             return
         problem = result.degraded.problem
-        graph = problem.network.graph
+        network = problem.network
         record_scenario = result.degraded.scenario.name
 
         for (item, s), flows in ctl.routing.paths.items():
@@ -278,14 +278,14 @@ class InvariantChecker:
             for pf in flows:
                 served += pf.amount
                 for v in pf.path:
-                    if ctl.down_nodes.get(v) or v not in graph:
+                    if ctl.down_nodes.get(v) or v not in network:
                         self._violate(
                             time,
                             f"feasibility[{record_scenario}]: path for "
                             f"({item!r}, {s!r}) crosses down node {v!r}",
                         )
                 for e in zip(pf.path[:-1], pf.path[1:]):
-                    if ctl.down_links.get(e) or not graph.has_edge(*e):
+                    if ctl.down_links.get(e) or not network.has_edge(*e):
                         self._violate(
                             time,
                             f"feasibility[{record_scenario}]: path for "

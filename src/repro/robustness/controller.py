@@ -31,8 +31,12 @@ survivability layer — ``apply_failure`` → ``degraded_context`` →
 ``recover`` → ``survivability_record`` — so a timeline holding a single
 permanent failure at ``t=0`` reproduces the static record **bit-for-bit**
 (the chaos harness asserts this).  Every action composes the active fault
-set and derives its degraded problem and context from the healthy root;
-a derived context computes only the distance rows its recovery reads.
+set and derives its degraded problem and context from the healthy root,
+and pays for little beyond the routing: the degraded network reads the
+healthy one minus the failed node and directed-link ids (no graph copy),
+the derived context masks the healthy CSR with the same ids and computes
+only the distance rows its recovery reads, and the installed RNR routing
+compiles into flat tables with one certain slot per single-path type.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ scenario removes a handful of links or nodes from one healthy topology.
   — and therefore every distance — untouched, so the parent's backend is
   shared outright, primed rows included;
 - a removal goes through :meth:`repro.graph.backends.LazyRowBackend.repair`,
-  a fresh backend on the surviving graph that computes a row only when it
-  is read.  Failure recovery reads cache, pinned and holder rows — a small
-  fraction of a primed parent — so the derived context pays Dijkstra for
-  exactly that handful instead of a full all-pairs rebuild.
+  which masks the parent's CSR arrays with the scenario's failed node and
+  directed-link ids (``DegradedProblem.failed_nodes``/``failed_links``) —
+  no graph is copied or walked — into a fresh backend that computes a row
+  only when it is read.  Failure recovery reads cache, pinned and holder
+  rows — a small fraction of a primed parent — so the derived context pays
+  Dijkstra for exactly that handful instead of a full all-pairs rebuild.
 
 Either way the derived context equals
 ``SolverContext.from_problem(degraded.problem)`` bit for bit on every
@@ -30,6 +32,7 @@ the composed set of active faults.
 from __future__ import annotations
 
 from repro.core.context import SolverContext
+from repro.exceptions import InvalidProblemError
 from repro.robustness.faults import DegradedProblem
 
 __all__ = ["degraded_context"]
@@ -43,15 +46,17 @@ def degraded_context(
     The parent must be the context of the instance the scenario was applied
     to (usually the healthy one; a derived context works as a parent too).
     Capacity-only scenarios share the parent's backend outright; removals
-    get a fresh backend on the surviving graph whose rows compute on demand.
+    mask the parent's CSR with ``degraded.failed_nodes`` and
+    ``degraded.failed_links`` (:meth:`LazyRowBackend.repair
+    <repro.graph.backends.LazyRowBackend.repair>`), and the child's rows
+    compute on demand.  Neither reads the degraded network's graph.
     """
-    graph = degraded.problem.network.graph
     backend = parent.backend
-    if (
-        degraded.failed_links
-        or degraded.failed_nodes
-        or parent.nodes != tuple(graph.nodes)
-    ):
-        backend = backend.repair(graph)
+    if degraded.failed_links or degraded.failed_nodes:
+        backend = backend.repair(degraded.failed_nodes, degraded.failed_links)
+    if len(backend.nodes) != degraded.problem.network.num_nodes:
+        raise InvalidProblemError(
+            "degraded_context needs the context of the instance the scenario "
+            "was applied to"
+        )
     return SolverContext(degraded.problem, backend=backend)
-

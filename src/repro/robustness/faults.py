@@ -15,7 +15,9 @@ healthy :class:`~repro.core.problem.ProblemInstance`:
   ``(0, 1]`` (brown-out rather than black-out).
 
 A :class:`FailureScenario` is a named tuple of faults; :func:`apply_failure`
-materializes the surviving :class:`DegradedProblem`.  Scenario generators
+derives the surviving :class:`DegradedProblem` without copying the graph
+(its network is a :meth:`~repro.graph.network.CacheNetwork.derive` view of
+the healthy one).  Scenario generators
 cover enumerated single/k-failure sets and seeded random samplers, all with
 deterministic ordering so survivability sweeps are reproducible.
 """
@@ -30,7 +32,6 @@ import numpy as np
 
 from repro.core.problem import Node, ProblemInstance, Request
 from repro.exceptions import InvalidProblemError
-from repro.graph.network import CAPACITY, CacheNetwork
 
 Edge = tuple[Node, Node]
 
@@ -99,7 +100,13 @@ class DegradedProblem:
     ``problem`` is a fully valid :class:`ProblemInstance` over the surviving
     network; demand whose requester died is dropped from it and recorded in
     ``lost_demand`` so survivability reports can still charge it as
-    unserved.
+    unserved.  Its network is derived from the healthy one
+    (:meth:`~repro.graph.network.CacheNetwork.derive`): it answers every
+    query from the healthy links minus ``failed_nodes`` and
+    ``failed_links``, and builds a graph of its own only if ``.graph`` is
+    read.  ``failed_nodes`` and ``failed_links`` are also the masks
+    :func:`~repro.robustness.degraded.degraded_context` applies to the
+    parent's distance backend.
     """
 
     scenario: FailureScenario
@@ -135,24 +142,32 @@ def canonical_links(problem: ProblemInstance) -> list[Edge]:
 def apply_failure(
     problem: ProblemInstance, scenario: FailureScenario
 ) -> DegradedProblem:
-    """Materialize the degraded instance that survives ``scenario``.
+    """Derive the degraded instance that survives ``scenario``.
 
     Faults are applied in order; a fault referencing a link or node that no
     longer exists (e.g. already removed by an earlier fault in the same
     scenario) raises :class:`~repro.exceptions.InvalidProblemError` so typos
     in hand-written scenarios fail loudly.
+
+    No graph is copied: the degraded network is
+    :meth:`~repro.graph.network.CacheNetwork.derive` of ``problem.network``,
+    which reads the healthy links minus the failed node and directed-link
+    ids, with scaled capacities as a per-link overlay.  It builds its own
+    graph only when a consumer reads ``.graph``.
     """
-    graph = problem.network.graph.copy()
-    cache = problem.network.cache_capacities
+    network = problem.network
     failed_nodes: set[Node] = set()
     failed_links: set[Edge] = set()
+    capacities: dict[Edge, float] = {}
+
+    def alive(u: Node, v: Node) -> bool:
+        return (u, v) not in failed_links and network.has_edge(u, v)
 
     for fault in scenario.faults:
         if isinstance(fault, LinkFailure):
             removed = False
             for u, v in fault.directed_edges:
-                if graph.has_edge(u, v):
-                    graph.remove_edge(u, v)
+                if alive(u, v):
                     failed_links.add((u, v))
                     removed = True
             if not removed:
@@ -161,29 +176,32 @@ def apply_failure(
                     f"link ({fault.u!r}, {fault.v!r})"
                 )
         elif isinstance(fault, NodeFailure):
-            if fault.node not in graph:
+            if fault.node not in network or fault.node in failed_nodes:
                 raise InvalidProblemError(
                     f"failure scenario {scenario.name!r} removes missing "
                     f"node {fault.node!r}"
                 )
-            failed_links.update(graph.in_edges(fault.node))
-            failed_links.update(graph.out_edges(fault.node))
-            graph.remove_node(fault.node)
-            cache.pop(fault.node, None)
+            failed_links.update(network.in_edges(fault.node))
+            failed_links.update(network.out_edges(fault.node))
             failed_nodes.add(fault.node)
         elif isinstance(fault, CapacityDegradation):
             if not 0.0 < fault.factor <= 1.0:
                 raise InvalidProblemError(
                     f"degradation factor must be in (0, 1], got {fault.factor!r}"
                 )
-            targets = fault.links if fault.links is not None else list(graph.edges)
+            targets = fault.links
+            if targets is None:
+                targets = [e for e in network.edges if e not in failed_links]
             for u, v in targets:
-                if not graph.has_edge(u, v):
+                if not alive(u, v):
                     raise InvalidProblemError(
                         f"failure scenario {scenario.name!r} degrades missing "
                         f"link ({u!r}, {v!r})"
                     )
-                graph.edges[u, v][CAPACITY] = graph.edges[u, v][CAPACITY] * fault.factor
+                cap = capacities.get((u, v))
+                if cap is None:
+                    cap = network.capacity(u, v)
+                capacities[(u, v)] = cap * fault.factor
         else:  # pragma: no cover - guarded by the Fault union
             raise InvalidProblemError(f"unknown fault type {type(fault).__name__}")
 
@@ -194,8 +212,13 @@ def apply_failure(
     pinned = frozenset(
         (v, i) for (v, i) in problem.pinned if v not in failed_nodes
     )
+    nodes, links = frozenset(failed_nodes), frozenset(failed_links)
     degraded = ProblemInstance(
-        network=CacheNetwork(graph, cache),
+        network=network.derive(
+            nodes,
+            links,
+            {e: c for e, c in capacities.items() if e not in links},
+        ),
         catalog=problem.catalog,
         demand=demand,
         item_sizes=None if problem.item_sizes is None else dict(problem.item_sizes),
@@ -204,8 +227,8 @@ def apply_failure(
     return DegradedProblem(
         scenario=scenario,
         problem=degraded,
-        failed_nodes=frozenset(failed_nodes),
-        failed_links=frozenset(failed_links),
+        failed_nodes=nodes,
+        failed_links=links,
         lost_demand=lost,
     )
 

@@ -235,8 +235,8 @@ def generate_timeline(
             raise InvalidProblemError("empty SRLG group")
         for fault in faults:
             if not (
-                problem.network.graph.has_edge(fault.u, fault.v)
-                or problem.network.graph.has_edge(fault.v, fault.u)
+                problem.network.has_edge(fault.u, fault.v)
+                or problem.network.has_edge(fault.v, fault.u)
             ):
                 raise InvalidProblemError(
                     f"SRLG group references missing link ({fault.u!r}, {fault.v!r})"

@@ -11,7 +11,10 @@ precompiled tables:
   is one weighted ``bincount`` over edge ids;
 - each type's path-choice distribution becomes a Walker *alias table*
   (``slot_prob``/``slot_path``/``slot_alias``), so drawing one path per
-  request is O(1) and fully vectorizable.
+  request is O(1) and fully vectorizable.  A one-path type (every type of
+  an RNR routing under an integral placement) gets the single slot
+  ``(1.0, path, path)`` — what :func:`_alias_table` returns for ``[1.0]``
+  — without building a table.
 
 Semantics mirror the event simulator with one deliberate exception: the
 event loop *normalizes* path fractions (a partially served type still
@@ -187,6 +190,9 @@ def compile_tables(
     with ``allow_unrouted`` such types keep generating requests that count
     as unserved (the event simulator skips generating them entirely, which
     parity tests account for by comparing served counts).
+
+    Every array is filled as a flat list and converted once at the end;
+    only a type with two or more paths builds an alias table.
     """
     requests = problem.requests
     network = problem.network
@@ -197,15 +203,15 @@ def compile_tables(
     edge_src: list[int] = []
     edge_dst: list[int] = []
 
-    rates = np.empty(len(requests))
-    served_prob = np.zeros(len(requests))
-    item_sizes = np.empty(len(requests))
-    slot_ptr = np.zeros(len(requests) + 1, dtype=np.int64)
-    type_req = np.zeros(len(requests), dtype=np.int64)
-    type_item = np.zeros(len(requests), dtype=np.int64)
-    slot_prob: list[np.ndarray] = []
-    slot_path: list[np.ndarray] = []
-    slot_alias: list[np.ndarray] = []
+    rates: list[float] = []
+    served_prob: list[float] = []
+    item_sizes: list[float] = []
+    slot_ptr: list[int] = [0]
+    type_req: list[int] = []
+    type_item: list[int] = []
+    slot_prob: list[float] = []
+    slot_path: list[int] = []
+    slot_alias: list[int] = []
 
     path_cost: list[float] = []
     path_type: list[int] = []
@@ -217,54 +223,56 @@ def compile_tables(
 
     for t, request in enumerate(requests):
         item, _s = request
-        rates[t] = problem.demand[request]
-        item_sizes[t] = problem.size_of(item)
-        type_req[t] = node_ids.setdefault(_s, len(node_ids))
-        type_item[t] = item_ids.setdefault(item, len(item_ids))
+        rates.append(problem.demand[request])
+        item_sizes.append(problem.size_of(item))
+        type_req.append(node_ids.setdefault(_s, len(node_ids)))
+        type_item.append(item_ids.setdefault(item, len(item_ids)))
         pfs = routing.paths.get(request) or []
-        amounts = np.array([pf.amount for pf in pfs], dtype=float)
-        total = float(amounts.sum()) if len(amounts) else 0.0
-        if total <= _EPS:
-            if not allow_unrouted:
-                raise InvalidProblemError(f"request {request!r} has no routing")
-            unrouted += 1
-            slot_ptr[t + 1] = slot_ptr[t]
-            continue
-        served_prob[t] = min(1.0, total)
+        if len(pfs) == 1:
+            total = float(pfs[0].amount)
+        else:
+            total = float(np.array([pf.amount for pf in pfs], dtype=float).sum())
         first_path = len(path_cost)
-        for pf in pfs:
-            if pf.amount <= _EPS:
-                continue
-            cost = 0.0
-            for u, v in pf.edges():
-                eid = edge_ids.setdefault((u, v), len(edge_ids))
-                if eid == len(edge_cost):
-                    edge_cost.append(network.cost(u, v))
-                    edge_src.append(node_ids.setdefault(u, len(node_ids)))
-                    edge_dst.append(node_ids.setdefault(v, len(node_ids)))
-                cost += edge_cost[eid]
-                path_edges.append(eid)
-            path_cost.append(cost)
-            path_type.append(t)
-            path_amount.append(pf.amount)
-            path_src.append(node_ids.setdefault(pf.source, len(node_ids)))
-            path_edge_ptr.append(len(path_edges))
+        if not total <= _EPS:
+            for pf in pfs:
+                if pf.amount <= _EPS:
+                    continue
+                cost = 0.0
+                for u, v in pf.edges():
+                    eid = edge_ids.setdefault((u, v), len(edge_ids))
+                    if eid == len(edge_cost):
+                        edge_cost.append(network.cost(u, v))
+                        edge_src.append(node_ids.setdefault(u, len(node_ids)))
+                        edge_dst.append(node_ids.setdefault(v, len(node_ids)))
+                    cost += edge_cost[eid]
+                    path_edges.append(eid)
+                path_cost.append(cost)
+                path_type.append(t)
+                path_amount.append(pf.amount)
+                path_src.append(node_ids.setdefault(pf.source, len(node_ids)))
+                path_edge_ptr.append(len(path_edges))
         k = len(path_cost) - first_path
         if k == 0:
-            # Positive total but every individual fraction below _EPS.
+            # No routing, or a positive total with every fraction below _EPS.
             if not allow_unrouted:
                 raise InvalidProblemError(f"request {request!r} has no routing")
             unrouted += 1
-            served_prob[t] = 0.0
-            slot_ptr[t + 1] = slot_ptr[t]
-            continue
-        probs = np.array(path_amount[first_path:], dtype=float)
-        probs /= probs.sum()
-        accept, alias = _alias_table(probs)
-        slot_prob.append(accept)
-        slot_path.append(np.arange(first_path, first_path + k, dtype=np.int64))
-        slot_alias.append(alias + first_path)
-        slot_ptr[t + 1] = slot_ptr[t] + k
+            served_prob.append(0.0)
+        else:
+            served_prob.append(min(1.0, total))
+            if k == 1:
+                # _alias_table([1.0]): accept with certainty, alias to itself.
+                slot_prob.append(1.0)
+                slot_path.append(first_path)
+                slot_alias.append(first_path)
+            else:
+                probs = np.array(path_amount[first_path:], dtype=float)
+                probs /= probs.sum()
+                accept, alias = _alias_table(probs)
+                slot_prob.extend(accept.tolist())
+                slot_path.extend(range(first_path, first_path + k))
+                slot_alias.extend((alias + first_path).tolist())
+        slot_ptr.append(len(slot_prob))
 
     edges = tuple(edge_ids)
     return RoutingTables(
@@ -272,28 +280,18 @@ def compile_tables(
         edges=edges,
         nodes=tuple(node_ids),
         items=tuple(item_ids),
-        rates=rates,
-        served_prob=served_prob,
-        item_sizes=item_sizes,
-        slot_ptr=slot_ptr,
-        type_req=type_req,
-        type_item=type_item,
-        slot_prob=(
-            np.concatenate(slot_prob) if slot_prob else np.zeros(0)
-        ),
-        slot_path=(
-            np.concatenate(slot_path)
-            if slot_path
-            else np.zeros(0, dtype=np.int64)
-        ),
-        slot_alias=(
-            np.concatenate(slot_alias)
-            if slot_alias
-            else np.zeros(0, dtype=np.int64)
-        ),
-        path_cost=np.array(path_cost),
+        rates=np.array(rates, dtype=np.float64),
+        served_prob=np.array(served_prob, dtype=np.float64),
+        item_sizes=np.array(item_sizes, dtype=np.float64),
+        slot_ptr=np.array(slot_ptr, dtype=np.int64),
+        type_req=np.array(type_req, dtype=np.int64),
+        type_item=np.array(type_item, dtype=np.int64),
+        slot_prob=np.array(slot_prob, dtype=np.float64),
+        slot_path=np.array(slot_path, dtype=np.int64),
+        slot_alias=np.array(slot_alias, dtype=np.int64),
+        path_cost=np.array(path_cost, dtype=np.float64),
         path_type=np.array(path_type, dtype=np.int64),
-        path_amount=np.array(path_amount),
+        path_amount=np.array(path_amount, dtype=np.float64),
         path_src=np.array(path_src, dtype=np.int64),
         path_edge_ptr=np.array(path_edge_ptr, dtype=np.int64),
         path_edges=np.array(path_edges, dtype=np.int64),

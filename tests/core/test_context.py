@@ -167,9 +167,13 @@ class TestContextStructure:
         assert np.all(ctx.baseline_costs(item) >= 0.0)
 
     def test_link_cost_matches_network(self, random_problem):
+        # A context holds link costs only as its backend's CSR entries.
         ctx = SolverContext.from_problem(random_problem)
+        idx = ctx.node_index
         for (u, v) in random_problem.network.edges:
-            assert ctx.link_cost(u, v) == random_problem.network.cost(u, v)
+            if u != v:
+                got = ctx.backend.csgraph[idx[u], idx[v]]
+                assert got == random_problem.network.cost(u, v)
 
 
 class TestObjectiveEquivalence:

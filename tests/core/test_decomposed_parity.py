@@ -306,10 +306,10 @@ class TestSubproblemParity:
         healthy = ClusterIndex.build(problem, partition)
         index = ClusterIndex.build(degraded, partition)
         for cid in range(partition.n_clusters):
-            for (_u, _v, data), (_hu, _hv, old) in zip(
+            for (_u, _v, _c, cap), (_hu, _hv, _hc, old) in zip(
                 index.edges[cid], healthy.edges[cid]
             ):
-                assert data[CAPACITY] == old[CAPACITY] * 0.5
+                assert cap == old * 0.5
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parity tests: rows of a repaired backend vs a fresh primed rebuild.
 
 The reuse layer's correctness hinges on :meth:`LazyRowBackend.repair`
+(the parent's CSR masked with the failed node and directed-link ids)
 serving *bit-identical* rows to a fresh fully primed backend on the
 degraded graph — these tests exercise randomized single-link, k-link, and
 node failures (including ones that disconnect the graph) and compare with
@@ -58,7 +59,7 @@ class TestSingleLink:
         target = edges[int(rng.integers(len(edges)))]
         degraded = g.copy()
         remove_edges(degraded, [target])
-        repaired = parent.repair(degraded)
+        repaired = parent.repair((), [target])
         assert repaired.materialized == 0  # nothing carried, rows on demand
         assert_bit_identical(repaired, primed(degraded))
 
@@ -68,7 +69,7 @@ class TestSingleLink:
         for target in list(g.edges):
             degraded = g.copy()
             remove_edges(degraded, [target])
-            assert_bit_identical(parent.repair(degraded), primed(degraded))
+            assert_bit_identical(parent.repair((), [target]), primed(degraded))
 
     def test_disconnecting_bridge_goes_inf(self):
         g = nx.DiGraph()
@@ -78,7 +79,7 @@ class TestSingleLink:
         parent = primed(g)
         degraded = g.copy()
         remove_edges(degraded, [("a", "b")])
-        repaired = parent.repair(degraded)
+        repaired = parent.repair((), [("a", "b")])
         assert_bit_identical(repaired, primed(degraded))
         assert repaired.distance(repaired.index["a"], repaired.index["c"]) == math.inf
 
@@ -92,9 +93,10 @@ class TestKLink:
         rng = np.random.default_rng(2000 + 10 * seed + k)
         edges = list(g.edges)
         picks = rng.choice(len(edges), size=min(k, len(edges)), replace=False)
+        cut = [edges[int(i)] for i in picks]
         degraded = g.copy()
-        remove_edges(degraded, [edges[int(i)] for i in picks])
-        assert_bit_identical(parent.repair(degraded), primed(degraded))
+        remove_edges(degraded, cut)
+        assert_bit_identical(parent.repair((), cut), primed(degraded))
 
 
 class TestNodeFailure:
@@ -106,7 +108,7 @@ class TestNodeFailure:
         dead = int(rng.integers(g.number_of_nodes()))
         degraded = g.copy()
         degraded.remove_node(dead)
-        repaired = parent.repair(degraded)
+        repaired = parent.repair([dead], ())
         assert dead not in repaired.index
         assert_bit_identical(repaired, primed(degraded))
 
@@ -120,7 +122,7 @@ class TestNodeFailure:
         parent = primed(g)
         degraded = g.copy()
         degraded.remove_node("m")
-        repaired = parent.repair(degraded)
+        repaired = parent.repair(["m"], ())
         assert_bit_identical(repaired, primed(degraded))
         assert repaired.distance(repaired.index["a"], repaired.index["b"]) == math.inf
 
@@ -129,7 +131,7 @@ class TestGuards:
     def test_empty_after_removing_everything(self):
         g = nx.DiGraph()
         g.add_edge("a", "b", cost=1.0)
-        repaired = primed(g).repair(nx.DiGraph())
+        repaired = primed(g).repair(["a", "b"], [("a", "b")])
         assert len(repaired) == 0
         assert all_rows(repaired).shape == (0, 0)
         assert repaired.w_max() == 1.0
@@ -143,7 +145,7 @@ class TestGuards:
         target = edges[int(rng.integers(len(edges)))]
         degraded = g.copy()
         remove_edges(degraded, [target])
-        repaired = parent.repair(degraded)
+        repaired = parent.repair((), [target])
         for u in degraded.nodes:
             reference, _ = single_source_dijkstra(degraded, u)
             expected = [reference.get(v, math.inf) for v in repaired.nodes]
@@ -160,12 +162,12 @@ class TestPartialSources:
         edges = list(g.edges)
         first = g.copy()
         remove_edges(first, edges[:2])
-        step1 = parent.repair(first)
+        step1 = parent.repair((), edges[:2])
         sources = [step1.index[v] for v in list(step1.nodes)[:5]]
         step1.ensure_rows(sources)
         second = first.copy()
         remove_edges(second, list(first.edges)[:2])
-        step2 = step1.repair(second)
+        step2 = step1.repair((), list(first.edges)[:2])
         shrunk = sources[:3]
         fresh = primed(second)
         for i in shrunk:

@@ -114,13 +114,21 @@ class TestPredecessorParity:
         removed = data.draw(
             st.lists(st.sampled_from(edges), unique=True) if edges else st.just([])
         )
+        dead = data.draw(st.lists(st.sampled_from(list(graph.nodes)), max_size=2))
+        child = parent.repair(dead, removed)
         degraded = graph.copy()
         degraded.remove_edges_from(removed)
-        child = parent.repair(degraded)
-        read_in_batches(
-            child, data.draw(st.lists(st.lists(st.integers(0, 20), max_size=6), max_size=3))
-        )
-        assert_parity(child)
+        degraded.remove_nodes_from(dead)
+        fresh = LazyRowBackend(degraded)
+        assert child.nodes == fresh.nodes
+        if len(child):
+            read_in_batches(
+                child,
+                data.draw(st.lists(st.lists(st.integers(0, 20), max_size=6), max_size=3)),
+            )
+            assert_parity(child)
+        for s in range(len(fresh)):
+            assert np.array_equal(child.predecessors(s), fresh.predecessors(s))
 
     def test_tree_is_read_only_and_memoized(self):
         graph = nx.DiGraph()

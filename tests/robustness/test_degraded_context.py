@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import pin_full_catalog
 from repro.core.context import SolverContext
 from repro.core.problem import ProblemInstance
+from repro.exceptions import InvalidProblemError
 from repro.graph import CacheNetwork, abovenet
 from repro.robustness import (
     CapacityDegradation,
@@ -103,6 +104,23 @@ class TestCapacityOnly:
         derived = degraded_context(parent, degraded)
         assert derived.backend is parent.backend  # shared, primed rows too
         assert derived.problem is degraded.problem
+
+
+class TestParentMismatch:
+    def test_context_of_another_instance_raises(self):
+        # The second scenario applies to the first's degraded instance, so
+        # the healthy context is not its parent: its node ids do not match.
+        problem = random_uncapacitated_problem(0)
+        healthy = SolverContext.from_problem(problem)
+        first = apply_failure(problem, single_node_failures(problem)[1])
+        second = apply_failure(
+            first.problem, FailureScenario("cap", (CapacityDegradation(factor=0.5),))
+        )
+        with pytest.raises(InvalidProblemError, match="context of the instance"):
+            degraded_context(healthy, second)
+        assert degraded_context(degraded_context(healthy, first), second).nodes == tuple(
+            second.problem.network.nodes
+        )
 
 
 def abovenet_problem() -> ProblemInstance:
