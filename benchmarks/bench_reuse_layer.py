@@ -27,6 +27,7 @@ from repro.robustness import (
     survivability_record,
     survivability_report,
 )
+from repro.serving.tables import compile_tables
 
 SWEEP_SCENARIOS = 40
 
@@ -58,8 +59,11 @@ def test_degraded_context_sweep(benchmark, report, bench_json):
             degraded = apply_failure(problem, failure)
             ctx = derive(degraded)
             result = recover(degraded, placement, repair=True, context=ctx)
+            tables = compile_tables(problem, result.routing, allow_unrouted=True)
             records.append(
-                survivability_record(result, healthy_cost=shipped.healthy_cost)
+                survivability_record(
+                    result, tables, healthy_cost=shipped.healthy_cost
+                )
             )
             rows += ctx.backend.materialized
         return records, rows

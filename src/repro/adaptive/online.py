@@ -26,17 +26,17 @@ from repro.adaptive.gradient import AdaptiveGradientPlacement, GradientConfig
 from repro.adaptive.periodic import PlannerConfig, PredictivePlanner
 from repro.adaptive.strategies import (
     STRATEGIES,
-    ReactiveStrategyEngine,
     ReactiveTables,
     build_reactive_tables,
+    replay_reactive,
     stream_type_ids,
 )
 from repro.core.algorithm1 import algorithm1
-from repro.core.evaluation import path_cost
 from repro.core.problem import ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement
 from repro.exceptions import InvalidProblemError
+from repro.serving.tables import compile_tables
 
 #: All policies the driver knows, in reporting order.
 ALL_POLICIES = (
@@ -55,14 +55,9 @@ def placement_type_costs(reactive: ReactiveTables, placement: Placement) -> np.n
     """Per-type RNR serving cost under ``placement`` (tables' type order)."""
     problem = reactive.problem
     routing = route_to_nearest_replica(problem, placement, context=reactive.context)
-    costs = np.zeros(reactive.num_types)
-    network = problem.network
-    for t, request in enumerate(reactive.tables.types):
-        costs[t] = sum(
-            pf.amount * path_cost(network, pf.path)
-            for pf in routing.paths.get(request, [])
-        )
-    return costs
+    tables = compile_tables(problem, routing)
+    weights = tables.path_amount * tables.path_cost
+    return np.bincount(tables.path_type, weights=weights, minlength=reactive.num_types)
 
 
 @dataclass
@@ -151,25 +146,21 @@ def run_online_adaptive(
 
     # -- reactive strategies -------------------------------------------
     for strategy in (p for p in policies if p in STRATEGIES):
-        engine = ReactiveStrategyEngine(
-            rt, strategy=strategy, policy=eviction_policy, seed=seed + 1
+        replay = replay_reactive(
+            problem,
+            strategy=strategy,
+            policy=eviction_policy,
+            chunk_size=chunk_size,
+            warmup_fraction=warmup_fraction,
+            seed=seed,
+            type_ids=type_ids,
+            reactive=rt,
         )
-        chunk_costs = np.zeros(len(starts))
-        measured_cost = measured = hits = 0
-        for k, s in enumerate(starts):
-            chunk = type_ids[s : s + chunk_size]
-            metrics = engine.step(chunk)
-            chunk_costs[k] = float(metrics.costs.sum())
-            cut = max(0, warmup - s)
-            if cut < len(chunk):
-                measured += len(chunk) - cut
-                measured_cost += float(metrics.costs[cut:].sum())
-                hits += int(metrics.edge_hits[cut:].sum())
         report.traces[strategy] = PolicyTrace(
             name=strategy,
-            chunk_costs=chunk_costs,
-            cost_rate=measured_cost / measured * total_rate if measured else 0.0,
-            edge_hit_ratio=hits / measured if measured else float("nan"),
+            chunk_costs=replay.chunk_costs,
+            cost_rate=replay.cost_rate,
+            edge_hit_ratio=replay.edge_hit_ratio if replay.requests else float("nan"),
         )
 
     # -- placement-based policies --------------------------------------

@@ -13,6 +13,7 @@ These implement the quantities reported in the paper's Section 6:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.context import SolverContext
@@ -70,29 +71,33 @@ def link_loads(
     return loads
 
 
+def link_utilization(
+    network: CacheNetwork, loads: Mapping[Edge, float]
+) -> dict[Edge, float]:
+    """Load-to-capacity ratio of every capacitated link in ``loads``, the one
+    per-link rule.  A zero-capacity link (possible when callers mutate edge
+    attributes directly) reports ``inf`` under positive load and 0.0 under none."""
+    profile: dict[Edge, float] = {}
+    for (u, v), load in loads.items():
+        cap = network.capacity(u, v)
+        if math.isinf(cap):
+            continue
+        if cap <= 0:
+            profile[(u, v)] = math.inf if load > _EPS else 0.0
+        else:
+            profile[(u, v)] = load / cap
+    return profile
+
+
 def congestion(
     problem: ProblemInstance,
     routing: Routing,
     *,
     demand: dict[Request, float] | None = None,
 ) -> float:
-    """Maximum load-to-capacity ratio over all links (0 if all uncapacitated).
-
-    A zero-capacity link (possible when callers mutate edge attributes
-    directly) reports ``inf`` congestion under positive load and 0 under no
-    load, instead of raising :class:`ZeroDivisionError`.
-    """
-    worst = 0.0
-    for (u, v), load in link_loads(problem, routing, demand=demand).items():
-        cap = problem.network.capacity(u, v)
-        if math.isinf(cap):
-            continue
-        if cap <= 0:
-            if load > _EPS:
-                return math.inf
-            continue
-        worst = max(worst, load / cap)
-    return worst
+    """Maximum :func:`link_utilization` over all links (0 if all uncapacitated)."""
+    loads = link_loads(problem, routing, demand=demand)
+    return max(link_utilization(problem.network, loads).values(), default=0.0)
 
 
 def max_cache_occupancy(problem: ProblemInstance, placement: Placement) -> float:
@@ -259,21 +264,9 @@ def utilization_profile(
     *,
     demand: dict[Request, float] | None = None,
 ) -> dict[Edge, float]:
-    """Per-link load-to-capacity ratios (capacitated links only).
-
-    Zero-capacity links report ``inf`` utilization under positive load and
-    0.0 under no load (mirroring :func:`congestion`).
-    """
-    profile: dict[Edge, float] = {}
-    for (u, v), load in link_loads(problem, routing, demand=demand).items():
-        cap = problem.network.capacity(u, v)
-        if math.isinf(cap):
-            continue
-        if cap <= 0:
-            profile[(u, v)] = math.inf if load > _EPS else 0.0
-        else:
-            profile[(u, v)] = load / cap
-    return profile
+    """Per-link :func:`link_utilization` of ``routing`` (capacitated links only)."""
+    loads = link_loads(problem, routing, demand=demand)
+    return link_utilization(problem.network, loads)
 
 
 def summarize(problem: ProblemInstance, solution: Solution) -> dict[str, float]:

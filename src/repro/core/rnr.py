@@ -52,9 +52,8 @@ def route_to_nearest_replica(
     - ``"raise"`` (default): raise :class:`InfeasibleError` — a healthy
       instance with a pinned origin should always be fully servable;
     - ``"partial"``: keep whatever fraction the reachable replicas cover and
-      leave the rest unserved (the failure-recovery mode of
-      :mod:`repro.robustness`; use
-      :func:`repro.core.evaluation.unserved_fraction` to quantify the gap).
+      leave the rest unserved (the failure-recovery mode of :mod:`repro.robustness`;
+      :attr:`repro.robustness.recovery.RecoveryResult.unserved_fraction` is the gap).
     """
     if on_unservable not in ("raise", "partial"):
         raise ValueError("on_unservable must be 'raise' or 'partial'")
@@ -71,11 +70,12 @@ def route_to_nearest_replica(
     item_requesters: dict = {}
     for item, requester in problem.demand:
         item_requesters.setdefault(item, []).append(requester)
+    holder_index = _holder_index(problem, placement)
     per_item: dict = {}
     for (item, requester), _rate in problem.demand.items():
         entry = per_item.get(item)
         if entry is None:
-            fractions = _holder_fractions(problem, placement, item)
+            fractions = holder_index.get(item, {})
             holders = sorted(fractions, key=repr)
             hidx = np.fromiter(
                 (nidx[h] for h in holders), dtype=np.intp, count=len(holders)
@@ -130,13 +130,14 @@ def route_to_nearest_replica(
     return routing
 
 
-def _holder_fractions(
-    problem: ProblemInstance, placement: Placement, item
-) -> dict[Node, float]:
-    """Available fraction per holder of ``item`` (pinned copies count 1.0)."""
-    fractions: dict[Node, float] = {}
-    for holder in placement.holders(item):
-        fractions[holder] = max(fractions.get(holder, 0.0), placement[(holder, item)])
-    for holder in problem.pinned_holders(item):
-        fractions[holder] = 1.0
-    return fractions
+def _holder_index(
+    problem: ProblemInstance, placement: Placement
+) -> dict[object, dict[Node, float]]:
+    """``{item: {holder: available fraction}}`` in one pass over the
+    placement and the pinned set (pinned copies count 1.0)."""
+    index: dict[object, dict[Node, float]] = {}
+    for (holder, item), fraction in placement.items():
+        index.setdefault(item, {})[holder] = fraction
+    for holder, item in problem.pinned:
+        index.setdefault(item, {})[holder] = 1.0
+    return index

@@ -37,6 +37,8 @@ healthy one minus the failed node and directed-link ids (no graph copy),
 the derived context masks the healthy CSR with the same ids and computes
 only the distance rows its recovery reads, and the installed RNR routing
 compiles into flat tables with one certain slot per single-path type.
+Those tables are the one price of a routing: the healthy cost, each action's
+record and the integrated cost rate all read them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.context import SolverContext
-from repro.core.evaluation import routing_cost
 from repro.core.problem import Node, ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement, Routing
@@ -270,12 +271,10 @@ class TimelineController:
             healthy_routing = route_to_nearest_replica(
                 problem, placement, context=self.context
             )
-        self.healthy_cost = routing_cost(
-            problem, healthy_routing, demand=problem.demand
-        )
         self.placement = placement.copy()
         self.last_result = None  # RecoveryResult of the latest action
         self._install(healthy_routing)
+        self.healthy_cost = self.tables.expected_cost_rate()
 
         # --- element state ------------------------------------------------
         self.active_faults: dict[Fault, int] = {}
@@ -512,10 +511,11 @@ class TimelineController:
         # Entries lost at event time (the placement is pre-pruned so repairs
         # cannot resurrect dead caches); charge them to this action's record.
         result.dropped = list(self._dropped_pending)
-        record = survivability_record(result, healthy_cost=self.healthy_cost)
-
         self.placement = result.placement
         self._install(result.routing)
+        record = survivability_record(
+            result, self.tables, healthy_cost=self.healthy_cost
+        )
         self.last_result = result
         self._composed_faults = set(scenario.faults)
         self._dropped_pending = []

@@ -5,6 +5,9 @@ For each failure scenario the report records the recovered routing's cost
 serve (replica and origin unreachable, or requester dead), and the
 congestion the surviving links absorb.  Costs are normalized against the
 *healthy* instance so ``cost_inflation = 1.0`` means the failure was free.
+Every routing is priced from its :class:`~repro.serving.tables.RoutingTables`
+over the healthy instance, the table the timeline controller installs, so
+static and timeline records are equal by construction.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 from repro.core.context import SolverContext
-from repro.core.evaluation import congestion, routing_cost
+from repro.core.evaluation import link_utilization
 from repro.core.problem import ProblemInstance
 from repro.core.rnr import route_to_nearest_replica
 from repro.core.solution import Placement
 from repro.robustness.degraded import degraded_context
 from repro.robustness.faults import FailureScenario, apply_failure
 from repro.robustness.recovery import RecoveryResult, recover
+from repro.serving.tables import RoutingTables, compile_tables
 
 _SERVED_TOL = 1e-6
 
@@ -158,21 +162,24 @@ class SurvivabilityReport:
 
 
 def survivability_record(
-    result: RecoveryResult, *, healthy_cost: float
+    result: RecoveryResult, tables: RoutingTables, *, healthy_cost: float
 ) -> SurvivabilityRecord:
-    """Score one recovery outcome against the healthy baseline cost."""
-    problem = result.degraded.problem
-    cost = routing_cost(problem, result.routing, demand=problem.demand)
+    """Score one recovery outcome against the healthy baseline cost.
+
+    ``tables`` is ``result.routing`` compiled over the *healthy* instance
+    (``allow_unrouted=True``); cost and congestion are read from it."""
+    cost = tables.expected_cost_rate()
     if healthy_cost > 0:
         inflation = cost / healthy_cost
     else:
         inflation = 1.0 if cost <= 0 else float("inf")
+    utilization = link_utilization(result.degraded.problem.network, tables.link_rates())
     return SurvivabilityRecord(
         scenario=result.degraded.scenario.name,
         cost=cost,
         cost_inflation=inflation,
         unserved_fraction=result.unserved_fraction,
-        congestion=congestion(problem, result.routing),
+        congestion=max(utilization.values(), default=0.0),
         stranded_requests=len(result.stranded),
         dropped_entries=len(result.dropped),
         repaired_entries=len(result.repaired),
@@ -202,15 +209,13 @@ def survivability_report(
     """
     context = context or SolverContext.from_problem(problem, backend="lazy")
     healthy_routing = route_to_nearest_replica(problem, placement, context=context)
-    healthy_cost = routing_cost(problem, healthy_routing, demand=problem.demand)
+    healthy_tables = compile_tables(problem, healthy_routing, allow_unrouted=True)
+    healthy_cost = healthy_tables.expected_cost_rate()
     records = []
     for scenario in scenarios:
         degraded = apply_failure(problem, scenario)
         ctx = degraded_context(context, degraded)
-        records.append(
-            survivability_record(
-                recover(degraded, placement, repair=repair, context=ctx),
-                healthy_cost=healthy_cost,
-            )
-        )
+        result = recover(degraded, placement, repair=repair, context=ctx)
+        tables = compile_tables(problem, result.routing, allow_unrouted=True)
+        records.append(survivability_record(result, tables, healthy_cost=healthy_cost))
     return SurvivabilityReport(healthy_cost=healthy_cost, records=records)

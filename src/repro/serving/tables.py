@@ -133,11 +133,18 @@ class RoutingTables:
         This is the deterministic aggregation path: no sampling, exactly the
         quantity the event simulator reports as ``analytic_loads``.
         """
-        weight = (
-            self.rates[self.path_type]
-            * self.path_amount
-            * self.item_sizes[self.path_type]
-        )
+        return self._per_edge(self._flow() * self.item_sizes[self.path_type])
+
+    def link_rates(self) -> dict[Edge, float]:
+        """Per-link ``sum rate * f``, not weighted by item size: the load
+        :func:`repro.core.evaluation.link_loads` gives and congestion reads."""
+        return self._per_edge(self._flow())
+
+    def _flow(self) -> np.ndarray:
+        return self.rates[self.path_type] * self.path_amount
+
+    def _per_edge(self, weight: np.ndarray) -> dict[Edge, float]:
+        """Sum a per-path ``weight`` over each path's edges (loaded edges only)."""
         per_edge = np.bincount(
             self.path_edges,
             weights=np.repeat(weight, np.diff(self.path_edge_ptr)),
@@ -151,13 +158,11 @@ class RoutingTables:
 
     def expected_cost_rate(self) -> float:
         """Expected routing cost per unit time — objective (1a)."""
-        return float(
-            (self.rates[self.path_type] * self.path_amount) @ self.path_cost
-        )
+        return float(self._flow() @ self.path_cost)
 
     def expected_served_rate(self) -> float:
         """Expected served demand rate: ``sum rate * f`` over all paths."""
-        return float((self.rates[self.path_type] * self.path_amount).sum())
+        return float(self._flow().sum())
 
     def node_index(self) -> dict[Node, int]:
         """Label -> id map over ``nodes`` (for failure masking; do not mutate)."""

@@ -10,8 +10,9 @@ from repro.adaptive import (
     replay_reactive,
     run_online_adaptive,
 )
-from repro.core import Placement, algorithm1, routing_cost
+from repro.core import Placement, algorithm1, route_to_nearest_replica, routing_cost
 from repro.exceptions import InvalidProblemError
+from repro.experiments import ScenarioConfig, build_scenario
 
 from tests.core.conftest import make_line_problem
 
@@ -155,3 +156,38 @@ class TestPlacementTypeCosts:
         cached = placement_type_costs(rt, Placement.from_set([(3, "item0")]))
         t = list(rt.tables.types).index(("item0", 5))
         assert cached[t] < empty[t]
+
+
+def walked_type_costs(rt, placement):
+    """Per-type RNR cost by walking every path's links, adding left to right
+    as the walk ``placement_type_costs`` replaced did (the oracle)."""
+    problem = rt.problem
+    routing = route_to_nearest_replica(problem, placement, context=rt.context)
+    costs = np.zeros(rt.num_types)
+    for t, request in enumerate(rt.tables.types):
+        total = 0.0
+        for pf in routing.paths.get(request, []):
+            cost = 0.0
+            for u, v in pf.edges():
+                cost += problem.network.cost(u, v)
+            total += pf.amount * cost
+        costs[t] = total
+    return costs
+
+
+class TestPlacementTypeCostParity:
+    def test_bit_identical_to_path_walk(self):
+        # Abovenet's link costs carry full mantissas, and the fractional
+        # placement gives types several paths, so any change in the order
+        # of the additions shows in the last bits.
+        problem = build_scenario(ScenarioConfig(seed=3, topology="abovenet")).problem
+        rt = build_reactive_tables(problem)
+        rng = np.random.default_rng(0)
+        fractional = Placement()
+        for v in problem.cache_nodes():
+            for k in rng.choice(len(problem.catalog), size=4, replace=False):
+                fractional[(v, problem.catalog[int(k)])] = float(rng.uniform(0.05, 1.0))
+        placements = (Placement(), algorithm1(problem).solution.placement, fractional)
+        for placement in placements:
+            got = placement_type_costs(rt, placement)
+            assert got.tobytes() == walked_type_costs(rt, placement).tobytes()

@@ -19,7 +19,9 @@ from repro.core import (
     max_cache_occupancy,
     routing_cost,
     summarize,
+    utilization_profile,
 )
+from repro.core.evaluation import link_utilization
 from repro.flow.decomposition import PathFlow
 from repro.graph.network import CacheNetwork
 
@@ -273,3 +275,79 @@ class TestOccupancyParity:
             elif used > 1e-9:
                 worst = math.inf
         assert max_cache_occupancy(problem, placement) == worst
+
+
+def walked_profile(problem, routing):
+    """``utilization_profile``'s rule as it was written before
+    :func:`link_utilization` (the oracle)."""
+    profile = {}
+    for (u, v), load in link_loads(problem, routing).items():
+        cap = problem.network.capacity(u, v)
+        if math.isinf(cap):
+            continue
+        if cap <= 0:
+            profile[(u, v)] = math.inf if load > 1e-9 else 0.0
+        else:
+            profile[(u, v)] = load / cap
+    return profile
+
+
+def walked_congestion(problem, routing):
+    """``congestion``'s rule as it was written before :func:`link_utilization`."""
+    worst = 0.0
+    for (u, v), load in link_loads(problem, routing).items():
+        cap = problem.network.capacity(u, v)
+        if math.isinf(cap):
+            continue
+        if cap <= 0:
+            if load > 1e-9:
+                return math.inf
+            continue
+        worst = max(worst, load / cap)
+    return worst
+
+
+def mixed_capacity_routing(seed: int):
+    """A line network whose directed links are finite, uncapacitated or
+    zero-capacity, and a fractional routing over it; a zero-amount path
+    registers a link with zero load."""
+    rng = np.random.default_rng(seed)
+    prob = make_line_problem(
+        num_nodes=int(rng.integers(3, 8)), catalog_size=3, link_capacity=1.0
+    )
+    n = prob.network.num_nodes
+    for u, v in list(prob.network.graph.edges):
+        draw = rng.random()
+        if draw < 0.3:
+            cap = math.inf
+        elif draw < 0.5:
+            cap = 0.0  # set directly, as in TestZeroCapacityLinks
+        else:
+            cap = float(rng.uniform(0.1, 10.0))
+        prob.network.graph.edges[u, v]["capacity"] = cap
+    routing = Routing()
+    for item in prob.catalog:
+        s = int(rng.integers(1, n))
+        prob.demand[(item, s)] = float(rng.uniform(0.1, 5.0))
+        paths = []
+        for _ in range(int(rng.integers(1, 4))):
+            src = int(rng.integers(0, n))
+            step = 1 if src <= s else -1
+            amount = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0))
+            paths.append(PathFlow(path=tuple(range(src, s + step, step)), amount=amount))
+        routing.paths[(item, s)] = paths
+    return prob, routing
+
+
+class TestLinkUtilization:
+    """One per-link rule serves congestion and the utilization profile."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reproduces_walked_rules(self, seed):
+        prob, routing = mixed_capacity_routing(seed)
+        want = walked_profile(prob, routing)
+        loads = link_loads(prob, routing)
+        assert link_utilization(prob.network, loads) == want
+        assert utilization_profile(prob, routing) == want
+        assert congestion(prob, routing) == walked_congestion(prob, routing)

@@ -1,6 +1,8 @@
 """Tests for route-to-nearest-replica routing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Placement,
@@ -9,9 +11,11 @@ from repro.core import (
     routing_cost,
     Solution,
 )
+from repro.core.rnr import _holder_index
 from repro.exceptions import InfeasibleError
 
 from tests.core.conftest import make_line_problem
+from tests.core.test_evaluation import sized_placement
 
 
 class TestRNR:
@@ -74,3 +78,28 @@ class TestRNR:
         placement = Placement({(3, item): 1e-12})
         routing = route_to_nearest_replica(prob, placement)
         assert routing.paths[(item, 4)][0].source == 0
+
+
+def walked_holder_fractions(problem, placement, item):
+    """The per-item holder scan RNR made before its one-pass index (oracle)."""
+    fractions = {}
+    for holder in placement.holders(item):
+        fractions[holder] = max(fractions.get(holder, 0.0), placement[(holder, item)])
+    for holder in problem.pinned_holders(item):
+        fractions[holder] = 1.0
+    return fractions
+
+
+class TestHolderIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_item_walk(self, seed):
+        # Pinned pairs overlap fractional placement entries: the pinned
+        # copy must count 1.0 whatever the placement stores.
+        problem, placement = sized_placement(seed)
+        index = _holder_index(problem, placement)
+        assert set(index) <= set(problem.catalog)
+        for item in problem.catalog:
+            assert index.get(item, {}) == walked_holder_fractions(
+                problem, placement, item
+            )

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.algorithm1 import algorithm1
 from repro.core.context import SolverContext
+from repro.core.decomposed import partition_graph
 from repro.core.problem import ProblemInstance, pin_full_catalog
 from repro.core.solution import Placement, Routing
 from repro.exceptions import InvalidProblemError
+from repro.experiments import ScenarioConfig, build_scenario
 from repro.flow.decomposition import PathFlow
 from repro.graph.network import CacheNetwork
 from repro.robustness import (
@@ -29,10 +32,12 @@ from repro.robustness import (
 from repro.robustness import controller
 from repro.robustness.chaos import (
     check_static_parity,
+    hierarchy_problem,
     random_placement,
     random_problem,
 )
 from repro.robustness.demo import gadget_placement, gadget_problem
+from repro.serving.degraded import delivered_rates
 
 _TOL = 1e-9
 
@@ -400,3 +405,85 @@ class TestDerivedStateParity:
         assert derived.reoptimizations > 0
         assert derived == rebuilt
         assert derived == plain
+
+
+def paper_instance(topology: str, seed: int):
+    """A paper topology scenario (chunk level) and Algorithm 1's placement."""
+    scenario = build_scenario(ScenarioConfig(seed=seed, topology=topology))
+    return scenario, algorithm1(scenario.problem).solution.placement
+
+
+class InstalledCostObserver:
+    """Pairs each action's record cost with the cost rate installed with it."""
+
+    def __init__(self) -> None:
+        self.pairs: list[tuple[float, float]] = []
+
+    def __call__(self, phase, _t, ctl, detail) -> None:
+        if phase == "action":
+            installed = delivered_rates(ctl.tables, ctl.degradation)[1]
+            self.pairs.append((detail.record.cost, installed))
+
+
+class TestOneCostRule:
+    """The healthy cost, every record and the integrated cost rate price a
+    routing from the one table the controller installs."""
+
+    @pytest.mark.parametrize(
+        "topology,seed",
+        [("abovenet", s) for s in range(5)]
+        + [("abvt", s) for s in range(4)]
+        + [("tinet", s) for s in range(2)],
+    )
+    def test_failure_free_inflation_is_exactly_one(self, topology, seed):
+        scenario, placement = paper_instance(topology, seed)
+        report = replay_timeline(
+            scenario.problem, placement, manual_timeline([], horizon=10.0)
+        )
+        assert report.cost_inflation_integral == 1.0
+
+    def test_record_cost_is_the_installed_rate(self):
+        # Node failures wipe caches and repair refills them, so installed
+        # routings read repaired copies and partially served types.
+        scenario, placement = paper_instance("abovenet", 1)
+        problem = scenario.problem
+        timeline = generate_timeline(
+            problem,
+            TimelineConfig(
+                horizon=25.0, node_mtbf=20.0, exclude_nodes=(scenario.origin,)
+            ),
+            seed=1,
+        )
+        observer = InstalledCostObserver()
+        report = replay_timeline(
+            problem,
+            placement,
+            timeline,
+            RecoveryPolicy(
+                detection_delay=0.5, flap_backoff=0.25, max_retries=2, repair=True
+            ),
+            observer=observer,
+        )
+        assert report.reoptimizations >= 10
+        assert len(observer.pairs) == report.reoptimizations
+        assert all(record == installed for record, installed in observer.pairs)
+
+    def test_cluster_local_record_cost_is_the_installed_rate(self):
+        problem = hierarchy_problem(300, n_items=5, n_caches=20, n_requesters=30)
+        placement = random_placement(np.random.default_rng(3), problem)
+        timeline = generate_timeline(
+            problem,
+            TimelineConfig(horizon=10.0, link_mtbf=300.0, link_mttr=2.0),
+            seed=5,
+        )
+        observer = InstalledCostObserver()
+        report = replay_timeline(
+            problem,
+            placement,
+            timeline,
+            RecoveryPolicy(detection_delay=0.2),
+            observer=observer,
+            partition=partition_graph(problem.network, seed=0),
+        )
+        assert report.reoptimizations >= 5
+        assert all(record == installed for record, installed in observer.pairs)

@@ -1,18 +1,32 @@
 """Survivability reporting: records, aggregates, and formatting."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.evaluation import congestion, routing_cost
+from repro.core.problem import ProblemInstance
+from repro.core.rnr import route_to_nearest_replica
+from repro.graph.network import CacheNetwork
 from repro.robustness import (
+    CapacityDegradation,
     FailureScenario,
+    FailureTimeline,
     LinkFailure,
+    NodeFailure,
     apply_failure,
+    canonical_links,
     recover,
+    replay_timeline,
     single_link_failures,
     single_node_failures,
     survivability_record,
     survivability_report,
 )
+from repro.robustness.chaos import random_placement, random_problem
 from repro.robustness.demo import gadget_placement, gadget_problem, run_gadget_demo
+from repro.serving.tables import compile_tables
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +41,8 @@ class TestRecord:
             problem, FailureScenario("f", (LinkFailure("v1", "s"),))
         )
         result = recover(degraded, gadget_placement())
-        record = survivability_record(result, healthy_cost=1.0)
+        tables = compile_tables(problem, result.routing, allow_unrouted=True)
+        record = survivability_record(result, tables, healthy_cost=1.0)
         # item1 detours vs->v2->s (cost 10), item2 stays on v2->s (cost 5).
         assert record.cost == pytest.approx(10.0 * 10.0 + 0.01 * 5.0)
         assert record.cost_inflation == pytest.approx(record.cost)
@@ -42,7 +57,8 @@ class TestRecord:
             problem, FailureScenario("f", (LinkFailure("v1", "s"),))
         )
         result = recover(degraded, gadget_placement())
-        record = survivability_record(result, healthy_cost=0.0)
+        tables = compile_tables(problem, result.routing, allow_unrouted=True)
+        record = survivability_record(result, tables, healthy_cost=0.0)
         assert record.cost_inflation == float("inf")
 
 
@@ -136,3 +152,70 @@ class TestJsonRoundTrip:
         clone = SurvivabilityReport.from_json(text)
         assert clone == report
         assert clone.records[0].cost_inflation == float("inf")
+
+
+def sized_capacitated_instance(seed: int):
+    """A random instance with finite capacities on most links, heterogeneous
+    item sizes and a fractional placement, plus a fault set drawn from link,
+    node and capacity faults (applied in the controller's safe order)."""
+    rng = np.random.default_rng(seed)
+    base = random_problem(rng, n_nodes=int(rng.integers(5, 9)), n_items=3)
+    graph = base.network.graph.copy()
+    for u, v in graph.edges:
+        if rng.random() < 0.7:
+            graph.edges[u, v]["capacity"] = float(rng.uniform(0.5, 20.0))
+    network = CacheNetwork(
+        graph, {v: base.network.cache_capacity(v) for v in base.network.cache_nodes()}
+    )
+    problem = ProblemInstance(
+        network,
+        base.catalog,
+        base.demand,
+        item_sizes={i: float(rng.uniform(0.2, 3.0)) for i in base.catalog},
+        pinned=base.pinned,
+    )
+    placement = random_placement(rng, problem)
+    for key in list(placement):
+        if rng.random() < 0.5:
+            placement[key] = float(rng.uniform(0.1, 0.9))
+    faults = []
+    if rng.random() < 0.5:
+        links = None
+        if rng.random() < 0.5:
+            links = tuple(e for e in network.edges if rng.random() < 0.5) or None
+        faults.append(CapacityDegradation(float(rng.uniform(0.2, 1.0)), links))
+    links = canonical_links(problem)
+    for j in rng.choice(len(links), size=int(rng.integers(0, 3)), replace=False):
+        faults.append(LinkFailure(*links[int(j)]))
+    if rng.random() < 0.5:
+        faults.append(NodeFailure(f"n{int(rng.integers(1, len(network.nodes)))}"))
+    return problem, placement, FailureScenario("mixed", tuple(faults))
+
+
+class TestTablePriceParity:
+    """Records priced from compiled tables agree with the path walkers
+    (``routing_cost``/``congestion``) to the last few bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), repair=st.booleans())
+    def test_matches_path_walk(self, seed, repair):
+        problem, placement, scenario = sized_capacitated_instance(seed)
+        exact = pytest.approx
+
+        report = survivability_report(problem, placement, [], repair=repair)
+        healthy = route_to_nearest_replica(problem, placement)
+        walked = routing_cost(problem, healthy)
+        assert report.healthy_cost == exact(walked, rel=1e-12, abs=0)
+        timeline = replay_timeline(
+            problem, placement, FailureTimeline("none", 1.0, ())
+        )
+        assert timeline.healthy_cost == report.healthy_cost
+
+        degraded = apply_failure(problem, scenario)
+        result = recover(degraded, placement, repair=repair)
+        tables = compile_tables(problem, result.routing, allow_unrouted=True)
+        record = survivability_record(result, tables, healthy_cost=1.0)
+        walked = routing_cost(degraded.problem, result.routing)
+        assert record.cost == exact(walked, rel=1e-12, abs=0)
+        walked = congestion(degraded.problem, result.routing)
+        assert record.congestion == exact(walked, rel=1e-12, abs=0)
